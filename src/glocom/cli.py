@@ -320,7 +320,11 @@ def cmd_train(args) -> int:
     final = report.trajectory[-1, 0] if report.trajectory.size else float("nan")
     print(
         f"train: {setup.config.epochs} epochs in {report.wall_time:.1f}s, "
-        f"final loss {final:.6g}, checkpoint at {ckpt}"
+        f"final loss {final:.6g}, {report.transport_solves} transport solves "
+        f"({report.transport_unconverged} unconverged, "
+        f"{report.transport_iters_mean:.1f} iterations mean, "
+        f"marginal error max {report.transport_marginal_err_max:.3g}), "
+        f"checkpoint at {ckpt}"
     )
     return 0
 

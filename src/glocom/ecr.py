@@ -2,10 +2,10 @@
 
 Words carry mass 1/V, topics capacity 1/K; the transport plan that moves
 word-embedding mass onto topic embeddings at minimal squared-distance cost
-(entropy-smoothed, solved by alternating scaling in the log domain) weights
-a pull of each topic embedding toward the center of its word cluster. The
-plan is treated as a constant between refreshes: no gradient flows through
-the solve itself.
+(entropy-smoothed, solved by alternating scaling with log-domain absorption
+in kernels.py) weights a pull of each topic embedding toward the center of
+its word cluster. The plan is treated as a constant between refreshes: no
+gradient flows through the solve itself.
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +80,7 @@ def _primal_objective(C: np.ndarray, P: np.ndarray, nu: float) -> float:
 
 
 def sinkhorn(problem: TransportProblem, track_objective: bool = False) -> TransportPlan:
-    """Solve the entropy-regularized transport problem in the log domain.
+    """Solve the entropy-regularized transport problem by alternating scaling.
 
     With track_objective=True every iteration's primal value
     <C,psi> - nu*H(psi) and the dual value are recorded (slow path, used by
@@ -88,64 +88,35 @@ def sinkhorn(problem: TransportProblem, track_objective: bool = False) -> Transp
     the offending nu.
     """
     C, nu = problem.cost, problem.nu
-    loga = np.log(problem.row_marginal)
-    logb = np.log(problem.col_marginal)
+    a, b = problem.row_marginal, problem.col_marginal
     with np.errstate(over="ignore"):
         Mr = -C / nu
     if not np.all(np.isfinite(Mr)):
         raise TransportError(f"cost/nu overflows at nu={nu}; increase nu")
 
+    primal: Optional[list[float]] = None
+    dual: Optional[list[float]] = None
+    record = None
     if track_objective:
-        u, v, iters_used, converged, primal, dual = _sinkhorn_tracked(
-            C, Mr, loga, logb, nu, problem.max_iters, problem.tol
-        )
-    else:
-        primal = dual = None
-        u, v, iters_used, converged = sinkhorn_log(
-            Mr, loga, logb, problem.max_iters, problem.tol
-        )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        primal, dual = [], []
+
+        def record(F, G):
+            P = np.exp(Mr + F[:, None] + G[None, :])
+            primal.append(_primal_objective(C, P, nu))
+            dual.append(float(nu * (F @ a + G @ b - P.sum())))
+
+    s = sinkhorn_log(Mr, np.log(a), np.log(b), problem.max_iters, problem.tol, record)
+    if not np.all(np.isfinite(s.u)):
         raise TransportError(
             f"transport kernel collapsed (non-finite scaling) at nu={nu}; "
             "increase nu or rescale the cost"
         )
-    psi = np.exp(Mr + u[:, None] + v[None, :])
-    row_err = float(np.abs(psi.sum(axis=1) - problem.row_marginal).sum())
-    col_err = float(np.abs(psi.sum(axis=0) - problem.col_marginal).sum())
-    return TransportPlan(psi, iters_used, converged, row_err, col_err, primal, dual)
-
-
-def _sinkhorn_tracked(C, Mr, loga, logb, nu, max_iters, tol):
-    """Instrumented twin of the kernel loop; same updates and stop rule."""
-    from scipy.special import logsumexp
-
-    a, b = np.exp(loga), np.exp(logb)
-    u = np.zeros_like(loga)
-    v = np.zeros_like(logb)
-    primal: list[float] = []
-    dual: list[float] = []
-    iters_used = 0
-    converged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            iters_used = it
-            u = loga - logsumexp(Mr + v[None, :], axis=1)
-            if not np.all(np.isfinite(u)):
-                u = np.full_like(u, np.inf)
-                break
-            v = logb - logsumexp(Mr + u[:, None], axis=0)
-            if not np.all(np.isfinite(v)):
-                u = np.full_like(u, np.inf)
-                break
-            P = np.exp(Mr + u[:, None] + v[None, :])
-            primal.append(_primal_objective(C, P, nu))
-            dual.append(float(nu * (u @ a + v @ b - P.sum())))
-            row_err = np.abs(P.sum(axis=1) - a).sum()
-            col_err = np.abs(P.sum(axis=0) - b).sum()
-            if row_err < tol and col_err < tol:
-                converged = True
-                break
-    return u, v, iters_used, converged, primal, dual
+    psi = s.u[:, None] * s.kernel * s.v[None, :]
+    row_err = float(np.abs(psi.sum(axis=1) - a).sum())
+    col_err = float(np.abs(psi.sum(axis=0) - b).sum())
+    return TransportPlan(
+        psi, s.iterations_used, s.converged, row_err, col_err, primal, dual
+    )
 
 
 def ecr_loss(W: np.ndarray, T: np.ndarray, plan) -> float:

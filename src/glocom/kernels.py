@@ -1,69 +1,95 @@
-"""Kernel backend selection.
+"""The transport-plan inner loop: alternating marginal scaling.
 
-The compiled extension implements the transport-plan inner loop; a numpy
-twin with identical semantics ships alongside it. Set GLOCOM_PURE_PYTHON=1
-(before import) to force the numpy path.
+Iterates in the scaling domain, two matrix-vector products per iteration
+on a Gibbs kernel built once per solve (Cuturi 2013). When a scaling leaves
+the range where its products stay accurate, it is absorbed into log-domain
+potentials and the kernel is rebuilt from them (Schmitzer 2019), so steep
+costs that underflow a plain kernel still solve.
 """
 
-import os
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
-_FORCE_PURE = os.environ.get("GLOCOM_PURE_PYTHON", "") == "1"
+BACKEND = "numpy"
 
-_speedups = None
-if not _FORCE_PURE:
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-    except ImportError:
-        _speedups = None
-
-BACKEND = "cython" if _speedups is not None else "numpy"
+# scalings outside [1/_SAFE, _SAFE] are absorbed into the potentials; the
+# product of two in-range scalings stays far inside the float64 range
+_SAFE = 1e50
 
 
-def sinkhorn_log_numpy(Mr, loga, logb, max_iters, tol):
-    """Log-domain alternating marginal scaling, numpy reference version.
+class Scaling(NamedTuple):
+    """The plan is ``u[:, None] * kernel * v[None, :]``."""
 
-    Returns (u, v, iterations_used, converged). Kernel collapse (a row or
-    column of the Gibbs kernel with no finite entry) surfaces as non-finite
-    potentials for the caller to detect.
+    u: np.ndarray  # (V,) row scaling; +inf everywhere when the kernel collapsed
+    v: np.ndarray  # (K,) column scaling
+    iterations_used: int
+    converged: bool
+    kernel: np.ndarray  # (V, K) exp(Mr + f[:, None] + g[None, :])
+
+
+def _in_range(s: np.ndarray) -> bool:
+    # written so that nan also counts as out of range
+    return bool(s.max() < _SAFE and s.min() > 1.0 / _SAFE)
+
+
+def sinkhorn_log(
+    Mr: np.ndarray,
+    loga: np.ndarray,
+    logb: np.ndarray,
+    max_iters: int,
+    tol: float,
+    callback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+) -> Scaling:
+    """Scale exp(Mr) to row marginals exp(loga) and column marginals exp(logb).
+
+    Each iteration updates the row scaling, then the column scaling, then
+    stops once the L1 row and column marginal errors are both below tol.
+    ``callback(F, G)``, when given, receives the log potentials after every
+    iteration; the plan is exp(Mr + F[:, None] + G[None, :]). Kernel
+    collapse (a row or column of exp(Mr) with no finite entry) returns a
+    non-finite ``u`` for the caller to report.
     """
-    a = np.exp(loga)
-    b = np.exp(logb)
-    u = np.zeros_like(loga)
-    v = np.zeros_like(logb)
+    V, K = Mr.shape
+    a, b = np.exp(loga), np.exp(logb)
+    u, v = np.ones(V), np.ones(K)
     iters_used = 0
     converged = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # absorbed log potentials: the row max keeps every kernel row's
+        # largest entry at 1
+        f, g = -Mr.max(axis=1), np.zeros(K)
+        if not np.all(np.isfinite(f)):
+            return Scaling(np.full(V, np.inf), v, 1, False, np.zeros((V, K)))
+        kernel = np.exp(Mr + f[:, None])
+        Kv = kernel.sum(axis=1)
         for it in range(1, max_iters + 1):
             iters_used = it
-            u = loga - logsumexp(Mr + v[None, :], axis=1)
-            if not np.all(np.isfinite(u)):
-                u = np.full_like(u, np.inf)
-                break
-            v = logb - logsumexp(Mr + u[:, None], axis=0)
-            if not np.all(np.isfinite(v)):
-                u = np.full_like(u, np.inf)
-                break
-            P = np.exp(Mr + u[:, None] + v[None, :])
-            row_err = np.abs(P.sum(axis=1) - a).sum()
-            col_err = np.abs(P.sum(axis=0) - b).sum()
+            # u needs no guard of its own: every kernel row keeps an entry of
+            # its plan row's order, so K v neither vanishes nor overflows
+            # while v is in range
+            u = a / Kv
+            KTu = kernel.T @ u
+            v = b / KTu
+            if not (_in_range(u) and _in_range(v)):
+                # redo the column update in the log domain, from the
+                # potentials with u absorbed
+                f += np.log(u)
+                g = logb - logsumexp(Mr + f[:, None], axis=0)
+                if not np.all(np.isfinite(g)):
+                    u = np.full(V, np.inf)
+                    break
+                kernel = np.exp(Mr + f[:, None] + g[None, :])
+                u, v = np.ones(V), np.ones(K)
+                KTu = kernel.sum(axis=0)
+            # row sums of the current plan; also the next row update's product
+            Kv = kernel @ v
+            row_err = np.abs(u * Kv - a).sum()
+            col_err = np.abs(v * KTu - b).sum()
+            if callback is not None:
+                callback(f + np.log(u), g + np.log(v))
             if row_err < tol and col_err < tol:
                 converged = True
                 break
-    return u, v, iters_used, converged
-
-
-def sinkhorn_log(Mr, loga, logb, max_iters, tol):
-    """Dispatch to the compiled kernel when available."""
-    if _speedups is not None:
-        Mr = np.ascontiguousarray(Mr, dtype=np.float64)
-        return _speedups.sinkhorn_log(
-            Mr,
-            np.ascontiguousarray(loga, dtype=np.float64),
-            np.ascontiguousarray(logb, dtype=np.float64),
-            int(max_iters),
-            float(tol),
-        )
-    return sinkhorn_log_numpy(Mr, loga, logb, max_iters, tol)
+    return Scaling(u, v, iters_used, converged, kernel)

@@ -72,11 +72,14 @@ class TopicSpace:
         return [self.W, self.T]
 
 
-def compute_beta(space: TopicSpace) -> np.ndarray:
+def compute_beta(space: TopicSpace, sqd: Optional[np.ndarray] = None) -> np.ndarray:
     """beta_ij = exp(-|w_i - t_j|^2 / tau), normalized over topics per word.
 
-    Row-wise softmax of -sqd/tau with max subtraction, so no overflow."""
-    return softmax_forward(-space.squared_dists() / space.tau)
+    Row-wise softmax of -sqd/tau with max subtraction, so no overflow.
+    ``sqd`` is the space's squared-distance matrix when the caller has it."""
+    if sqd is None:
+        sqd = space.squared_dists()
+    return softmax_forward(-sqd / space.tau)
 
 
 def compute_beta_backward(space: TopicSpace, beta: np.ndarray, dbeta: np.ndarray,
@@ -208,6 +211,7 @@ class GlocomModel:
         kl_scale: float = 1.0,
         rho_override: Optional[np.ndarray] = None,
         compute_grads: bool = True,
+        sqd: Optional[np.ndarray] = None,
     ) -> tuple[float, dict, LatentBatch]:
         """One step's loss and (optionally) parameter gradients.
 
@@ -217,7 +221,8 @@ class GlocomModel:
         squared-distance matrix. ``kl_scale`` multiplies both KL terms
         (warmup annealing hook). ``rho_override`` replaces the sampled
         adaptive variable and silences the local encoder and its KL (test
-        hook for the plain-VAE reduction).
+        hook for the plain-VAE reduction). ``sqd`` is the current
+        squared-distance matrix when the caller has already computed it.
         """
         if kl_mode not in ("divide", "literal"):
             raise TrainingError(f"unknown kl_mode: {kl_mode!r}")
@@ -253,7 +258,9 @@ class GlocomModel:
         s = theta_g[inv] * rho
         theta_gd = softmax_forward(s)
 
-        beta = compute_beta(self.space)
+        if sqd is None:
+            sqd = self.space.squared_dists()
+        beta = compute_beta(self.space, sqd)
         logits = theta_gd @ beta.T  # (B, V)
         logp = logits - logsumexp(logits, axis=1, keepdims=True)
         recon = -np.sum(x_aug * logp, axis=1)  # (B,)
@@ -267,7 +274,6 @@ class GlocomModel:
         ecr_term = 0.0
         sqd_grad_extra = None
         if psi is not None and lambda_ecr != 0.0:
-            sqd = self.space.squared_dists()
             if psi.shape != sqd.shape:
                 raise TrainingError(f"plan shape {psi.shape} != cost shape {sqd.shape}")
             ecr_term = float(lambda_ecr * np.sum(sqd * psi))

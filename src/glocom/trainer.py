@@ -206,6 +206,11 @@ class TrainReport:
     wall_time: float
     checkpoint_path: Optional[str]
     nu: float = 0.0  # transport strength actually used (0 when lambda_ecr=0)
+    # transport solves over the run; all zero when lambda_ecr=0
+    transport_solves: int = 0
+    transport_unconverged: int = 0  # solves stopped by ecr.max_iters
+    transport_iters_mean: float = 0.0
+    transport_marginal_err_max: float = 0.0  # largest L1 row or column error
 
     def __post_init__(self):
         self.trajectory = np.asarray(self.trajectory, dtype=np.float64)
@@ -293,9 +298,12 @@ def train(
     use_ecr = config.lambda_ecr != 0.0
     nu = 0.0
     if use_ecr:
-        cost0 = squared_distances(model.space.W.value, model.space.T.value)
-        nu = config.ecr_nu if config.ecr_nu > 0 else default_nu(cost0)
+        nu = config.ecr_nu
+        if nu == 0.0:
+            nu = default_nu(squared_distances(model.space.W.value, model.space.T.value))
 
+    solves = unconverged = iters_total = 0
+    err_max = 0.0
     trajectory = np.zeros((config.epochs, len(TRAJECTORY_COLUMNS)))
     for epoch in range(config.epochs):
         perm = rng.permutation(D)
@@ -309,7 +317,7 @@ def train(
             noise_g = rng.standard_normal((n_clusters, config.K))
             noise_d = rng.standard_normal((idx.shape[0], config.K))
 
-            psi = None
+            psi = cost = None
             if use_ecr:
                 cost = squared_distances(model.space.W.value, model.space.T.value)
                 plan = sinkhorn(
@@ -318,6 +326,10 @@ def train(
                     )
                 )
                 psi = plan.psi
+                solves += 1
+                unconverged += not plan.converged
+                iters_total += plan.iterations_used
+                err_max = max(err_max, plan.row_err, plan.col_err)
 
             model.zero_grad()
             loss, comps, _ = model.forward_backward(
@@ -331,6 +343,7 @@ def train(
                 psi=psi,
                 kl_mode=config.kl_attribution,
                 kl_scale=scale,
+                sqd=cost,
             )
             if not all(math.isfinite(v) for v in comps.values()):
                 raise TrainingError(
@@ -347,7 +360,14 @@ def train(
         save_checkpoint(model, checkpoint_dir)
         checkpoint_path = checkpoint_dir
     report = TrainReport(
-        trajectory, time.perf_counter() - t0, checkpoint_path, nu=nu
+        trajectory,
+        time.perf_counter() - t0,
+        checkpoint_path,
+        nu=nu,
+        transport_solves=solves,
+        transport_unconverged=unconverged,
+        transport_iters_mean=iters_total / solves if solves else 0.0,
+        transport_marginal_err_max=err_max,
     )
     return model, report
 

@@ -183,6 +183,16 @@ def test_lambda_zero_means_total_is_tm_loss():
     assert report.nu == 0.0
 
 
+def test_report_counts_unconverged_transport_solves():
+    (_, report), _ = run_tiny(cfg=tiny_config(ecr_max_iters=1))
+    assert report.transport_solves == 2 * 3  # epochs x batches of 8 in 24 docs
+    assert report.transport_unconverged == report.transport_solves
+    assert report.transport_iters_mean == 1.0
+    assert report.transport_marginal_err_max > tiny_config().ecr_tol
+    (_, report), _ = run_tiny(cfg=tiny_config(lambda_ecr=0.0))
+    assert report.transport_solves == report.transport_unconverged == 0
+
+
 def test_same_seed_gives_bit_identical_trajectories():
     (m1, r1), _ = run_tiny()
     (m2, r2), _ = run_tiny()
