@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .corpus import BowCorpus, EmbeddingMatrix
+from .corpus import BowCorpus, EmbeddingMatrix, divide_rows, row_sq_norms
 from .errors import ClusteringError
 from .rng import substream
 
@@ -40,32 +41,46 @@ class ClusterAssignment:
         return np.bincount(self.assignment, minlength=self.G)
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (N, G). Clamped at 0 because the
-    expanded form can go slightly negative in floating point."""
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + np.sum(C * C, axis=1)[None, :]
+def _row(X, i: int) -> np.ndarray:
+    """Row i of a dense array or a CSR matrix, as a dense vector."""
+    return X[i].toarray().ravel() if sp.issparse(X) else X[i]
+
+
+def _indicator(labels: np.ndarray, G: int, dtype) -> sp.csr_matrix:
+    """G x N one-hot membership matrix: row g marks the members of g in
+    index order, so ``_indicator(...) @ X`` sums each cluster's rows."""
+    counts = np.bincount(labels, minlength=G)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    members = np.argsort(labels, kind="stable")
+    return sp.csr_matrix(
+        (np.ones(labels.shape[0], dtype=dtype), members, indptr),
+        shape=(G, labels.shape[0]),
     )
+
+
+def _sq_dists(X, xsq: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances ‖x‖² − 2·X·Cᵀ + ‖c‖², (N, G),
+    for dense or CSR rows X with squared norms ``xsq``. Clamped at 0
+    because the expanded form can go slightly negative in floating point."""
+    d2 = xsq[:, None] - 2.0 * np.asarray(X @ C.T) + row_sq_norms(C)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeanspp_seed(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seed(X, xsq: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarray:
     N = X.shape[0]
     centroids = np.empty((G, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(N))
-    centroids[0] = X[first]
-    closest = _sq_dists(X, centroids[:1]).ravel()
+    centroids[0] = _row(X, first)
+    closest = _sq_dists(X, xsq, centroids[:1]).ravel()
     for j in range(1, G):
         total = closest.sum()
         if total <= 0.0:
             idx = int(rng.integers(N))  # all points coincide with a centroid
         else:
             idx = int(rng.choice(N, p=closest / total))
-        centroids[j] = X[idx]
-        np.minimum(closest, _sq_dists(X, centroids[j : j + 1]).ravel(), out=closest)
+        centroids[j] = _row(X, idx)
+        np.minimum(closest, _sq_dists(X, xsq, centroids[j : j + 1]).ravel(), out=closest)
     return centroids
 
 
@@ -83,18 +98,19 @@ def kmeans(
     Deterministic given the seed. Empty clusters are re-seeded to the point
     currently farthest from its assigned centroid. ``init_centroids``
     bypasses seeding (used for reproducibility across row permutations).
+    CSR rows stay sparse: only rows that become centroids are densified.
     """
-    X = np.asarray(embeddings.rows, dtype=np.float64)
+    X = embeddings.rows
     N = X.shape[0]
     if N == 0:
         raise ClusteringError("cannot cluster an empty embedding matrix")
     if G < 1 or G > N:
         raise ClusteringError(f"need 1 <= G <= {N} documents, got G={G}")
+    xsq = row_sq_norms(X)
     if normalize:
-        norms = np.linalg.norm(X, axis=1)
-        X = X.copy()
-        nz = norms > 0
-        X[nz] /= norms[nz, None]
+        norms = np.sqrt(xsq)
+        X = divide_rows(X, np.where(norms > 0, norms, 1.0))
+        xsq = row_sq_norms(X)
 
     rng = substream(seed, "clustering")
     if init_centroids is not None:
@@ -104,24 +120,24 @@ def kmeans(
                 f"init_centroids shape {C.shape} != ({G}, {X.shape[1]})"
             )
     else:
-        C = _kmeanspp_seed(X, G, rng)
+        C = _kmeanspp_seed(X, xsq, G, rng)
 
     history: list[float] = []
     assign = np.zeros(N, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _sq_dists(X, C)
+        d2 = _sq_dists(X, xsq, C)
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(N), assign].sum()))
-        newC = np.zeros_like(C)
+        sums = _indicator(assign, G, np.float64) @ X
+        newC = sums.toarray() if sp.issparse(sums) else sums
         counts = np.bincount(assign, minlength=G).astype(np.float64)
-        np.add.at(newC, assign, X)
         nonempty = counts > 0
         newC[nonempty] /= counts[nonempty, None]
         for g in np.flatnonzero(~nonempty):
             # farthest point from its assigned centroid claims the slot
             cur = d2[np.arange(N), assign]
             far = int(np.argmax(cur))
-            newC[g] = X[far]
+            newC[g] = _row(X, far)
             assign[far] = g
             d2[far, :] = np.inf
             d2[far, g] = 0.0
@@ -129,7 +145,7 @@ def kmeans(
         C = newC
         if shift < tol:
             break
-    d2 = _sq_dists(X, C)
+    d2 = _sq_dists(X, xsq, C)
     assign = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(N), assign].sum())
     history.append(inertia)
@@ -157,43 +173,49 @@ def build_global_docs(
         raise ClusteringError(
             f"assignment covers {assignment.num_docs} documents, corpus has {corpus.num_docs}"
         )
-    G, V = assignment.G, corpus.num_words
-    out = np.zeros((G, V), dtype=np.int64)
-    coo = corpus.counts.tocoo()
-    np.add.at(out, (assignment.assignment[coo.row], coo.col), coo.data)
+    members = _indicator(assignment.assignment, assignment.G, np.int64)
+    out = (members @ corpus.counts).toarray().astype(np.int64, copy=False)
     empty = np.flatnonzero(assignment.counts() == 0)
     if empty.size:
         warnings.warn(f"clusters with no documents: {empty.tolist()}", stacklevel=2)
     return out
 
 
+@dataclass
+class GlobalCorpus:
+    """Global documents and the augmentation weight of the targets."""
+
+    global_docs: np.ndarray  # (G, V) exact integer sums
+    eta: float
+    # eta * global_docs as floats, the term every target row adds: (G, V)
+    context: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.eta < 0:
+            raise ClusteringError(f"eta must be >= 0, got {self.eta}")
+        self.context = self.eta * self.global_docs.astype(np.float64)
+
+    def augment(self, x_rows: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
+        """Targets x + eta * (own cluster's global doc) for dense count rows."""
+        return x_rows + self.context[cluster_ids]
+
+
 def build_augmented_docs(
     corpus: BowCorpus, global_docs: np.ndarray, assignment, eta: float
 ) -> np.ndarray:
-    """x + eta * (own cluster's global doc), as real-valued soft counts."""
+    """x + eta * (own cluster's global doc) for the whole corpus, as dense
+    real-valued soft counts. Training builds the same rows per batch."""
     assignment = _normalize_assignment(assignment, global_docs.shape[0])
-    if eta < 0:
-        raise ClusteringError(f"eta must be >= 0, got {eta}")
+    gc = GlobalCorpus(global_docs, eta)
     if global_docs.shape[1] != corpus.num_words:
         raise ClusteringError("global docs and corpus disagree on vocabulary size")
-    X = corpus.dense()
-    return X + eta * global_docs[assignment.assignment].astype(np.float64)
-
-
-@dataclass
-class GlobalCorpus:
-    global_docs: np.ndarray  # (G, V) exact integer sums
-    augmented_docs: np.ndarray  # (D, V) real-valued soft counts
-    eta: float
+    return gc.augment(corpus.dense(), assignment.assignment)
 
 
 def build_global_corpus(
     corpus: BowCorpus, assignment, eta: float, G: Optional[int] = None
 ) -> GlobalCorpus:
-    assignment = _normalize_assignment(assignment, G)
-    g = build_global_docs(corpus, assignment)
-    aug = build_augmented_docs(corpus, g, assignment, eta)
-    return GlobalCorpus(g, aug, float(eta))
+    return GlobalCorpus(build_global_docs(corpus, assignment, G), float(eta))
 
 
 def profile_word_embeddings(

@@ -21,6 +21,7 @@ fresh `glocom` processes.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -63,6 +64,29 @@ def _cap_threads() -> None:
         raise ConfigError(f"GLOCOM_THREADS must be a positive integer, got {raw!r}")
     for var in _BLAS_VARS:
         os.environ[var] = str(n)
+
+
+# glibc mallopt parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc raises both thresholds only after a large block has been freed.
+    Until then, each training step's multi-megabyte temporaries are handed
+    back to the kernel when freed and page-faulted in again on the next
+    step. A no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _require(path, what: str) -> str:
@@ -335,7 +359,7 @@ def _run_inference(model, corpus, assignment, top_n):
 
     global_docs = build_global_docs(corpus, assignment)
     return infer(
-        model, corpus.dense(), assignment, global_docs, corpus.vocab.words,
+        model, corpus.counts, assignment, global_docs, corpus.vocab.words,
         top_n=top_n,
     )
 
@@ -736,6 +760,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         _cap_threads()
+        _pin_malloc()
         args = build_parser().parse_args(argv)
         args._argv = argv
         return args.func(args)

@@ -4,6 +4,7 @@ Input corpora are pre-tokenized (one document per line, whitespace-separated,
 already lowercased); no stemming or stopword logic lives here.
 """
 
+import itertools
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ class BowCorpus:
 
     def __post_init__(self):
         self.counts = sp.csr_matrix(self.counts)
+        self.counts.sum_duplicates()
         self.counts.eliminate_zeros()
         if self.counts.shape[1] != len(self.vocab):
             raise CorpusError(
@@ -82,17 +84,37 @@ class BowCorpus:
 
 @dataclass
 class EmbeddingMatrix:
-    rows: np.ndarray  # N x E, finite
+    rows: np.ndarray  # N x E, finite; CSR for TF-IDF, dense otherwise
     source_tag: str  # "precomputed-file", "tfidf", or "cluster-profile"
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
+        if sp.issparse(self.rows):
+            self.rows = sp.csr_matrix(self.rows, dtype=np.float64)
+            values = self.rows.data
+        else:
+            self.rows = values = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[1] < 1:
             raise EmbeddingError(f"embedding matrix must be 2-D, got shape {self.rows.shape}")
-        if not np.all(np.isfinite(self.rows)):
+        if not np.all(np.isfinite(values)):
             raise EmbeddingError("embedding matrix contains non-finite values")
         if self.source_tag not in ("precomputed-file", "tfidf", "cluster-profile"):
             raise EmbeddingError(f"unknown embedding source tag: {self.source_tag!r}")
+
+
+def row_sq_norms(X) -> np.ndarray:
+    """Squared L2 norm of each row of a dense array or a CSR matrix."""
+    if sp.issparse(X):
+        return np.asarray(X.multiply(X).sum(axis=1), dtype=np.float64).ravel()
+    return np.einsum("ij,ij->i", X, X)
+
+
+def divide_rows(X, d: np.ndarray):
+    """A copy of X with row i divided by d[i]; CSR stays CSR."""
+    if sp.issparse(X):
+        X = X.copy()
+        X.data /= np.repeat(d, np.diff(X.indptr))
+        return X
+    return X / d[:, None]
 
 
 @dataclass
@@ -196,19 +218,22 @@ def preprocess(
 
 
 def tfidf(corpus: BowCorpus) -> EmbeddingMatrix:
-    """Raw-count TF times log(D/df), rows L2-normalized (zero rows stay zero)."""
+    """Raw-count TF times log(D/df), rows L2-normalized (zero rows stay zero).
+
+    The rows are CSR with the corpus's sparsity: only stored counts are
+    scaled, and words in every document (idf 0) are dropped."""
     D = corpus.num_docs
     if D == 0:
         raise CorpusError("cannot compute TF-IDF of an empty corpus")
-    df = np.asarray((corpus.counts > 0).sum(axis=0), dtype=np.float64).ravel()
+    X = corpus.counts.astype(np.float64)
+    df = np.bincount(X.indices, minlength=X.shape[1]).astype(np.float64)
     idf = np.zeros_like(df)
     present = df > 0
     idf[present] = np.log(D / df[present])
-    X = corpus.counts.toarray().astype(np.float64) * idf[None, :]
-    norms = np.linalg.norm(X, axis=1)
-    nz = norms > 0
-    X[nz] /= norms[nz, None]
-    return EmbeddingMatrix(X, "tfidf")
+    X.data *= idf[X.indices]
+    X.eliminate_zeros()
+    norms = np.sqrt(row_sq_norms(X))
+    return EmbeddingMatrix(divide_rows(X, np.where(norms > 0, norms, 1.0)), "tfidf")
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +281,14 @@ def read_vocabulary(path: str) -> Vocabulary:
 
 
 def write_bow(corpus: BowCorpus, path: str) -> None:
-    """Header "D V NNZ", then one "doc word count" triple per line."""
+    """Header "D V NNZ", then one "doc word count" triple per line, ordered
+    by document, then word."""
     coo = corpus.counts.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    entries = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{corpus.num_docs} {corpus.num_words} {coo.nnz}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]}\n")
+        fh.write("".join(f"{d} {w} {c}\n" for d, w, c in entries))
 
 
 def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) -> BowCorpus:
@@ -273,14 +299,20 @@ def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) 
         D, V, nnz = (int(x) for x in header)
         if V != len(vocab):
             raise CorpusError(f"{path}: file has V={V}, vocabulary has {len(vocab)} words")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.int64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise CorpusError(f"{path}: truncated at entry {i} of {nnz}")
-            rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), int(parts[2])
+        lines = list(itertools.islice(fh, nnz))
+    entries = np.zeros((0, 3), dtype=np.int64)
+    if lines:
+        try:
+            entries = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise CorpusError(f"{path}: malformed entry: {exc}") from exc
+    if entries.shape[0] < nnz:
+        raise CorpusError(f"{path}: truncated at entry {entries.shape[0]} of {nnz}")
+    if entries.shape[1] != 3:
+        raise CorpusError(f"{path}: entries have {entries.shape[1]} values, expected 3")
+    rows, cols, vals = entries.T
+    if nnz and (min(rows.min(), cols.min()) < 0 or rows.max() >= D or cols.max() >= V):
+        raise CorpusError(f"{path}: entry index outside the {D} x {V} matrix")
     counts = sp.csr_matrix((vals, (rows, cols)), shape=(D, V))
     return BowCorpus(counts, vocab, labels)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .ecr import squared_distances
@@ -344,9 +345,14 @@ class TopicModelOutput:
     top_words: list[list[str]]  # K lists of top-N vocabulary words
 
 
+# Local documents encoded at a time by infer: bounds its dense working set
+# at this many rows of V counts, whatever the corpus size.
+INFER_BLOCK_ROWS = 64
+
+
 def infer(
     model: GlocomModel,
-    x: np.ndarray,
+    x,
     cluster_ids: np.ndarray,
     global_docs: np.ndarray,
     vocab_words: list[str],
@@ -356,16 +362,30 @@ def infer(
 
     theta^g = softmax(mu_phi(x^g)); rho_d = mu_gamma(x_d);
     theta^g_d = softmax(theta^g(cluster of d) * rho_d).
+    ``x`` holds the documents' counts, CSR or dense; they are encoded
+    INFER_BLOCK_ROWS at a time. A cluster with an empty global document
+    (no members) gets the prior mean theta^g = softmax(0), uniform.
     """
     if len(vocab_words) != model.space.num_words:
         raise TrainingError(
             f"{len(vocab_words)} vocabulary words for a "
             f"{model.space.num_words}-word model"
         )
-    mu_g, _ = model.encode_global(global_docs)
-    theta_global = softmax_forward(mu_g)
-    mu_d, _ = model.encode_local(x)
-    theta_local = combine(theta_global[np.asarray(cluster_ids, dtype=np.int64)], mu_d)
+    K = model.space.num_topics
+    theta_global = np.full((global_docs.shape[0], K), 1.0 / K)
+    used = global_docs.sum(axis=1) > 0
+    if used.any():
+        mu_g, _ = model.encode_global(global_docs[used])
+        theta_global[used] = softmax_forward(mu_g)
+    cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
+    if sp.issparse(x):
+        x = sp.csr_matrix(x, dtype=np.float64)
+    theta_local = np.empty((x.shape[0], K))
+    for start in range(0, x.shape[0], INFER_BLOCK_ROWS):
+        block = slice(start, start + INFER_BLOCK_ROWS)
+        rows = x[block]
+        mu_d, _ = model.encode_local(rows.toarray() if sp.issparse(rows) else rows)
+        theta_local[block] = combine(theta_global[cluster_ids[block]], mu_d)
     beta = compute_beta(model.space)
     top_words = []
     for k in range(beta.shape[1]):

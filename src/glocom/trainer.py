@@ -170,7 +170,7 @@ def build_setup(
     config: TrainConfig,
     assignment: Optional[np.ndarray] = None,
 ) -> TrainSetup:
-    """Resolve ablations and build the global/augmented corpus.
+    """Resolve ablations and build the global corpus.
 
     For no_clustering the supplied assignment is ignored; the identity
     assignment is used and the resulting global documents are verified to
@@ -289,8 +289,7 @@ def train(
     )
     adam = Adam(model.params(), lr=config.lr)
 
-    x = corpus.dense()
-    x_aug = global_corpus.augmented_docs
+    x = corpus.counts.astype(np.float64)
     gdocs = global_corpus.global_docs
     if gdocs.shape[0] < int(assignment.max()) + 1:
         raise TrainingError("assignment refers to clusters beyond the global docs")
@@ -331,10 +330,11 @@ def train(
                 iters_total += plan.iterations_used
                 err_max = max(err_max, plan.row_err, plan.col_err)
 
+            xb = x[idx].toarray()
             model.zero_grad()
             loss, comps, _ = model.forward_backward(
-                x[idx],
-                x_aug[idx],
+                xb,
+                global_corpus.augment(xb, cids),
                 cids,
                 gdocs,
                 noise_g,
@@ -444,7 +444,7 @@ def grid_search(
         if has_labels:
             out = infer(
                 model,
-                setup.corpus.dense(),
+                setup.corpus.counts,
                 setup.assignment,
                 setup.global_corpus.global_docs,
                 setup.corpus.vocab.words,

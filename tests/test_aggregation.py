@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from glocom.aggregation import (
     ClusterAssignment,
     build_augmented_docs,
+    build_global_corpus,
     build_global_docs,
     kmeans,
     profile_word_embeddings,
@@ -147,6 +148,105 @@ def test_kmeans_normalize_flag():
     assert res.inertia < 1e-12
 
 
+def _dense_kmeans(X, G, seed=0, max_iters=100, tol=1e-6, normalize=False, init=None):
+    """Reference: Lloyd's loop over a dense matrix, with np.add.at centroid
+    sums and the squared norms recomputed at every distance call."""
+    from glocom.rng import substream
+
+    def sq_dists(X, C):
+        d2 = (np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ C.T)
+              + np.sum(C * C, axis=1)[None, :])
+        return np.maximum(d2, 0.0)
+
+    X = np.asarray(X, dtype=np.float64)
+    N = X.shape[0]
+    if normalize:
+        norms = np.linalg.norm(X, axis=1)
+        X = X.copy()
+        X[norms > 0] /= norms[norms > 0, None]
+    rng = substream(seed, "clustering")
+    C = np.empty((G, X.shape[1]))
+    C[0] = X[int(rng.integers(N))]
+    closest = sq_dists(X, C[:1]).ravel()
+    for j in range(1, G if init is None else 1):
+        total = closest.sum()
+        idx = int(rng.integers(N)) if total <= 0 else int(rng.choice(N, p=closest / total))
+        C[j] = X[idx]
+        np.minimum(closest, sq_dists(X, C[j : j + 1]).ravel(), out=closest)
+    if init is not None:
+        C = np.array(init, dtype=np.float64)
+    for _ in range(max_iters):
+        d2 = sq_dists(X, C)
+        assign = np.argmin(d2, axis=1)
+        newC = np.zeros_like(C)
+        counts = np.bincount(assign, minlength=G).astype(np.float64)
+        np.add.at(newC, assign, X)
+        nonempty = counts > 0
+        newC[nonempty] /= counts[nonempty, None]
+        for g in np.flatnonzero(~nonempty):
+            cur = d2[np.arange(N), assign]
+            far = int(np.argmax(cur))
+            newC[g] = X[far]
+            assign[far] = g
+            d2[far, :] = np.inf
+            d2[far, g] = 0.0
+        shift = float(np.sqrt(np.sum((newC - C) ** 2, axis=1)).max())
+        C = newC
+        if shift < tol:
+            break
+    d2 = sq_dists(X, C)
+    assign = np.argmin(d2, axis=1)
+    return assign, C, float(d2[np.arange(N), assign].sum())
+
+
+def _tie_free_rows(rng, N, E):
+    """Continuous rows with about 30% zeros: no two distances tie."""
+    X = rng.normal(size=(N, E)) + rng.integers(0, 3, size=(N, 1))
+    X[rng.random((N, E)) < 0.3] = 0.0
+    return X
+
+
+def test_kmeans_csr_matches_dense_oracle():
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        X = _tie_free_rows(rng, int(rng.integers(30, 120)), int(rng.integers(4, 30)))
+        G = int(rng.integers(2, 8))
+        for normalize in (False, True):
+            res = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), G, seed=trial,
+                         normalize=normalize)
+            assign, C, inertia = _dense_kmeans(X, G, seed=trial, normalize=normalize)
+            np.testing.assert_array_equal(res.assignment, assign)
+            np.testing.assert_allclose(res.centroids, C, rtol=1e-10, atol=1e-12)
+            assert res.inertia == pytest.approx(inertia, rel=1e-10)
+
+
+def test_kmeans_csr_empty_cluster_reseed_matches_dense_oracle():
+    # three centroids start on one far point: two clusters starve at once
+    # and take the rows farthest from their centroids
+    rng = np.random.default_rng(23)
+    X = _tie_free_rows(rng, 60, 8)
+    init = np.vstack([X[:2], np.full((3, 8), 50.0)])
+    res = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), 5, init_centroids=init)
+    assign, C, inertia = _dense_kmeans(X, 5, init=init)
+    np.testing.assert_array_equal(res.assignment, assign)
+    np.testing.assert_allclose(res.centroids, C, rtol=1e-10, atol=1e-12)
+    assert res.inertia == pytest.approx(inertia, rel=1e-10)
+
+
+def test_kmeans_dense_and_csr_rows_cluster_identically():
+    rng = np.random.default_rng(22)
+    for trial in range(6):
+        X = _tie_free_rows(rng, 80, 12)
+        for normalize in (False, True):
+            dense = kmeans(_emb(X), 5, seed=trial, normalize=normalize)
+            csr = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), 5, seed=trial,
+                         normalize=normalize)
+            np.testing.assert_array_equal(dense.assignment, csr.assignment)
+            np.testing.assert_allclose(dense.centroids, csr.centroids, rtol=1e-12,
+                                       atol=1e-14)
+            assert len(dense.inertia_history) == len(csr.inertia_history)
+
+
 def test_kmeans_validates_G():
     X = _emb(np.zeros((3, 2)))
     with pytest.raises(ClusteringError):
@@ -230,6 +330,25 @@ def test_augmented_docs_rejects_negative_eta():
     assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
     with pytest.raises(ClusteringError):
         build_augmented_docs(corpus, np.array([[1, 1]]), assign, eta=-0.1)
+
+
+def test_batch_targets_equal_whole_corpus_formula():
+    # the trainer's per-batch targets against x + eta * global_docs[assignment]
+    # built for the whole corpus at once
+    rng = np.random.default_rng(8)
+    counts = rng.integers(0, 6, size=(40, 17)) * (rng.random((40, 17)) < 0.4)
+    counts[:, 3] += 1
+    corpus = _bow(counts)
+    ids = rng.integers(0, 5, size=40)
+    ids[:5] = np.arange(5)
+    for eta in (0.0, 0.1, 0.37):
+        gc = build_global_corpus(corpus, ids, eta)
+        whole = corpus.dense() + eta * gc.global_docs[ids].astype(np.float64)
+        x = corpus.counts.astype(np.float64)
+        for idx in np.array_split(rng.permutation(40), 3):
+            xb = x[idx].toarray()
+            np.testing.assert_array_equal(xb, corpus.dense()[idx])
+            np.testing.assert_array_equal(gc.augment(xb, ids[idx]), whole[idx])
 
 
 def test_noc_regime_augmentation():

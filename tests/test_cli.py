@@ -234,3 +234,57 @@ def test_module_usage_error_exits_2():
     )
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def test_infer_unused_cluster_id_gets_prior_mean():
+    # ids {0, 2} of G=3: training accepts this with a warning, and inference
+    # gives the memberless cluster 1 the prior mean instead of failing
+    import scipy.sparse as sp
+
+    from glocom.cli import _run_inference
+    from glocom.corpus import BowCorpus, Vocabulary
+    from glocom.model import GlocomModel
+
+    rng = np.random.default_rng(0)
+    counts = rng.integers(0, 3, size=(12, 9))
+    counts[:, 0] += 1
+    corpus = BowCorpus(sp.csr_matrix(counts), Vocabulary([f"w{i}" for i in range(9)]))
+    assignment = np.array([0, 2] * 6)
+    model = GlocomModel(9, 4, embed_dim=5, hidden=6, seed=1)
+    with pytest.warns(UserWarning, match="no documents"):
+        out = _run_inference(model, corpus, assignment, top_n=3)
+    assert out.theta_global.shape == (3, 4)
+    np.testing.assert_array_equal(out.theta_global[1], np.full(4, 0.25))
+    assert np.all(np.isfinite(out.theta_local))
+    np.testing.assert_allclose(out.theta_global.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_bow_truncated_or_ragged_exits_4(tmp_path, synth_dir, capsys):
+    lines = (synth_dir / "bow.txt").read_text().splitlines()
+    broken = {
+        "truncated": lines[:-3],
+        "ragged": lines[:5] + [lines[5].rsplit(" ", 1)[0]] + lines[6:],
+    }
+    for name, body in broken.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(body) + "\n")
+        code = run("cluster", "--bow", path, "--vocab", synth_dir / "vocab.txt",
+                   "--num-clusters", 2, "--out", tmp_path / name)
+        assert code == 4, name
+        assert str(path) in capsys.readouterr().err
+
+
+def test_pin_malloc_is_a_no_op_without_mallopt(monkeypatch):
+    import glocom.cli
+
+    class NoMallopt:
+        pass
+
+    monkeypatch.setattr(glocom.cli.ctypes, "CDLL", lambda name: NoMallopt())
+    assert glocom.cli._pin_malloc() is None
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(glocom.cli.ctypes, "CDLL", no_library)
+    assert glocom.cli._pin_malloc() is None

@@ -121,11 +121,39 @@ def test_preprocess_with_pinned_vocab():
     assert bow.vocab.words == ["a", "b"]
 
 
+def _dense_tfidf(corpus):
+    """Reference: TF-IDF over the dense count matrix."""
+    D = corpus.num_docs
+    df = np.asarray((corpus.counts > 0).sum(axis=0), dtype=np.float64).ravel()
+    idf = np.zeros_like(df)
+    present = df > 0
+    idf[present] = np.log(D / df[present])
+    X = corpus.counts.toarray().astype(np.float64) * idf[None, :]
+    norms = np.linalg.norm(X, axis=1)
+    nz = norms > 0
+    X[nz] /= norms[nz, None]
+    return X
+
+
+def test_tfidf_csr_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        D, V = int(rng.integers(2, 60)), int(rng.integers(3, 40))
+        M = rng.integers(0, 4, size=(D, V)) * (rng.random((D, V)) < 0.2)
+        M[:, 0] += 1  # word 0 is in every document: idf 0
+        M[0, 1] = 1
+        bow = BowCorpus(sp.csr_matrix(M), Vocabulary([f"w{i}" for i in range(V)]))
+        rows = tfidf(bow).rows
+        assert sp.isspmatrix_csr(rows)
+        assert rows.nnz <= bow.counts.nnz
+        np.testing.assert_allclose(rows.toarray(), _dense_tfidf(bow), rtol=0, atol=1e-15)
+
+
 def test_tfidf_hand_oracle():
     # docs: [a a b], [a c], [b b b]; df(a)=2 df(b)=2 df(c)=1, D=3
     vocab = Vocabulary(["a", "b", "c"])
     bow, _ = build_bow([["a", "a", "b"], ["a", "c"], ["b", "b", "b"]], vocab, min_terms=1)
-    X = tfidf(bow).rows
+    X = tfidf(bow).rows.toarray()
     expected = np.array(
         [
             [0.8944271909999159, 0.4472135954999579, 0.0],
@@ -139,7 +167,7 @@ def test_tfidf_hand_oracle():
 def test_tfidf_single_document_gives_zero_row():
     vocab = Vocabulary(["a", "b"])
     bow, _ = build_bow([["a", "b", "b"]], vocab, min_terms=1)
-    X = tfidf(bow).rows
+    X = tfidf(bow).rows.toarray()
     assert np.all(X == 0.0)
 
 
@@ -152,7 +180,7 @@ def test_tfidf_row_norms_zero_or_one():
         rows = [r for r in M if r.sum() > 0]
         counts = sp.csr_matrix(np.array(rows))
         bow = BowCorpus(counts, Vocabulary([f"w{i}" for i in range(V)]))
-        X = tfidf(bow).rows
+        X = tfidf(bow).rows.toarray()
         norms = np.linalg.norm(X, axis=1)
         for n in norms:
             assert abs(n) < 1e-9 or abs(n - 1.0) < 1e-9
@@ -277,6 +305,45 @@ def test_bow_file_round_trip(tmp_path):
         assert fh.readline().strip() == "2 3 4"
     back = read_bow(path, vocab)
     assert (back.counts != bow.counts).nnz == 0
+
+
+def _loop_write_bow(corpus, path):
+    """Reference: the entry-by-entry writer."""
+    coo = corpus.counts.tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{corpus.num_docs} {corpus.num_words} {coo.nnz}\n")
+        for i in np.lexsort((coo.col, coo.row)):
+            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]}\n")
+
+
+def test_write_bow_bytes_match_loop_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    M = rng.integers(0, 40, size=(30, 25)) * (rng.random((30, 25)) < 0.3)
+    M[:, 0] += 1
+    bow = BowCorpus(sp.csr_matrix(M), Vocabulary([f"w{i}" for i in range(25)]))
+    write_bow(bow, str(tmp_path / "a.txt"))
+    _loop_write_bow(bow, str(tmp_path / "b.txt"))
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    back = read_bow(str(tmp_path / "a.txt"), bow.vocab)
+    np.testing.assert_array_equal(back.counts.toarray(), M)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("2 3 3\n0 0 2\n1 1 1\n", "truncated at entry 2 of 3"),
+        ("2 3 3\n", "truncated at entry 0 of 3"),
+        ("2 3 3\n0 0 2\n1 1\n1 2 1\n", "malformed entry"),
+        ("2 3 2\n0 0 2\n1 1 x\n", "malformed entry"),
+        ("2 3 2\n0 0\n1 1\n", "expected 3"),
+        ("2 3 2\n0 0 2\n2 1 1\n", "outside the 2 x 3 matrix"),
+    ],
+)
+def test_read_bow_rejects_malformed_files(tmp_path, body, message):
+    path = tmp_path / "bow.txt"
+    path.write_text(body)
+    with pytest.raises(CorpusError, match=message):
+        read_bow(str(path), Vocabulary(["a", "b", "c"]))
 
 
 def test_vocab_and_kept_round_trip(tmp_path):

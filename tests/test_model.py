@@ -325,6 +325,25 @@ def test_infer_determinism_and_top_words():
     np.testing.assert_allclose(out.theta_local, expected, atol=1e-12)
 
 
+def test_infer_csr_blocks_match_dense(monkeypatch):
+    import scipy.sparse as sp
+
+    import glocom.model
+
+    model, inputs = _instance(seed=19, D=30)
+    rng = np.random.default_rng(4)
+    x = inputs["x"] * (rng.random(inputs["x"].shape) < 0.5)
+    x[:, 0] += 1
+    words = [f"w{i}" for i in range(x.shape[1])]
+    args = (inputs["cluster_ids"], inputs["global_docs"], words)
+    whole = infer(model, x, *args)
+    monkeypatch.setattr(glocom.model, "INFER_BLOCK_ROWS", 7)  # 5 blocks
+    blocked = infer(model, sp.csr_matrix(x.astype(np.int64)), *args)
+    np.testing.assert_allclose(blocked.theta_local, whole.theta_local, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(blocked.theta_global, whole.theta_global)
+    assert blocked.top_words == whole.top_words
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model, inputs = _instance(seed=18)
     words = [f"w{i}" for i in range(20)]

@@ -193,6 +193,34 @@ def test_report_counts_unconverged_transport_solves():
     assert report.transport_solves == report.transport_unconverged == 0
 
 
+def test_single_step_loss_equals_dense_targets_oracle():
+    # one full batch: the trainer's loss must equal forward_backward on the
+    # dense rows and x + eta * global_docs[assignment] targets, bit for bit
+    from glocom.rng import substream
+
+    corpus = tiny_corpus()
+    D = corpus.num_docs
+    cfg = tiny_config(epochs=1, batch_size=D, lambda_ecr=0.0, eta=0.3)
+    setup = build_setup(corpus, cfg, corpus.labels)
+    _, report = train_from_setup(setup)
+
+    rng = substream(cfg.seed, "training")
+    perm = rng.permutation(D)
+    cids = setup.assignment[perm]
+    noise_g = rng.standard_normal((np.unique(cids).size, cfg.K))
+    noise_d = rng.standard_normal((D, cfg.K))
+    model = GlocomModel(corpus.num_words, cfg.K, embed_dim=cfg.embed_dim,
+                        hidden=cfg.hidden_width, tau=cfg.tau, epsilon=cfg.epsilon,
+                        seed=cfg.seed)
+    gdocs = setup.global_corpus.global_docs
+    x = corpus.dense()
+    x_aug = x + cfg.eta * gdocs[setup.assignment].astype(np.float64)
+    _, comps, _ = model.forward_backward(x[perm], x_aug[perm], cids, gdocs, noise_g,
+                                         noise_d, compute_grads=False)
+    expected = [comps[k] for k in ("loss", "recon", "kl_global", "kl_local", "ecr")]
+    np.testing.assert_array_equal(report.trajectory[0], expected)
+
+
 def test_same_seed_gives_bit_identical_trajectories():
     (m1, r1), _ = run_tiny()
     (m2, r2), _ = run_tiny()
