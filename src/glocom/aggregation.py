@@ -1,4 +1,4 @@
-"""Document clustering, global context documents, augmented targets.
+"""Document clustering and global context documents.
 
 Each document gets a cluster g; the cluster's concatenated bag-of-words x^g
 acts as shared context, and reconstruction targets become x + eta * x^g.
@@ -183,33 +183,15 @@ def build_global_docs(
 
 @dataclass
 class GlobalCorpus:
-    """Global documents and the augmentation weight of the targets."""
+    """Global documents and the augmentation weight of the targets
+    x + eta * x^g (the model forms them; see ``model.reconstruction``)."""
 
     global_docs: np.ndarray  # (G, V) exact integer sums
     eta: float
-    # eta * global_docs as floats, the term every target row adds: (G, V)
-    context: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eta < 0:
             raise ClusteringError(f"eta must be >= 0, got {self.eta}")
-        self.context = self.eta * self.global_docs.astype(np.float64)
-
-    def augment(self, x_rows: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
-        """Targets x + eta * (own cluster's global doc) for dense count rows."""
-        return x_rows + self.context[cluster_ids]
-
-
-def build_augmented_docs(
-    corpus: BowCorpus, global_docs: np.ndarray, assignment, eta: float
-) -> np.ndarray:
-    """x + eta * (own cluster's global doc) for the whole corpus, as dense
-    real-valued soft counts. Training builds the same rows per batch."""
-    assignment = _normalize_assignment(assignment, global_docs.shape[0])
-    gc = GlobalCorpus(global_docs, eta)
-    if global_docs.shape[1] != corpus.num_words:
-        raise ClusteringError("global docs and corpus disagree on vocabulary size")
-    return gc.augment(corpus.dense(), assignment.assignment)
 
 
 def build_global_corpus(

@@ -7,7 +7,9 @@ Generative picture per cluster g and member document d:
     rho_d   ~ N(1, eps I)                    (adaptive modulation, signed)
     theta^g_d = softmax(theta^g * rho_d)
     x_d ~ Multinomial(softmax(beta @ theta^g_d))
-Reconstruction targets are the augmented counts x + eta * x^g.
+Reconstruction targets are the augmented counts x + eta * x^g. The target
+is never built as an array: the loss is linear in it, so its cluster part
+enters only through products over the batch's distinct clusters.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
+from .corpus import divide_rows
 from .ecr import squared_distances
 from .errors import TrainingError
 from .numerics import (
@@ -32,14 +34,17 @@ from .numerics import (
 from .rng import substream
 
 
-def normalize_rows(X: np.ndarray, what: str = "input") -> np.ndarray:
-    """Divide every row by its sum. Zero-sum rows are rejected: a document
-    with no mass cannot be encoded."""
-    X = np.asarray(X, dtype=np.float64)
-    sums = X.sum(axis=-1, keepdims=True)
+def normalize_rows(X, what: str = "input"):
+    """Divide every row by its sum; CSR rows stay CSR. Zero-sum rows are
+    rejected: a document with no mass cannot be encoded."""
+    if sp.issparse(X):
+        X = sp.csr_matrix(X, dtype=np.float64)
+    else:
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    sums = np.asarray(X.sum(axis=1)).ravel()
     if np.any(sums == 0):
         raise TrainingError(f"zero-sum {what} row cannot be normalized")
-    return X / sums
+    return divide_rows(X, sums)
 
 
 class TopicSpace:
@@ -103,17 +108,35 @@ def combine(theta_g: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return softmax_forward(theta_g * rho)
 
 
-def elbo_per_doc(
-    x_aug: np.ndarray,
-    theta_gd: np.ndarray,
-    beta: np.ndarray,
-    kl_global_share: float,
-    kl_local: float,
-) -> float:
-    """Per-document loss: -(x_aug)^T log softmax(beta @ theta_gd) + KLs."""
-    logits = beta @ theta_gd
-    logp = logits - logsumexp(logits)
-    return float(-(x_aug @ logp) + kl_global_share + kl_local)
+def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray,
+                   beta: np.ndarray, compute_grads: bool = True):
+    """Per-row loss -sum_v T_dv log softmax(theta_gd beta^T)_dv against the
+    target T = x + context[inv], and the gradients of its batch mean.
+
+    ``x`` (B, V) holds counts, dense or CSR; ``context`` (C, V) holds eta
+    times the batch's distinct global documents. The loss is linear in T,
+    so only its row sums s, T beta and T^T theta_gd are formed, each as a
+    part on x plus a part on the C context rows; the softmax is the one
+    B x V array. Returns (recon (B,), dtheta_gd or None, dbeta or None)."""
+    B = x.shape[0]
+    s = np.asarray(x.sum(axis=1), dtype=np.float64).ravel() + context.sum(axis=1)[inv]
+    t_beta = np.asarray(x @ beta) + (context @ beta)[inv]
+    p = theta_gd @ beta.T
+    row_max = p.max(axis=1)
+    p -= row_max[:, None]
+    np.exp(p, out=p)
+    z = p.sum(axis=1)
+    lse = row_max + np.log(z)
+    recon = lse * s - np.einsum("ij,ij->i", t_beta, theta_gd)
+    if not compute_grads:
+        return recon, None, None
+    p /= z[:, None]
+    per_cluster = np.zeros((context.shape[0], theta_gd.shape[1]))
+    np.add.at(per_cluster, inv, theta_gd)
+    tt_theta = np.asarray(x.T @ theta_gd) + context.T @ per_cluster
+    dtheta_gd = (s[:, None] * (p @ beta) - t_beta) / B
+    dbeta = (p.T @ (s[:, None] * theta_gd) - tt_theta) / B
+    return recon, dtheta_gd, dbeta
 
 
 @dataclass
@@ -187,25 +210,26 @@ class GlocomModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def encode_global(self, x_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def encode_global(self, x_g) -> tuple[np.ndarray, np.ndarray]:
         """(mu, log_var) of the cluster-level latent; input raw counts."""
-        mu, lv, _ = self.phi.forward(normalize_rows(np.atleast_2d(x_g), "global doc"))
+        mu, lv, _ = self.phi.forward(normalize_rows(x_g, "global doc"))
         return mu, lv
 
-    def encode_local(self, x_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu, lv, _ = self.gamma.forward(normalize_rows(np.atleast_2d(x_d), "document"))
+    def encode_local(self, x_d) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, log_var) of the adaptive variable; raw counts, dense or CSR."""
+        mu, lv, _ = self.gamma.forward(normalize_rows(x_d, "document"))
         return mu, lv
 
     # -- training loss -----------------------------------------------------
 
     def forward_backward(
         self,
-        x: np.ndarray,  # (B, V) raw counts
-        x_aug: np.ndarray,  # (B, V) augmented targets
+        x,  # (B, V) raw counts, dense or CSR
         cluster_ids: np.ndarray,  # (B,)
         global_docs: np.ndarray,  # (G, V)
         noise_g: np.ndarray,  # (C, K), one row per distinct batch cluster
         noise_d: np.ndarray,  # (B, K)
+        eta: float,  # targets are x + eta * global_docs[cluster_ids]
         lambda_ecr: float = 0.0,
         psi: Optional[np.ndarray] = None,
         kl_mode: str = "divide",
@@ -229,6 +253,8 @@ class GlocomModel:
             raise TrainingError(f"unknown kl_mode: {kl_mode!r}")
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
+        if eta < 0:
+            raise TrainingError(f"eta must be >= 0, got {eta}")
         B = x.shape[0]
         uniq, inv = np.unique(np.asarray(cluster_ids, dtype=np.int64), return_inverse=True)
         if uniq.min() < 0 or uniq.max() >= global_docs.shape[0]:
@@ -240,8 +266,8 @@ class GlocomModel:
             )
 
         # global side: one latent sample per distinct cluster
-        xg_n = normalize_rows(global_docs[uniq], "global doc")
-        mu_g, lv_g, cache_g = self.phi.forward(xg_n)
+        xg = np.asarray(global_docs[uniq], dtype=np.float64)
+        mu_g, lv_g, cache_g = self.phi.forward(normalize_rows(xg, "global doc"))
         alpha_g = gaussian_reparameterize(mu_g, lv_g, noise_g)
         theta_g = softmax_forward(alpha_g)
         kl_g = kl_diag_gaussian(mu_g, lv_g, 0.0, 1.0)  # (C,)
@@ -262,9 +288,8 @@ class GlocomModel:
         if sqd is None:
             sqd = self.space.squared_dists()
         beta = compute_beta(self.space, sqd)
-        logits = theta_gd @ beta.T  # (B, V)
-        logp = logits - logsumexp(logits, axis=1, keepdims=True)
-        recon = -np.sum(x_aug * logp, axis=1)  # (B,)
+        recon, dtheta_gd, dbeta = reconstruction(x, eta * xg, inv, theta_gd, beta,
+                                                 compute_grads)
 
         cluster_weight = np.ones(C) if kl_mode == "divide" else np.bincount(inv).astype(np.float64)
         recon_mean = float(recon.sum() / B)
@@ -293,11 +318,6 @@ class GlocomModel:
             return loss, components, latents
 
         # ---- backward ----
-        p = np.exp(logp)
-        dlogits = (x_aug.sum(axis=1)[:, None] * p - x_aug) / B
-        dtheta_gd = dlogits @ beta
-        dbeta = dlogits.T @ theta_gd
-
         ds = softmax_backward(dtheta_gd, theta_gd)
         drho = ds * theta_g[inv]
         dtheta_g = np.zeros_like(theta_g)
@@ -322,16 +342,16 @@ class GlocomModel:
 
     def corpus_loss(
         self,
-        x: np.ndarray,
-        x_aug: np.ndarray,
+        x,
         cluster_ids: np.ndarray,
         global_docs: np.ndarray,
         noise_g: np.ndarray,
         noise_d: np.ndarray,
+        eta: float,
         **kw,
     ) -> float:
         loss, _, _ = self.forward_backward(
-            x, x_aug, cluster_ids, global_docs, noise_g, noise_d,
+            x, cluster_ids, global_docs, noise_g, noise_d, eta,
             compute_grads=False, **kw
         )
         return loss
@@ -346,8 +366,8 @@ class TopicModelOutput:
 
 
 # Local documents encoded at a time by infer: bounds its dense working set
-# at this many rows of V counts, whatever the corpus size.
-INFER_BLOCK_ROWS = 64
+# at this many rows of hidden activations, whatever the corpus size.
+INFER_BLOCK_ROWS = 256
 
 
 def infer(
@@ -383,8 +403,7 @@ def infer(
     theta_local = np.empty((x.shape[0], K))
     for start in range(0, x.shape[0], INFER_BLOCK_ROWS):
         block = slice(start, start + INFER_BLOCK_ROWS)
-        rows = x[block]
-        mu_d, _ = model.encode_local(rows.toarray() if sp.issparse(rows) else rows)
+        mu_d, _ = model.encode_local(x[block])
         theta_local[block] = combine(theta_global[cluster_ids[block]], mu_d)
     beta = compute_beta(model.space)
     top_words = []

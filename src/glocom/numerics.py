@@ -9,20 +9,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import TrainingError
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
-
-
-def check_finite_2d(name: str, M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise TrainingError(f"{name}: expected a 2-D array, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise TrainingError(f"{name}: non-finite values")
-    return M
 
 
 class Param:
@@ -32,7 +24,8 @@ class Param:
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        # contiguous, so the optimizer can update it through a flat view
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
@@ -61,16 +54,7 @@ def softplus_forward(x: np.ndarray) -> np.ndarray:
 
 
 def softplus_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return g * _sigmoid(x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return g * expit(x)
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
@@ -186,7 +170,8 @@ class Encoder:
         self.mu_head = DenseLayer(f"{name}.mu", hidden, out_dim, rng)
         self.lv_head = DenseLayer(f"{name}.lv", hidden, out_dim, rng)
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+    def forward(self, X) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+        """X is dense or CSR (N, in_dim); only the first layer reads it."""
         a1 = self.l1.forward(X)
         h1 = softplus_forward(a1)
         a2 = self.l2.forward(h1)
@@ -196,13 +181,17 @@ class Encoder:
         lv, mask = clamp_logvar(lv_raw)
         return mu, lv, EncoderCache(X, a1, h1, a2, h2, mask)
 
-    def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache) -> np.ndarray:
+    def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache) -> None:
+        """Accumulate the parameter gradients. The input gradient is not
+        computed: nothing upstream of the encoder's input is trained."""
         dh2 = self.mu_head.backward(dmu, cache.h2)
         dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2)
         da2 = softplus_backward(dh2, cache.a2)
         dh1 = self.l2.backward(da2, cache.h1)
         da1 = softplus_backward(dh1, cache.a1)
-        return self.l1.backward(da1, cache.X)
+        # X.T @ da1 is a sparse product when X is CSR: cost nnz x hidden
+        self.l1.W.grad += (cache.X.T @ da1).T
+        self.l1.b.grad += da1.sum(axis=0)
 
     def params(self) -> list[Param]:
         return (
@@ -212,6 +201,11 @@ class Encoder:
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+
+# Elements of a parameter updated per pass of Adam's 14 elementwise
+# operations: the chunk and its two scratch buffers stay in cache.
+ADAM_CHUNK = 32768
 
 
 @dataclass
@@ -226,7 +220,7 @@ class AdamState:
 
 
 class Adam:
-    """Standard Adam with bias correction."""
+    """Standard Adam with bias correction, updated in place chunk by chunk."""
 
     def __init__(self, params: list[Param], lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
         names = [p.name for p in params]
@@ -237,6 +231,7 @@ class Adam:
         for p in params:
             self.state.m[p.name] = np.zeros_like(p.value)
             self.state.v[p.name] = np.zeros_like(p.value)
+        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def zero_grad(self):
         for p in self.params:
@@ -248,10 +243,25 @@ class Adam:
         b1t = 1.0 - s.beta1**s.step_count
         b2t = 1.0 - s.beta2**s.step_count
         for p in self.params:
-            m = s.m[p.name]
-            v = s.v[p.name]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * p.grad
-            v *= s.beta2
-            v += (1.0 - s.beta2) * p.grad**2
-            p.value -= s.lr * (m / b1t) / (np.sqrt(v / b2t) + s.eps)
+            value, grad = p.value.reshape(-1), p.grad.reshape(-1)
+            m, v = s.m[p.name].reshape(-1), s.v[p.name].reshape(-1)
+            for lo in range(0, value.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, value.size)
+                g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
+                t1, t2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+                mc *= s.beta1
+                np.multiply(1.0 - s.beta1, g, out=t1)
+                mc += t1
+                vc *= s.beta2
+                np.multiply(g, g, out=t1)
+                t1 *= 1.0 - s.beta2
+                vc += t1
+                # value -= lr (m / b1t) / (sqrt(v / b2t) + eps)
+                np.divide(mc, b1t, out=t1)
+                t1 *= s.lr
+                np.divide(vc, b2t, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += s.eps
+                t1 /= t2
+                value[lo:hi] -= t1

@@ -20,15 +20,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_name_key(name),))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-class StreamSet:
-    """Lazy cache of named generators derived from one seed."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def get(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = substream(self.seed, name)
-        return self._streams[name]

@@ -330,15 +330,14 @@ def train(
                 iters_total += plan.iterations_used
                 err_max = max(err_max, plan.row_err, plan.col_err)
 
-            xb = x[idx].toarray()
             model.zero_grad()
             loss, comps, _ = model.forward_backward(
-                xb,
-                global_corpus.augment(xb, cids),
+                x[idx],
                 cids,
                 gdocs,
                 noise_g,
                 noise_d,
+                eta=global_corpus.eta,
                 lambda_ecr=config.lambda_ecr,
                 psi=psi,
                 kl_mode=config.kl_attribution,

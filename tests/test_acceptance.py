@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
+from oracles import augmented_docs
 from scipy.integrate import quad
 
 from glocom.aggregation import (
-    build_augmented_docs,
     build_global_docs,
     kmeans,
     profile_word_embeddings,
@@ -51,7 +51,6 @@ def _training_instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10,
     cluster_ids[:G] = np.arange(G)
     global_docs = np.zeros((G, V))
     np.add.at(global_docs, cluster_ids, x)
-    x_aug = x + eta * global_docs[cluster_ids]
     model = GlocomModel(V, K, embed_dim=embed_dim, hidden=hidden, tau=0.2,
                         epsilon=0.01, seed=seed)
     C = np.unique(cluster_ids).size
@@ -60,8 +59,8 @@ def _training_instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10,
     sqd = model.space.squared_dists()
     plan = sinkhorn(TransportProblem(sqd, nu=default_nu(sqd)))
     return model, dict(
-        x=x, x_aug=x_aug, cluster_ids=cluster_ids, global_docs=global_docs,
-        noise_g=noise_g, noise_d=noise_d, lambda_ecr=20.0, psi=plan.psi,
+        x=x, cluster_ids=cluster_ids, global_docs=global_docs,
+        noise_g=noise_g, noise_d=noise_d, eta=eta, lambda_ecr=20.0, psi=plan.psi,
     )
 
 
@@ -413,7 +412,7 @@ def test_aggregation_conservation():
         for assign in assignments:
             g = build_global_docs(corpus, assign)
             exact &= np.array_equal(g.sum(axis=0).astype(np.float64), column_sums)
-            aug = build_augmented_docs(corpus, g, assign, eta=0.0)
+            aug = augmented_docs(corpus, g, assign, eta=0.0)
             exact &= np.array_equal(aug, corpus.dense())
             checked += 1
     _verdict(

@@ -3,10 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import augmented_docs, dense_target_reconstruction
 
 from glocom.aggregation import (
     ClusterAssignment,
-    build_augmented_docs,
     build_global_corpus,
     build_global_docs,
     kmeans,
@@ -16,6 +16,7 @@ from glocom.aggregation import (
 )
 from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary
 from glocom.errors import ClusteringError
+from glocom.model import reconstruction
 
 
 def _emb(rows):
@@ -305,7 +306,7 @@ def test_augmented_docs_formula():
     corpus = _bow([[1, 0]])
     assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
     g = np.array([[3, 1]])
-    out = build_augmented_docs(corpus, g, assign, eta=0.5)
+    out = augmented_docs(corpus, g, assign, eta=0.5)
     np.testing.assert_allclose(out, [[2.5, 0.5]])
 
 
@@ -313,7 +314,7 @@ def test_augmented_docs_eta_zero_identity():
     corpus = _bow([[2, 1], [0, 4]])
     assign = ClusterAssignment(np.array([0, 0]), 1, np.zeros((1, 2)), 0.0)
     g = build_global_docs(corpus, assign)
-    out = build_augmented_docs(corpus, g, assign, eta=0.0)
+    out = augmented_docs(corpus, g, assign, eta=0.0)
     np.testing.assert_array_equal(out, corpus.dense())
 
 
@@ -321,7 +322,7 @@ def test_augmented_docs_singleton_eta_one_doubles():
     corpus = _bow([[2, 1], [0, 4]])
     assign = ClusterAssignment(np.array([0, 1]), 2, np.zeros((2, 2)), 0.0)
     g = build_global_docs(corpus, assign)
-    out = build_augmented_docs(corpus, g, assign, eta=1.0)
+    out = augmented_docs(corpus, g, assign, eta=1.0)
     np.testing.assert_array_equal(out, 2.0 * corpus.dense())
 
 
@@ -329,26 +330,32 @@ def test_augmented_docs_rejects_negative_eta():
     corpus = _bow([[1, 1]])
     assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
     with pytest.raises(ClusteringError):
-        build_augmented_docs(corpus, np.array([[1, 1]]), assign, eta=-0.1)
+        build_global_corpus(corpus, assign, eta=-0.1)
 
 
 def test_batch_targets_equal_whole_corpus_formula():
-    # the trainer's per-batch targets against x + eta * global_docs[assignment]
-    # built for the whole corpus at once
+    # the decoder's per-batch split of the targets (CSR rows plus eta times
+    # the batch's distinct global documents) against x + eta *
+    # global_docs[assignment] built densely for the whole corpus at once
     rng = np.random.default_rng(8)
     counts = rng.integers(0, 6, size=(40, 17)) * (rng.random((40, 17)) < 0.4)
     counts[:, 3] += 1
     corpus = _bow(counts)
     ids = rng.integers(0, 5, size=40)
     ids[:5] = np.arange(5)
+    theta = rng.dirichlet(np.ones(4), size=40)
+    beta = rng.dirichlet(np.ones(4), size=17)
+    x = corpus.counts.astype(np.float64)
     for eta in (0.0, 0.1, 0.37):
         gc = build_global_corpus(corpus, ids, eta)
-        whole = corpus.dense() + eta * gc.global_docs[ids].astype(np.float64)
-        x = corpus.counts.astype(np.float64)
+        whole = augmented_docs(corpus, gc.global_docs, ids, eta)
         for idx in np.array_split(rng.permutation(40), 3):
-            xb = x[idx].toarray()
-            np.testing.assert_array_equal(xb, corpus.dense()[idx])
-            np.testing.assert_array_equal(gc.augment(xb, ids[idx]), whole[idx])
+            uniq, inv = np.unique(ids[idx], return_inverse=True)
+            got = reconstruction(x[idx], eta * gc.global_docs[uniq], inv, theta[idx], beta)
+            zero = np.zeros((uniq.size, 17))
+            want = dense_target_reconstruction(whole[idx], zero, inv, theta[idx], beta)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
 
 
 def test_noc_regime_augmentation():
@@ -357,7 +364,7 @@ def test_noc_regime_augmentation():
     assign = ClusterAssignment(np.array([0, 1, 2]), 3, np.zeros((3, 2)), 0.0)
     g = build_global_docs(corpus, assign)
     np.testing.assert_array_equal(g, corpus.dense())
-    out = build_augmented_docs(corpus, g, assign, eta=0.3)
+    out = augmented_docs(corpus, g, assign, eta=0.3)
     np.testing.assert_allclose(out, 1.3 * corpus.dense())
 
 

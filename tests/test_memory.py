@@ -11,19 +11,29 @@ from glocom.model import infer
 from glocom.trainer import TrainConfig, build_setup, train_from_setup
 
 
-def test_pipeline_peak_memory_scales_with_nonzeros():
-    D = V = 4000
+D = V = 4000
+
+
+def _corpus():
     rng = np.random.default_rng(0)
     words = rng.integers(0, V, size=(D, 8))  # 8 tokens per document
     counts = sp.csr_matrix(
         (np.ones(words.size, dtype=np.int64), (np.repeat(np.arange(D), 8), words.ravel())),
         shape=(D, V),
     )
-    corpus = BowCorpus(counts, Vocabulary([f"w{i}" for i in range(V)]))
-    # a training step holds about nine B x V float arrays, so the batch is
-    # kept small enough for them to fit under the bound as well
-    cfg = TrainConfig(K=10, G=20, epochs=1, batch_size=8, hidden_width=8, embed_dim=8,
-                      ecr_nu=0.05)
+    return BowCorpus(counts, Vocabulary([f"w{i}" for i in range(V)]))
+
+
+def _config(**kw):
+    return TrainConfig(K=10, G=20, epochs=1, hidden_width=8, embed_dim=8, ecr_nu=0.05, **kw)
+
+
+def test_pipeline_peak_memory_scales_with_nonzeros():
+    corpus = _corpus()
+    # the decoder's softmax is one B x V float array: at the default
+    # B=200 it alone is half the bound, beside the parameters, Adam moments
+    # and V x K transport arrays, so the batch here is smaller
+    cfg = _config(batch_size=64)
     bound = D * V * 8 / 10  # a tenth of one dense float64 copy
 
     tracemalloc.start()
@@ -49,3 +59,21 @@ def test_pipeline_peak_memory_scales_with_nonzeros():
         tracemalloc.stop()
     for stage, peak in peaks.items():
         assert peak < bound, f"{stage} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
+    # a step may hold about one B x V float array (the decoder's softmax):
+    # less than two per added batch row between B=32 and B=200
+    corpus = _corpus()
+    assignment = kmeans(tfidf(corpus), 20, seed=0).assignment
+    peaks = {}
+    for B in (32, 200):
+        setup = build_setup(corpus, _config(batch_size=B), assignment)
+        tracemalloc.start()
+        try:
+            train_from_setup(setup)
+            peaks[B] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_row = (peaks[200] - peaks[32]) / (200 - 32)
+    assert per_row < 2 * V * 8, f"{per_row / 2**20:.3f} MiB per batch row"

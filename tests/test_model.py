@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from fd import central_diff, rel_err
+from oracles import dense_targets
+from scipy.special import logsumexp
 
 from glocom.ecr import TransportProblem, default_nu, sinkhorn
 from glocom.errors import TrainingError
@@ -12,7 +15,6 @@ from glocom.model import (
     TopicSpace,
     combine,
     compute_beta,
-    elbo_per_doc,
     infer,
     load_checkpoint,
     normalize_rows,
@@ -21,15 +23,27 @@ from glocom.model import (
 from glocom.numerics import softmax_forward
 
 
-def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1):
-    """Small fixed training instance with frozen noise and transport plan."""
+def elbo_per_doc(x_aug, theta_gd, beta, kl_global_share, kl_local):
+    """Per-document loss: -(x_aug)^T log softmax(beta @ theta_gd) + KLs,
+    the dense-target formula ``GlocomModel.forward_backward`` splits."""
+    logits = beta @ theta_gd
+    logp = logits - logsumexp(logits)
+    return float(-(x_aug @ logp) + kl_global_share + kl_local)
+
+
+def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
+              sparse=False):
+    """Small fixed training instance with frozen noise and transport plan.
+    ``sparse`` gives the counts as CSR rows with about half the entries 0."""
     rng = np.random.default_rng(seed)
     x = rng.integers(1, 5, size=(D, V)).astype(np.float64)
+    if sparse:
+        x = x * (rng.random((D, V)) < 0.5)
+        x[:, 0] += 1  # no empty document
     cluster_ids = rng.integers(0, G, size=D)
     cluster_ids[:G] = np.arange(G)  # every cluster non-empty
     global_docs = np.zeros((G, V))
     np.add.at(global_docs, cluster_ids, x)
-    x_aug = x + eta * global_docs[cluster_ids]
     model = GlocomModel(V, K, embed_dim=embed_dim, hidden=hidden, tau=0.2,
                         epsilon=0.01, seed=seed)
     C = np.unique(cluster_ids).size
@@ -38,34 +52,32 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1):
     sqd = model.space.squared_dists()
     plan = sinkhorn(TransportProblem(sqd, nu=default_nu(sqd)))
     return model, dict(
-        x=x, x_aug=x_aug, cluster_ids=cluster_ids, global_docs=global_docs,
-        noise_g=noise_g, noise_d=noise_d, lambda_ecr=20.0, psi=plan.psi,
+        x=sp.csr_matrix(x) if sparse else x, cluster_ids=cluster_ids,
+        global_docs=global_docs, noise_g=noise_g, noise_d=noise_d, eta=eta,
+        lambda_ecr=20.0, psi=plan.psi,
     )
 
 
-def test_full_loss_gradients_match_fd():
-    model, inputs = _instance()
-
-    def loss_fn():
-        return model.corpus_loss(**inputs)
-
-    model.zero_grad()
-    model.forward_backward(**inputs)
-    for p in model.params():
-        fd = central_diff(loss_fn, p.value)
-        assert rel_err(p.grad, fd) < 1e-3, p.name
-
-
-def test_gradients_without_ecr_and_literal_mode():
-    model, inputs = _instance(seed=3)
-    inputs["lambda_ecr"] = 0.0
-    inputs["psi"] = None
-    inputs["kl_mode"] = "literal"
+def _check_grads_fd(model, inputs):
     model.zero_grad()
     model.forward_backward(**inputs)
     for p in model.params():
         fd = central_diff(lambda: model.corpus_loss(**inputs), p.value)
         assert rel_err(p.grad, fd) < 1e-3, p.name
+
+
+def test_full_loss_gradients_match_fd():
+    for sparse in (False, True):
+        _check_grads_fd(*_instance(sparse=sparse))
+
+
+def test_gradients_without_ecr_and_literal_mode():
+    for sparse in (False, True):
+        model, inputs = _instance(seed=3, sparse=sparse)
+        inputs["lambda_ecr"] = 0.0
+        inputs["psi"] = None
+        inputs["kl_mode"] = "literal"
+        _check_grads_fd(model, inputs)
 
 
 def test_beta_rows_sum_to_one_random():
@@ -153,12 +165,12 @@ def test_corpus_loss_identical_docs_literal_mode():
     noise_g = rng.standard_normal((1, 3))
     nd = rng.standard_normal((1, 3))
     single = model.corpus_loss(
-        x1, x1.copy(), np.array([0]), gdoc, noise_g, nd, kl_mode="literal"
+        x1, np.array([0]), gdoc, noise_g, nd, 0.0, kl_mode="literal"
     )
     x3 = np.repeat(x1, 3, axis=0)
     batch = model.corpus_loss(
-        x3, x3.copy(), np.zeros(3, dtype=int), gdoc, noise_g,
-        np.repeat(nd, 3, axis=0), kl_mode="literal"
+        x3, np.zeros(3, dtype=int), gdoc, noise_g,
+        np.repeat(nd, 3, axis=0), 0.0, kl_mode="literal"
     )
     assert batch == pytest.approx(single, rel=1e-12)
 
@@ -170,13 +182,13 @@ def test_corpus_loss_disjoint_singletons_average():
     gdocs = x.copy()
     noise_g = rng.standard_normal((2, 3))
     noise_d = rng.standard_normal((2, 3))
-    both = model.corpus_loss(x, x.copy(), np.array([0, 1]), gdocs, noise_g, noise_d)
+    both = model.corpus_loss(x, np.array([0, 1]), gdocs, noise_g, noise_d, 0.0)
     parts = []
     for d in range(2):
         parts.append(
             model.corpus_loss(
-                x[d : d + 1], x[d : d + 1].copy(), np.array([d]), gdocs,
-                noise_g[d : d + 1], noise_d[d : d + 1],
+                x[d : d + 1], np.array([d]), gdocs,
+                noise_g[d : d + 1], noise_d[d : d + 1], 0.0,
             )
         )
     assert both == pytest.approx(0.5 * (parts[0] + parts[1]), rel=1e-12)
@@ -192,11 +204,11 @@ def test_corpus_loss_equals_mean_of_per_doc_literal():
         per_doc.append(
             model.corpus_loss(
                 inputs["x"][d : d + 1],
-                inputs["x_aug"][d : d + 1],
                 inputs["cluster_ids"][d : d + 1],
                 inputs["global_docs"],
                 inputs["noise_g"][inv[d] : inv[d] + 1],
                 inputs["noise_d"][d : d + 1],
+                inputs["eta"],
                 kl_mode="literal",
             )
         )
@@ -247,6 +259,8 @@ def test_zero_sum_input_rejected():
         model.encode_local(np.zeros((1, 5)))
     with pytest.raises(TrainingError):
         normalize_rows(np.zeros((2, 3)))
+    with pytest.raises(TrainingError, match="zero-sum"):
+        model.encode_local(sp.csr_matrix(np.array([[1, 0, 0, 0, 2], [0, 0, 0, 0, 0]])))
 
 
 def test_latents_are_simplex_points():
@@ -286,7 +300,7 @@ def test_reduces_to_plain_vae_with_ablations():
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, _ = model.forward_backward(
-        x, x.copy(), np.arange(D), x.copy(), noise, np.zeros((D, K)),
+        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0,
         rho_override=np.ones((D, K)), compute_grads=False,
     )
     # independent computation
@@ -393,13 +407,33 @@ def test_kl_scale_scales_kl_components_exactly():
 
 
 def test_kl_scale_gradients_match_fd():
-    model, inputs = _instance(seed=22)
-    inputs["kl_scale"] = 0.3
+    for sparse in (False, True):
+        model, inputs = _instance(seed=22, sparse=sparse)
+        inputs["kl_scale"] = 0.3
+        _check_grads_fd(model, inputs)
+
+
+def _loss_and_grads(model, inputs, **kw):
     model.zero_grad()
-    model.forward_backward(**inputs)
-    for p in model.params():
-        fd = central_diff(lambda: model.corpus_loss(**inputs), p.value)
-        assert rel_err(p.grad, fd) < 1e-3, p.name
+    loss, comps, _ = model.forward_backward(**inputs, **kw)
+    return loss, comps, {p.name: p.grad.copy() for p in model.params()}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.37])
+def test_forward_backward_csr_matches_dense_target_oracle(eta):
+    # 12 documents in 3 clusters: several documents share each cluster
+    model, inputs = _instance(seed=23, D=12, G=3, eta=eta, sparse=True)
+    assert np.bincount(inputs["cluster_ids"]).min() >= 2
+    loss, comps, grads = _loss_and_grads(model, inputs)
+    dense = dict(inputs, x=inputs["x"].toarray())
+    with dense_targets():
+        loss_o, comps_o, grads_o = _loss_and_grads(model, dense)
+    assert loss == pytest.approx(loss_o, rel=1e-12)
+    for key in comps_o:
+        assert comps[key] == pytest.approx(comps_o[key], rel=1e-12), key
+    for name, g in grads_o.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(g).max(), err_msg=name)
 
 
 def test_topic_init_is_used_verbatim():

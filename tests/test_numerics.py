@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from fd import central_diff, rel_err
 from scipy.integrate import quad
+from scipy.special import expit
 
 from glocom.numerics import (
+    ADAM_CHUNK,
     Adam,
     DenseLayer,
     Encoder,
@@ -181,10 +184,97 @@ def test_encoder_backward_fd():
     mu, lv, cache = enc.forward(X)
     for p in enc.params():
         p.zero_grad()
-    dX = enc.backward(R1, R2, cache)
+    enc.backward(R1, R2, cache)
     for p in enc.params():
         assert rel_err(p.grad, central_diff(loss, p.value)) < 1e-4, p.name
-    assert rel_err(dX, central_diff(loss, X)) < 1e-4
+
+
+def test_encoder_csr_input_matches_dense():
+    rng = np.random.default_rng(2)
+    enc = Encoder("phi", in_dim=30, hidden=7, out_dim=4, rng=rng)
+    X = rng.uniform(0, 1, size=(9, 30)) * (rng.random((9, 30)) < 0.3)
+    X[3] = 0.0  # an empty row
+    R1, R2 = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+    grads, outs = [], []
+    for rows in (X, sp.csr_matrix(X)):
+        for p in enc.params():
+            p.zero_grad()
+        mu, lv, cache = enc.forward(rows)
+        enc.backward(R1, R2, cache)
+        outs.append((mu, lv))
+        grads.append([p.grad.copy() for p in enc.params()])
+    for a, b in zip(outs[0], outs[1]):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+    for p, g_dense, g_csr in zip(enc.params(), *grads):
+        np.testing.assert_allclose(g_csr, g_dense, rtol=1e-12, atol=1e-12, err_msg=p.name)
+
+
+def _masked_sigmoid(x):
+    # the two-branch formula softplus_backward used before expit
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_softplus_backward_is_expit_of_masked_sigmoid():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[-1000.0, -745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0, 1000.0],
+                        rng.normal(scale=8, size=5000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = expit(x)
+        want = _masked_sigmoid(x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=2.3e-16)
+        g = rng.normal(size=x.shape)
+        np.testing.assert_array_equal(softplus_backward(g, x), g * got)
+    assert got[4] == 0.5 and got[0] == 0.0 and got[8] == 1.0
+
+
+def _adam_reference(values, grads_per_step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    # the per-parameter whole-array formula the chunked step reproduces
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grads_per_step, start=1):
+        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+        for value, mm, vv, g in zip(values, m, v2, grads):
+            mm *= b1
+            mm += (1.0 - b1) * g
+            vv *= b2
+            vv += (1.0 - b2) * g**2
+            value -= lr * (mm / b1t) / (np.sqrt(vv / b2t) + eps)
+    return values, m, v2
+
+
+def test_adam_chunked_step_bit_identical_to_whole_array_formula():
+    rng = np.random.default_rng(6)
+    shapes = [(70_000,), (200, 3000), (3,)]
+    assert all(np.prod(s) % ADAM_CHUNK for s in shapes)
+    start = [rng.normal(size=s) for s in shapes]
+    steps = [[rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+             for _ in range(15)]
+    params = [Param(f"p{i}", v.copy()) for i, v in enumerate(start)]
+    opt = Adam(params, lr=0.01)
+    for grads in steps:
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        opt.step()
+    values, m, v = _adam_reference(start, steps)
+    for i, p in enumerate(params):
+        np.testing.assert_array_equal(p.value, values[i])
+        np.testing.assert_array_equal(opt.state.m[p.name], m[i])
+        np.testing.assert_array_equal(opt.state.v[p.name], v[i])
+
+
+def test_param_value_is_contiguous():
+    p = Param("w", np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+    assert p.value.flags.c_contiguous
+    opt = Adam([p], lr=0.1)
+    p.grad[...] = 1.0
+    opt.step()
+    assert np.all(p.value < np.arange(6.0).reshape(2, 3))
 
 
 def test_dense_layer_grad_accumulates():

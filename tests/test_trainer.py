@@ -195,7 +195,11 @@ def test_report_counts_unconverged_transport_solves():
 
 def test_single_step_loss_equals_dense_targets_oracle():
     # one full batch: the trainer's loss must equal forward_backward on the
-    # dense rows and x + eta * global_docs[assignment] targets, bit for bit
+    # same CSR rows bit for bit, and forward_backward on the dense rows and
+    # x + eta * global_docs[assignment] targets to rounding (the sparse
+    # products sum in another order than the dense ones)
+    from oracles import dense_targets
+
     from glocom.rng import substream
 
     corpus = tiny_corpus()
@@ -213,12 +217,16 @@ def test_single_step_loss_equals_dense_targets_oracle():
                         hidden=cfg.hidden_width, tau=cfg.tau, epsilon=cfg.epsilon,
                         seed=cfg.seed)
     gdocs = setup.global_corpus.global_docs
-    x = corpus.dense()
-    x_aug = x + cfg.eta * gdocs[setup.assignment].astype(np.float64)
-    _, comps, _ = model.forward_backward(x[perm], x_aug[perm], cids, gdocs, noise_g,
-                                         noise_d, compute_grads=False)
-    expected = [comps[k] for k in ("loss", "recon", "kl_global", "kl_local", "ecr")]
-    np.testing.assert_array_equal(report.trajectory[0], expected)
+    keys = ("loss", "recon", "kl_global", "kl_local", "ecr")
+    x = corpus.counts.astype(np.float64)[perm]
+    _, comps, _ = model.forward_backward(x, cids, gdocs, noise_g, noise_d, eta=cfg.eta,
+                                         compute_grads=False)
+    np.testing.assert_array_equal(report.trajectory[0], [comps[k] for k in keys])
+    with dense_targets():
+        _, dense, _ = model.forward_backward(x.toarray(), cids, gdocs, noise_g, noise_d,
+                                             eta=cfg.eta, compute_grads=False)
+    np.testing.assert_allclose(report.trajectory[0], [dense[k] for k in keys],
+                               rtol=1e-13, atol=0)
 
 
 def test_same_seed_gives_bit_identical_trajectories():
