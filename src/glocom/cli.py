@@ -89,8 +89,12 @@ def _pin_malloc() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _require(path, what: str) -> str:
-    if path is None:
+def _require(path, what: str, optional: bool = False):
+    """The path, once its file is known to exist; an optional path that
+    was not given passes through as None."""
+    if not path:
+        if optional:
+            return None
         raise _MissingInput(f"{what} is required")
     if not os.path.exists(path):
         raise _MissingInput(f"{what} file missing: {path}")
@@ -135,25 +139,14 @@ def _config_dict(cfg) -> dict:
 def _add_config_flags(parser) -> None:
     """One override flag per TrainConfig field, named like the config file
     keys (dotted for the transport block)."""
-    from .trainer import (
-        ABLATIONS,
-        EMBEDDING_SOURCES,
-        KL_ATTRIBUTIONS,
-        TrainConfig,
-        _file_key,
-    )
+    from .trainer import ABLATIONS, KL_ATTRIBUTIONS, TrainConfig, _file_key, field_type
 
-    choices = {
-        "ablation": ABLATIONS,
-        "embedding_source": EMBEDDING_SOURCES,
-        "kl_attribution": KL_ATTRIBUTIONS,
-    }
+    choices = {"ablation": ABLATIONS, "kl_attribution": KL_ATTRIBUTIONS}
     for f in fields(TrainConfig):
-        kind = f.type if isinstance(f.type, type) else {"int": int, "float": float}.get(f.type, str)
         parser.add_argument(
             "--" + _file_key(f.name),
             dest="cfg_" + f.name,
-            type=kind,
+            type=field_type(f),
             default=None,
             choices=choices.get(f.name),
             help=f"override config key {_file_key(f.name)}",
@@ -202,10 +195,22 @@ def _synth_spec(args, seed):
     )
 
 
-# ------------------------------------------------------------- subcommands
+# ------------------------------------------------------------------ stages
+# One function per stage: it writes the stage's files into its output
+# directory, prints the stage's summary line and returns its result in
+# memory. The stage commands and `pipeline` both call them. Library names
+# are imported inside each function, so that a name replaced in its
+# defining module (by a profiler or a test) is the one the stage calls.
 
 
-def cmd_preprocess(args) -> int:
+def _write_labels(labels, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in labels:
+            fh.write(f"{int(v)}\n")
+
+
+def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
+    """Raw text (one document per line) -> pruned bag-of-words corpus."""
     from .corpus import (
         preprocess,
         read_corpus_file,
@@ -215,132 +220,87 @@ def cmd_preprocess(args) -> int:
         write_vocabulary,
     )
 
-    _require(args.corpus, "corpus")
-    if args.labels:
-        _require(args.labels, "labels")
-    _write_manifest(args.out, args, [args.corpus, args.labels], seed=None)
-
-    raw = read_corpus_file(args.corpus)
-    labels = read_label_file(args.labels) if args.labels else None
+    os.makedirs(out_dir, exist_ok=True)
+    raw = read_corpus_file(corpus_path)
+    labels = read_label_file(labels_path) if labels_path else None
     if labels is not None and len(labels) != len(raw):
-        raise CorpusError(
-            f"{len(labels)} labels for {len(raw)} documents in {args.corpus}"
-        )
-    bow, kept = preprocess(raw, args.min_freq, args.min_terms, labels)
-    write_vocabulary(bow.vocab, os.path.join(args.out, "vocab.txt"))
-    write_bow(bow, os.path.join(args.out, "bow.txt"))
-    write_kept_indices(kept, os.path.join(args.out, "kept.txt"))
+        raise CorpusError(f"{len(labels)} labels for {len(raw)} documents in {corpus_path}")
+    bow, kept = preprocess(raw, min_freq, min_terms, labels)
+    write_vocabulary(bow.vocab, os.path.join(out_dir, "vocab.txt"))
+    write_bow(bow, os.path.join(out_dir, "bow.txt"))
+    write_kept_indices(kept, os.path.join(out_dir, "kept.txt"))
     if bow.labels is not None:
-        _write_labels(bow.labels, os.path.join(args.out, "labels.txt"))
+        _write_labels(bow.labels, os.path.join(out_dir, "labels.txt"))
+    print(f"preprocess: kept {bow.num_docs}/{len(raw)} documents, {bow.num_words} words")
+    return bow
+
+
+def run_synth(spec, out_dir):
+    """A planted-structure corpus, with its true parameters beside it."""
+    from .corpus import write_bow, write_vocabulary
+    from .model import write_matrix_csv
+    from .synthetic import generate
+
+    os.makedirs(out_dir, exist_ok=True)
+    corpus, truth = generate(spec)
+    write_vocabulary(corpus.vocab, os.path.join(out_dir, "vocab.txt"))
+    write_bow(corpus, os.path.join(out_dir, "bow.txt"))
+    _write_labels(corpus.labels, os.path.join(out_dir, "labels.txt"))
+    write_matrix_csv(truth.beta, os.path.join(out_dir, "truth_beta.csv"))
+    write_matrix_csv(truth.theta_g, os.path.join(out_dir, "truth_theta_g.csv"))
+    write_matrix_csv(truth.theta_gd, os.path.join(out_dir, "truth_theta_gd.csv"))
     print(
-        f"preprocess: kept {bow.num_docs}/{len(raw)} documents, "
-        f"{bow.num_words} words"
+        f"synth: {corpus.num_docs} documents, {corpus.num_words} words, "
+        f"{spec.K} topics, {spec.G} clusters"
     )
-    return 0
+    return corpus
 
 
-def _write_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
-def _read_corpus(bow_path, vocab_path, labels_path=None):
-    from .corpus import read_bow, read_label_file, read_vocabulary
-
-    _require(bow_path, "corpus")
-    _require(vocab_path, "vocabulary")
-    vocab = read_vocabulary(vocab_path)
-    labels = None
-    if labels_path:
-        _require(labels_path, "labels")
-        labels = read_label_file(labels_path)
-    return read_bow(bow_path, vocab, labels)
-
-
-def _doc_embeddings(corpus, source, path):
+def run_cluster(corpus, G, seed, out_dir, embeddings=None, normalize=False):
+    """k-means on the document embeddings file when given, else on TF-IDF
+    rows; returns the (D,) cluster ids."""
+    from .aggregation import kmeans, write_assignment
     from .corpus import load_embeddings, tfidf
 
-    if source == "precomputed":
-        _require(path, "document embeddings")
-        return load_embeddings(path, expected_rows=corpus.num_docs)
-    return tfidf(corpus)
-
-
-def cmd_cluster(args) -> int:
-    from .aggregation import kmeans, write_assignment
-
-    corpus = _read_corpus(args.bow, args.vocab)
-    if args.embeddings:
-        _require(args.embeddings, "document embeddings")
-    _write_manifest(
-        args.out, args, [args.bow, args.vocab, args.embeddings], seed=args.seed
-    )
-    source = "precomputed" if args.embeddings else "tfidf"
-    emb = _doc_embeddings(corpus, source, args.embeddings)
-    assignment = kmeans(emb, args.num_clusters, seed=args.seed,
-                        normalize=args.normalize)
-    write_assignment(assignment, os.path.join(args.out, "assignment.txt"))
-    sizes = assignment.counts()
+    os.makedirs(out_dir, exist_ok=True)
+    if embeddings:
+        emb = load_embeddings(embeddings, expected_rows=corpus.num_docs)
+    else:
+        emb = tfidf(corpus)
+    result = kmeans(emb, G, seed=seed, normalize=normalize)
+    write_assignment(result, os.path.join(out_dir, "assignment.txt"))
+    sizes = result.counts()
     print(
-        f"cluster: G={args.num_clusters} inertia={assignment.inertia:.6g} "
+        f"cluster: G={G} inertia={result.inertia:.6g} "
         f"sizes min={sizes.min()} max={sizes.max()}"
     )
-    return 0
+    return result.assignment
 
 
-def _load_assignment_for(cfg, args, corpus):
-    from .aggregation import read_assignment
-
-    if cfg.ablation == "no_clustering":
-        return None
-    path = getattr(args, "clusters", None)
-    _require(path, "cluster assignment")
-    assignment = read_assignment(path, G=cfg.G)
-    if assignment.shape[0] != corpus.num_docs:
-        raise ClusteringError(
-            f"assignment covers {assignment.shape[0]} documents, "
-            f"corpus has {corpus.num_docs}"
-        )
-    return assignment
-
-
-def _word_init_for(cfg, args, vocab):
-    """Optional pretrained word vectors for the topic space; random init
-    otherwise. Independent of embedding_source, which picks the document
-    embeddings used for clustering."""
+def load_word_init(path, vocab, seed):
+    """Pretrained word vectors for the topic space from an optional file;
+    None (random init) without one."""
     from .corpus import load_word_embeddings
 
-    path = getattr(args, "word_embeddings", None)
-    if path is None:
+    if not _require(path, "word embeddings", optional=True):
         return None
-    _require(path, "word embeddings")
-    init = load_word_embeddings(path, vocab, seed=cfg.seed)
+    init = load_word_embeddings(path, vocab, seed=seed)
     print(f"word embeddings: coverage {init.coverage:.1%}")
     return init.vectors
 
 
-def cmd_train(args) -> int:
-    from .trainer import build_setup, config_to_text, train_from_setup, write_trajectory
+def run_train(corpus, cfg, assignment, word_init, out_dir):
+    """Fit the model; writes config.txt, checkpoint/ and trajectory.csv and
+    returns the resolved TrainSetup."""
+    from .trainer import build_setup, config_to_text, train, write_trajectory
 
-    cfg = _resolve_config(args)
-    corpus = _read_corpus(args.bow, args.vocab)
-    assignment = _load_assignment_for(cfg, args, corpus)
-    word_init = _word_init_for(cfg, args, corpus.vocab)
-    _write_manifest(
-        args.out,
-        args,
-        [args.bow, args.vocab, getattr(args, "clusters", None),
-         getattr(args, "config", None), getattr(args, "word_embeddings", None)],
-        seed=cfg.seed,
-        config=_config_dict(cfg),
-    )
+    os.makedirs(out_dir, exist_ok=True)
     setup = build_setup(corpus, cfg, assignment)
-    with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(setup.config))
-    ckpt = os.path.join(args.out, "checkpoint")
-    model, report = train_from_setup(setup, word_init=word_init, checkpoint_dir=ckpt)
-    write_trajectory(report, os.path.join(args.out, "trajectory.csv"))
+    ckpt = os.path.join(out_dir, "checkpoint")
+    _, report = train(setup, word_init=word_init, checkpoint_dir=ckpt)
+    write_trajectory(report, os.path.join(out_dir, "trajectory.csv"))
     final = report.trajectory[-1, 0] if report.trajectory.size else float("nan")
     print(
         f"train: {setup.config.epochs} epochs in {report.wall_time:.1f}s, "
@@ -350,7 +310,7 @@ def cmd_train(args) -> int:
         f"marginal error max {report.transport_marginal_err_max:.3g}), "
         f"checkpoint at {ckpt}"
     )
-    return 0
+    return setup
 
 
 def _run_inference(model, corpus, assignment, top_n):
@@ -364,18 +324,124 @@ def _run_inference(model, corpus, assignment, top_n):
     )
 
 
-def _write_inference(output, out_dir):
-    from .model import write_matrix_csv, write_topics
+def run_infer(checkpoint, corpus, assignment, top_n, out_dir):
+    """Posterior means from the checkpoint directory; writes topics.txt,
+    the two mixture matrices and beta.csv."""
+    from .model import load_checkpoint, write_matrix_csv, write_topics
 
+    os.makedirs(out_dir, exist_ok=True)
+    output = _run_inference(load_checkpoint(checkpoint), corpus, assignment, top_n)
     write_topics(output, os.path.join(out_dir, "topics.txt"))
     write_matrix_csv(output.theta_local, os.path.join(out_dir, "theta_local.csv"))
     write_matrix_csv(output.theta_global, os.path.join(out_dir, "theta_global.csv"))
     write_matrix_csv(output.beta, os.path.join(out_dir, "beta.csv"))
+    print(f"infer: {output.beta.shape[1]} topics over {corpus.num_docs} documents")
+    return output
+
+
+def run_eval(top_words, theta, reference, labels, out_path):
+    """Topic diversity and NPMI of the topics, plus purity and NMI of the
+    argmax clustering when labels are given; writes and returns them."""
+    from .eval import (
+        TopicSet,
+        assign_documents,
+        nmi,
+        npmi_coherence,
+        purity,
+        topic_diversity,
+        write_metrics,
+    )
+
+    if labels is not None and theta.shape[0] != labels.shape[0]:
+        raise GlocomError(
+            f"theta has {theta.shape[0]} rows, labels file has {labels.shape[0]}"
+        )
+    topics = TopicSet(top_words)
+    m = {"td": topic_diversity(topics), "purity": None, "nmi": None}
+    m["npmi"], m["npmi_per_topic"] = npmi_coherence(topics, reference)
+    if labels is not None:
+        predicted = assign_documents(theta)
+        m["purity"], m["nmi"] = purity(predicted, labels), nmi(predicted, labels)
+    write_metrics(out_path, **m)
+    line = f"eval: td={m['td']:.4f} npmi={m['npmi']:.4f}"
+    if labels is not None:
+        line += f" purity={m['purity']:.4f} nmi={m['nmi']:.4f}"
+    print(line)
+    return m
+
+
+# ------------------------------------------------------------- subcommands
+
+
+def _read_corpus(bow_path, vocab_path, labels_path=None):
+    from .corpus import read_bow, read_label_file, read_vocabulary
+
+    _require(bow_path, "corpus")
+    _require(vocab_path, "vocabulary")
+    vocab = read_vocabulary(vocab_path)
+    labels = None
+    if _require(labels_path, "labels", optional=True):
+        labels = read_label_file(labels_path)
+    return read_bow(bow_path, vocab, labels)
+
+
+def _load_assignment_for(cfg, path, corpus):
+    from .aggregation import read_assignment
+
+    if cfg.ablation == "no_clustering":
+        return None
+    _require(path, "cluster assignment")
+    assignment = read_assignment(path, G=cfg.G)
+    if assignment.shape[0] != corpus.num_docs:
+        raise ClusteringError(
+            f"assignment covers {assignment.shape[0]} documents, "
+            f"corpus has {corpus.num_docs}"
+        )
+    return assignment
+
+
+def cmd_preprocess(args) -> int:
+    _require(args.corpus, "corpus")
+    _require(args.labels, "labels", optional=True)
+    _write_manifest(args.out, args, [args.corpus, args.labels], seed=None)
+    run_preprocess(args.corpus, args.labels, args.min_freq, args.min_terms, args.out)
+    return 0
+
+
+def cmd_synth(args) -> int:
+    spec = _synth_spec(args, args.seed)
+    _write_manifest(args.out, args, [], seed=args.seed)
+    run_synth(spec, args.out)
+    return 0
+
+
+def cmd_cluster(args) -> int:
+    corpus = _read_corpus(args.bow, args.vocab)
+    _require(args.embeddings, "document embeddings", optional=True)
+    _write_manifest(
+        args.out, args, [args.bow, args.vocab, args.embeddings], seed=args.seed
+    )
+    run_cluster(corpus, args.num_clusters, args.seed, args.out, args.embeddings,
+                args.normalize)
+    return 0
+
+
+def cmd_train(args) -> int:
+    cfg = _resolve_config(args)
+    corpus = _read_corpus(args.bow, args.vocab)
+    assignment = _load_assignment_for(cfg, args.clusters, corpus)
+    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
+    _write_manifest(
+        args.out, args,
+        [args.bow, args.vocab, args.clusters, args.config, args.word_embeddings],
+        seed=cfg.seed, config=_config_dict(cfg),
+    )
+    run_train(corpus, cfg, assignment, word_init, args.out)
+    return 0
 
 
 def cmd_infer(args) -> int:
     from .aggregation import read_assignment
-    from .model import load_checkpoint
 
     _require(args.checkpoint, "checkpoint")
     _require(os.path.join(args.checkpoint, "manifest.txt"), "checkpoint manifest")
@@ -388,43 +454,21 @@ def cmd_infer(args) -> int:
          os.path.join(args.checkpoint, "manifest.txt")],
         seed=None,
     )
-    model = load_checkpoint(args.checkpoint)
-    output = _run_inference(model, corpus, assignment, args.top_n)
-    _write_inference(output, args.out)
-    print(f"infer: {output.beta.shape[1]} topics over {corpus.num_docs} documents")
+    run_infer(args.checkpoint, corpus, assignment, args.top_n, args.out)
     return 0
-
-
-def _evaluate(topics, theta, reference, labels):
-    from .eval import (
-        assign_documents,
-        nmi,
-        npmi_coherence,
-        purity,
-        topic_diversity,
-    )
-
-    td = topic_diversity(topics)
-    overall, per_topic = npmi_coherence(topics, reference)
-    pur = nm = None
-    if labels is not None:
-        predicted = assign_documents(theta)
-        pur, nm = purity(predicted, labels), nmi(predicted, labels)
-    return td, overall, per_topic, pur, nm
 
 
 def cmd_eval(args) -> int:
     import numpy as np
 
     from .corpus import read_label_file
-    from .eval import read_topics, write_metrics
+    from .eval import read_topics
 
     _require(args.topics, "topics")
     _require(args.theta, "theta")
     reference = _read_corpus(args.reference, args.vocab)
     labels = None
-    if args.labels:
-        _require(args.labels, "labels")
+    if _require(args.labels, "labels", optional=True):
         labels = read_label_file(args.labels)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     _write_manifest(
@@ -434,167 +478,56 @@ def cmd_eval(args) -> int:
     )
     topics = read_topics(args.topics)
     theta = np.loadtxt(args.theta, delimiter=",", ndmin=2)
-    if labels is not None and theta.shape[0] != labels.shape[0]:
-        raise GlocomError(
-            f"theta has {theta.shape[0]} rows, labels file has {labels.shape[0]}"
-        )
-    td, overall, per_topic, pur, nm = _evaluate(topics, theta, reference, labels)
-    write_metrics(args.out, td=td, npmi=overall, npmi_per_topic=per_topic,
-                  purity=pur, nmi=nm)
-    line = f"eval: td={td:.4f} npmi={overall:.4f}"
-    if pur is not None:
-        line += f" purity={pur:.4f} nmi={nm:.4f}"
-    print(line)
+    run_eval(topics.topics, theta, reference, labels, args.out)
     return 0
 
 
-def _write_synth(corpus, truth, out_dir):
-    from .corpus import write_bow, write_vocabulary
-    from .model import write_matrix_csv
-
-    write_vocabulary(corpus.vocab, os.path.join(out_dir, "vocab.txt"))
-    write_bow(corpus, os.path.join(out_dir, "bow.txt"))
-    _write_labels(corpus.labels, os.path.join(out_dir, "labels.txt"))
-    write_matrix_csv(truth.beta, os.path.join(out_dir, "truth_beta.csv"))
-    write_matrix_csv(truth.theta_g, os.path.join(out_dir, "truth_theta_g.csv"))
-    write_matrix_csv(truth.theta_gd, os.path.join(out_dir, "truth_theta_gd.csv"))
-
-
-def cmd_synth(args) -> int:
-    from .synthetic import generate
-
-    spec = _synth_spec(args, args.seed)
-    _write_manifest(args.out, args, [], seed=args.seed)
-    corpus, truth = generate(spec)
-    _write_synth(corpus, truth, args.out)
-    print(
-        f"synth: {corpus.num_docs} documents, {corpus.num_words} words, "
-        f"{spec.K} topics, {spec.G} clusters"
-    )
-    return 0
-
-
-def _stage(name, fn):
+def _stage(name, fn, *args):
     """Run one pipeline stage; failures keep their type but name the stage."""
     try:
-        return fn()
+        return fn(*args)
     except GlocomError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
 def cmd_pipeline(args) -> int:
-    from .aggregation import kmeans, write_assignment
-    from .corpus import (
-        preprocess,
-        read_corpus_file,
-        read_label_file,
-        write_bow,
-        write_kept_indices,
-        write_vocabulary,
-    )
-    from .eval import write_metrics
-    from .model import load_checkpoint
-    from .synthetic import generate
-    from .trainer import build_setup, config_to_text, train_from_setup, write_trajectory
-
     cfg = _resolve_config(args)
-    if not args.synth:
-        _require(args.corpus, "corpus")
-        if args.labels:
-            _require(args.labels, "labels")
+    if args.synth:
+        spec = _synth_spec(args, cfg.seed)
+    _require(args.corpus, "corpus", optional=args.synth)
+    _require(args.labels, "labels", optional=True)
+    _require(args.embeddings, "document embeddings", optional=True)
+    _require(args.word_embeddings, "word embeddings", optional=True)
     _write_manifest(
         args.out, args,
-        [args.corpus, args.labels, getattr(args, "config", None),
-         getattr(args, "word_embeddings", None), args.embeddings],
+        [args.corpus, args.labels, args.config, args.word_embeddings, args.embeddings],
         seed=cfg.seed, config=_config_dict(cfg),
     )
 
-    corpus_dir = os.path.join(args.out, "corpus")
-    os.makedirs(corpus_dir, exist_ok=True)
+    def out(name):
+        return os.path.join(args.out, name)
 
-    def make_corpus():
-        if args.synth:
-            corpus, truth = generate(_synth_spec(args, cfg.seed))
-            _write_synth(corpus, truth, corpus_dir)
-            return corpus
-        raw = read_corpus_file(args.corpus)
-        labels = read_label_file(args.labels) if args.labels else None
-        if labels is not None and len(labels) != len(raw):
-            raise CorpusError(f"{len(labels)} labels for {len(raw)} documents")
-        bow, kept = preprocess(raw, args.min_freq, args.min_terms, labels)
-        write_vocabulary(bow.vocab, os.path.join(corpus_dir, "vocab.txt"))
-        write_bow(bow, os.path.join(corpus_dir, "bow.txt"))
-        write_kept_indices(kept, os.path.join(corpus_dir, "kept.txt"))
-        if bow.labels is not None:
-            _write_labels(bow.labels, os.path.join(corpus_dir, "labels.txt"))
-        return bow
-
-    corpus = _stage("corpus", make_corpus)
-
+    if args.synth:
+        corpus = _stage("corpus", run_synth, spec, out("corpus"))
+    else:
+        corpus = _stage("corpus", run_preprocess, args.corpus, args.labels,
+                        args.min_freq, args.min_terms, out("corpus"))
     assignment = None
     if cfg.ablation != "no_clustering":
-
-        def make_clusters():
-            source = "precomputed" if args.embeddings else cfg.embedding_source
-            emb = _doc_embeddings(corpus, source, args.embeddings)
-            result = kmeans(emb, cfg.G, seed=cfg.seed)
-            cdir = os.path.join(args.out, "cluster")
-            os.makedirs(cdir, exist_ok=True)
-            write_assignment(result, os.path.join(cdir, "assignment.txt"))
-            return result.assignment
-
-        assignment = _stage("cluster", make_clusters)
-
-    word_init = _stage("embeddings", lambda: _word_init_for(cfg, args, corpus.vocab))
-
-    train_dir = os.path.join(args.out, "train")
-    ckpt = os.path.join(train_dir, "checkpoint")
-
-    def run_train():
-        os.makedirs(train_dir, exist_ok=True)
-        setup = build_setup(corpus, cfg, assignment)
-        with open(os.path.join(train_dir, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(config_to_text(setup.config))
-        model, report = train_from_setup(setup, word_init=word_init,
-                                         checkpoint_dir=ckpt)
-        write_trajectory(report, os.path.join(train_dir, "trajectory.csv"))
-        return setup, model, report
-
-    setup, model, report = _stage("train", run_train)
-
-    infer_dir = os.path.join(args.out, "infer")
-
-    def run_infer():
-        os.makedirs(infer_dir, exist_ok=True)
-        reloaded = load_checkpoint(ckpt)
-        output = _run_inference(reloaded, corpus, setup.assignment, args.top_n)
-        _write_inference(output, infer_dir)
-        return output
-
-    output = _stage("infer", run_infer)
-
-    def run_eval():
-        from .eval import TopicSet
-
-        topics = TopicSet(output.top_words)
-        td, overall, per_topic, pur, nm = _evaluate(
-            topics, output.theta_local, corpus, corpus.labels
-        )
-        write_metrics(os.path.join(args.out, "metrics.json"), td=td, npmi=overall,
-                      npmi_per_topic=per_topic, purity=pur, nmi=nm)
-        return td, overall, pur, nm
-
-    td, overall, pur, nm = _stage("eval", run_eval)
-
-    line = f"pipeline: done, td={td:.4f} npmi={overall:.4f}"
-    if pur is not None:
-        line += f" purity={pur:.4f} nmi={nm:.4f}"
-    print(line)
+        assignment = _stage("cluster", run_cluster, corpus, cfg.G, cfg.seed,
+                            out("cluster"), args.embeddings)
+    word_init = _stage("embeddings", load_word_init, args.word_embeddings,
+                       corpus.vocab, cfg.seed)
+    setup = _stage("train", run_train, corpus, cfg, assignment, word_init, out("train"))
+    output = _stage("infer", run_infer, os.path.join(out("train"), "checkpoint"),
+                    corpus, setup.assignment, args.top_n, out("infer"))
+    _stage("eval", run_eval, output.top_words, output.theta_local, corpus,
+           corpus.labels, out("metrics.json"))
     return 0
 
 
 def _parse_grid(specs) -> dict:
-    from .trainer import _FIELD_BY_KEY
+    from .trainer import _FIELD_BY_KEY, field_type
 
     grids = {}
     for spec in specs:
@@ -605,9 +538,8 @@ def _parse_grid(specs) -> dict:
         if key not in _FIELD_BY_KEY:
             raise ConfigError(f"unknown grid key {key!r}")
         f = _FIELD_BY_KEY[key]
-        kind = f.type if isinstance(f.type, type) else {"int": int, "float": float}.get(f.type, str)
         try:
-            values = [kind(v.strip()) for v in vals.split(",") if v.strip()]
+            values = [field_type(f)(v.strip()) for v in vals.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse grid values for {key!r}: {vals!r}") from exc
         if not values:
@@ -622,14 +554,13 @@ def cmd_grid(args) -> int:
     from .trainer import config_to_text, grid_search
 
     cfg = _resolve_config(args)
-    corpus = _read_corpus(args.bow, args.vocab, getattr(args, "labels", None))
-    assignment = _load_assignment_for(cfg, args, corpus)
-    word_init = _word_init_for(cfg, args, corpus.vocab)
+    corpus = _read_corpus(args.bow, args.vocab, args.labels)
+    assignment = _load_assignment_for(cfg, args.clusters, corpus)
+    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
     grids = _parse_grid(args.grid)
     _write_manifest(
         args.out, args,
-        [args.bow, args.vocab, getattr(args, "clusters", None),
-         getattr(args, "config", None), getattr(args, "labels", None)],
+        [args.bow, args.vocab, args.clusters, args.config, args.labels],
         seed=cfg.seed, config=_config_dict(cfg),
     )
     result = grid_search(corpus, cfg, grids, assignment=assignment,

@@ -74,10 +74,6 @@ class BowCorpus:
     def num_words(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def doc_lengths(self) -> np.ndarray:
-        return np.asarray(self.counts.sum(axis=1), dtype=np.int64).ravel()
-
     def dense(self) -> np.ndarray:
         return np.asarray(self.counts.todense(), dtype=np.float64)
 
@@ -321,22 +317,6 @@ def write_kept_indices(kept: Sequence[int], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i in kept:
             fh.write(f"{i}\n")
-
-
-def read_kept_indices(path: str) -> list[int]:
-    with open(path, encoding="utf-8") as fh:
-        return [int(line) for line in fh if line.strip()]
-
-
-def save_embeddings(matrix: np.ndarray, path: str) -> None:
-    """Binary layout: magic "GEMB", u64-LE rows, u64-LE cols, f32-LE row-major."""
-    M = np.asarray(matrix, dtype=np.float32)
-    if M.ndim != 2:
-        raise EmbeddingError(f"can only save 2-D matrices, got shape {M.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_GEMB_MAGIC)
-        fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        fh.write(np.ascontiguousarray(M).tobytes())
 
 
 def _load_embeddings_binary(path: str) -> np.ndarray:

@@ -9,7 +9,6 @@ gradient flows through the solve itself.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -67,25 +66,12 @@ class TransportPlan:
     converged: bool
     row_err: float
     col_err: float
-    # monitored diagnostics, populated when sinkhorn(..., track_objective=True)
-    primal_objectives: Optional[list[float]] = None
-    dual_objectives: Optional[list[float]] = None
 
 
-def _primal_objective(C: np.ndarray, P: np.ndarray, nu: float) -> float:
-    # <C,P> - nu * H(P), with H(P) = -sum P (log P - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0, P * (np.log(P) - 1.0), 0.0)
-    return float(np.sum(C * P) + nu * np.sum(plogp))
-
-
-def sinkhorn(problem: TransportProblem, track_objective: bool = False) -> TransportPlan:
+def sinkhorn(problem: TransportProblem) -> TransportPlan:
     """Solve the entropy-regularized transport problem by alternating scaling.
 
-    With track_objective=True every iteration's primal value
-    <C,psi> - nu*H(psi) and the dual value are recorded (slow path, used by
-    diagnostics and tests). Collapse to a non-finite kernel raises, naming
-    the offending nu.
+    Collapse to a non-finite kernel raises, naming the offending nu.
     """
     C, nu = problem.cost, problem.nu
     a, b = problem.row_marginal, problem.col_marginal
@@ -93,19 +79,7 @@ def sinkhorn(problem: TransportProblem, track_objective: bool = False) -> Transp
         Mr = -C / nu
     if not np.all(np.isfinite(Mr)):
         raise TransportError(f"cost/nu overflows at nu={nu}; increase nu")
-
-    primal: Optional[list[float]] = None
-    dual: Optional[list[float]] = None
-    record = None
-    if track_objective:
-        primal, dual = [], []
-
-        def record(F, G):
-            P = np.exp(Mr + F[:, None] + G[None, :])
-            primal.append(_primal_objective(C, P, nu))
-            dual.append(float(nu * (F @ a + G @ b - P.sum())))
-
-    s = sinkhorn_log(Mr, np.log(a), np.log(b), problem.max_iters, problem.tol, record)
+    s = sinkhorn_log(Mr, np.log(a), np.log(b), problem.max_iters, problem.tol)
     if not np.all(np.isfinite(s.u)):
         raise TransportError(
             f"transport kernel collapsed (non-finite scaling) at nu={nu}; "
@@ -114,25 +88,4 @@ def sinkhorn(problem: TransportProblem, track_objective: bool = False) -> Transp
     psi = s.u[:, None] * s.kernel * s.v[None, :]
     row_err = float(np.abs(psi.sum(axis=1) - a).sum())
     col_err = float(np.abs(psi.sum(axis=0) - b).sum())
-    return TransportPlan(
-        psi, s.iterations_used, s.converged, row_err, col_err, primal, dual
-    )
-
-
-def ecr_loss(W: np.ndarray, T: np.ndarray, plan) -> float:
-    """Sum of squared word-topic distances weighted by the plan."""
-    psi = plan.psi if isinstance(plan, TransportPlan) else np.asarray(plan)
-    C = squared_distances(W, T)
-    if C.shape != psi.shape:
-        raise TransportError(f"plan shape {psi.shape} does not match cost shape {C.shape}")
-    return float(np.sum(C * psi))
-
-
-def ecr_grad(W: np.ndarray, T: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ecr_loss w.r.t. W and T with the plan held fixed."""
-    psi = plan.psi if isinstance(plan, TransportPlan) else np.asarray(plan)
-    row_mass = psi.sum(axis=1)
-    col_mass = psi.sum(axis=0)
-    dW = 2.0 * (W * row_mass[:, None] - psi @ T)
-    dT = 2.0 * (T * col_mass[:, None] - psi.T @ W)
-    return dW, dT
+    return TransportPlan(psi, s.iterations_used, s.converged, row_err, col_err)

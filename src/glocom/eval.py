@@ -10,7 +10,7 @@ never co-occurs, score the floor value -1.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,24 +135,6 @@ def assign_documents(theta: np.ndarray) -> np.ndarray:
     if theta.ndim != 2 or theta.shape[0] == 0:
         raise GlocomError("theta must be a non-empty D x K matrix")
     return np.argmax(theta, axis=1).astype(np.int64)
-
-
-@dataclass
-class ClusteringEval:
-    predicted: np.ndarray
-    gold: np.ndarray
-    purity: float = field(init=False)
-    nmi: float = field(init=False)
-
-    def __post_init__(self):
-        self.predicted = _as_labels(self.predicted, "predicted")
-        self.gold = _as_labels(self.gold, "gold")
-        self.purity = purity(self.predicted, self.gold)
-        self.nmi = nmi(self.predicted, self.gold)
-
-
-def evaluate_clustering(theta: np.ndarray, gold) -> ClusteringEval:
-    return ClusteringEval(assign_documents(theta), gold)
 
 
 def _pair_npmi(p_a: float, p_b: float, p_ab: float) -> float:

@@ -25,7 +25,6 @@ from .numerics import Adam
 from .rng import substream
 
 ABLATIONS = ("full", "no_clustering", "no_augmentation")
-EMBEDDING_SOURCES = ("precomputed", "tfidf")
 KL_ATTRIBUTIONS = ("divide", "literal")
 TRAJECTORY_COLUMNS = ("total", "recon", "kl_global", "kl_local", "ecr")
 _COMPONENT_KEYS = ("loss", "recon", "kl_global", "kl_local", "ecr")
@@ -46,7 +45,6 @@ class TrainConfig:
     embed_dim: int = 200
     seed: int = 0
     ablation: str = "full"
-    embedding_source: str = "tfidf"
     kl_attribution: str = "divide"
     kl_warmup_epochs: int = 0
     ecr_nu: float = 0.0  # 0 means auto: half the mean initial transport cost
@@ -74,11 +72,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; use {ABLATIONS}")
-        if self.embedding_source not in EMBEDDING_SOURCES:
-            raise ConfigError(
-                f"unknown embedding_source {self.embedding_source!r}; "
-                f"use {EMBEDDING_SOURCES}"
-            )
         if self.kl_attribution not in KL_ATTRIBUTIONS:
             raise ConfigError(
                 f"unknown kl_attribution {self.kl_attribution!r}; "
@@ -99,6 +92,13 @@ def _file_key(field_name: str) -> str:
 _FIELD_BY_KEY = {_file_key(f.name): f for f in fields(TrainConfig)}
 
 
+def field_type(f) -> type:
+    """The type (int, float or str) a TrainConfig field's text parses to."""
+    if isinstance(f.type, type):
+        return f.type
+    return {"int": int, "float": float}.get(f.type, str)
+
+
 def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
     """Flat key=value lines; '#' starts a comment; later duplicate keys
     are an error so silent overrides cannot hide in a file."""
@@ -113,17 +113,11 @@ def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainCon
         key, value = key.strip(), value.strip()
         if key not in _FIELD_BY_KEY:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        fname = _FIELD_BY_KEY[key].name
-        if fname in overrides:
+        f = _FIELD_BY_KEY[key]
+        if f.name in overrides:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        ftype = _FIELD_BY_KEY[key].type
         try:
-            if ftype in (int, "int"):
-                overrides[fname] = int(value)
-            elif ftype in (float, "float"):
-                overrides[fname] = float(value)
-            else:
-                overrides[fname] = value
+            overrides[f.name] = field_type(f)(value)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: cannot parse {value!r} for key {key!r}"
@@ -245,10 +239,7 @@ def _kl_scale(epoch: int, warmup_epochs: int) -> float:
 
 
 def train(
-    corpus: BowCorpus,
-    assignment: np.ndarray,
-    global_corpus: GlobalCorpus,
-    config: TrainConfig,
+    setup: TrainSetup,
     word_init: Optional[np.ndarray] = None,
     topic_init: Optional[np.ndarray] = None,
     checkpoint_dir: Optional[str] = None,
@@ -261,7 +252,8 @@ def train(
     on the first non-finite loss with a component breakdown in the error.
     """
     t0 = time.perf_counter()
-    assignment = np.asarray(assignment, dtype=np.int64)
+    corpus, global_corpus, config = setup.corpus, setup.global_corpus, setup.config
+    assignment = np.asarray(setup.assignment, dtype=np.int64)
     D = corpus.num_docs
     if D == 0:
         raise TrainingError("corpus has no documents")
@@ -371,23 +363,6 @@ def train(
     return model, report
 
 
-def train_from_setup(
-    setup: TrainSetup,
-    word_init: Optional[np.ndarray] = None,
-    topic_init: Optional[np.ndarray] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> tuple[GlocomModel, TrainReport]:
-    return train(
-        setup.corpus,
-        setup.assignment,
-        setup.global_corpus,
-        setup.config,
-        word_init=word_init,
-        topic_init=topic_init,
-        checkpoint_dir=checkpoint_dir,
-    )
-
-
 @dataclass
 class GridEntry:
     params: dict
@@ -439,7 +414,7 @@ def grid_search(
         params = dict(zip(keys, values))
         cfg = replace(base_config, **params)
         setup = build_setup(corpus, cfg, assignment)
-        model, report = train_from_setup(setup, word_init=word_init)
+        model, report = train(setup, word_init=word_init)
         if has_labels:
             out = infer(
                 model,

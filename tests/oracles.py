@@ -1,10 +1,13 @@
-"""Dense reference formulas the sparse code paths are checked against.
+"""Reference code that only tests use.
 
 The model never builds the augmented targets x + eta * x^g as an array;
-these helpers do, the direct way, so tests can compare the two.
+the dense formulas here do, the direct way, so tests can compare the two.
+``save_embeddings`` writes the binary document-embedding format that
+``glocom.corpus.load_embeddings`` reads.
 """
 
 import contextlib
+import struct
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,6 +15,16 @@ from scipy.special import logsumexp
 
 import glocom.model
 from glocom.aggregation import ClusterAssignment
+from glocom.corpus import _GEMB_MAGIC
+
+
+def save_embeddings(matrix, path):
+    """Binary layout: magic "GEMB", u64-LE rows, u64-LE cols, f32-LE row-major."""
+    M = np.asarray(matrix, dtype=np.float32)
+    with open(path, "wb") as fh:
+        fh.write(_GEMB_MAGIC)
+        fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
+        fh.write(np.ascontiguousarray(M).tobytes())
 
 
 def augmented_docs(corpus, global_docs, assignment, eta):

@@ -30,7 +30,7 @@ from glocom.eval import TopicSet, assign_documents, nmi, purity, topic_diversity
 from glocom.model import GlocomModel, infer
 from glocom.numerics import kl_diag_gaussian
 from glocom.synthetic import SyntheticSpec, generate, match_topics
-from glocom.trainer import TrainConfig, apply_ablation, build_setup, train_from_setup
+from glocom.trainer import TrainConfig, apply_ablation, build_setup, train
 
 
 def _verdict(name, ok, detail=""):
@@ -233,7 +233,7 @@ def _recovery_run(seed, ablation):
         word_init = emb.rows
         topic_init = kmeans(emb, cfg.K, seed=seed).centroids
     setup = build_setup(corpus, cfg, assign)
-    model, _ = train_from_setup(setup, word_init=word_init,
+    model, _ = train(setup, word_init=word_init,
                                 topic_init=topic_init)
     ids = setup.assignment if assign is None else assign
     out = infer(model, corpus.dense(), ids, setup.global_corpus.global_docs,

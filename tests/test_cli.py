@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import save_embeddings
 
 from glocom.cli import main
 
@@ -119,6 +120,72 @@ def test_pipeline_synth_determinism(tmp_path):
                 "train/checkpoint/manifest.txt", "train/trajectory.csv",
                 "train/config.txt", "infer/theta_local.csv"):
         assert (tmp_path / "a" / rel).exists(), rel
+
+
+# every artifact of the chain; manifests differ in their command and time
+STAGE_ARTIFACTS = (
+    "corpus/bow.txt", "corpus/vocab.txt", "corpus/labels.txt",
+    "corpus/truth_beta.csv", "corpus/truth_theta_g.csv", "corpus/truth_theta_gd.csv",
+    "cluster/assignment.txt", "train/trajectory.csv", "train/config.txt",
+    "infer/topics.txt", "infer/theta_local.csv", "infer/theta_global.csv",
+    "infer/beta.csv", "metrics.json",
+)
+
+
+@pytest.mark.parametrize("precomputed", [False, True], ids=["tfidf", "embeddings"])
+def test_pipeline_equals_staged_commands(tmp_path, capsys, precomputed):
+    emb = ()
+    if precomputed:
+        # two well-separated blobs that TF-IDF rows would not reproduce
+        rng = np.random.default_rng(0)
+        M = np.repeat([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]], 20, axis=0)
+        save_embeddings(M + rng.normal(scale=0.1, size=M.shape), tmp_path / "docs.gemb")
+        emb = ("--embeddings", tmp_path / "docs.gemb")
+    p, s = tmp_path / "pipeline", tmp_path / "staged"
+    assert run("pipeline", "--synth", *SYNTH, *TINY_TRAIN, "--seed", 7, *emb,
+               "--out", p) == 0
+    piped = capsys.readouterr().out.splitlines()
+
+    corpus = s / "corpus"
+    bow, vocab = ("--bow", corpus / "bow.txt"), ("--vocab", corpus / "vocab.txt")
+    assignment = ("--clusters", s / "cluster" / "assignment.txt")
+    assert run("synth", *SYNTH, "--seed", 7, "--out", corpus) == 0
+    assert run("cluster", *bow, *vocab, "--num-clusters", 2, "--seed", 7, *emb,
+               "--out", s / "cluster") == 0
+    assert run("train", *bow, *vocab, *assignment, *TINY_TRAIN, "--seed", 7,
+               "--out", s / "train") == 0
+    assert run("infer", "--checkpoint", s / "train" / "checkpoint", *bow, *vocab,
+               *assignment, "--out", s / "infer") == 0
+    assert run("eval", "--topics", s / "infer" / "topics.txt",
+               "--theta", s / "infer" / "theta_local.csv",
+               "--labels", corpus / "labels.txt", "--reference", corpus / "bow.txt",
+               *vocab, "--out", s / "metrics.json") == 0
+    staged = capsys.readouterr().out.splitlines()
+
+    checkpoint = sorted(f.name for f in (s / "train" / "checkpoint").iterdir())
+    assert checkpoint == sorted(f.name for f in (p / "train" / "checkpoint").iterdir())
+    for rel in STAGE_ARTIFACTS + tuple(f"train/checkpoint/{f}" for f in checkpoint):
+        assert (p / rel).read_bytes() == (s / rel).read_bytes(), rel
+    # pipeline prints each stage's summary line; only the train line's wall
+    # time and checkpoint path may differ
+    assert [line.split(":")[0] for line in piped] == [
+        "synth", "cluster", "train", "infer", "eval"]
+    assert [line for line in piped if not line.startswith("train:")] == [
+        line for line in staged if not line.startswith("train:")]
+    if precomputed:
+        ids = [int(v) for v in (p / "cluster" / "assignment.txt").read_text().split()]
+        assert len(set(ids[:20])) == len(set(ids[20:])) == 1 and ids[0] != ids[20]
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--labels", "--embeddings",
+                                  "--word-embeddings"])
+def test_pipeline_missing_input_file_exits_2(tmp_path, capsys, flag):
+    missing = str(tmp_path / "nope.bin")
+    code = run("pipeline", "--synth", *SYNTH, *TINY_TRAIN, flag, missing,
+               "--out", tmp_path / "o")
+    assert code == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_pipeline_no_clustering_skips_cluster_stage(tmp_path):

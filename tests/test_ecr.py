@@ -6,12 +6,37 @@ from glocom.ecr import (
     TransportPlan,
     TransportProblem,
     default_nu,
-    ecr_grad,
-    ecr_loss,
     sinkhorn,
     squared_distances,
 )
 from glocom.errors import TransportError
+from glocom.kernels import sinkhorn_log
+
+
+def ecr_loss(W, T, plan):
+    """Sum of squared word-topic distances weighted by the plan."""
+    psi = plan.psi if isinstance(plan, TransportPlan) else np.asarray(plan)
+    C = squared_distances(W, T)
+    if C.shape != psi.shape:
+        raise TransportError(f"plan shape {psi.shape} does not match cost shape {C.shape}")
+    return float(np.sum(C * psi))
+
+
+def ecr_grad(W, T, plan):
+    """Gradients of ecr_loss w.r.t. W and T with the plan held fixed."""
+    psi = plan.psi if isinstance(plan, TransportPlan) else np.asarray(plan)
+    row_mass = psi.sum(axis=1)
+    col_mass = psi.sum(axis=0)
+    dW = 2.0 * (W * row_mass[:, None] - psi @ T)
+    dT = 2.0 * (T * col_mass[:, None] - psi.T @ W)
+    return dW, dT
+
+
+def primal_objective(C, P, nu):
+    # <C,P> - nu * H(P), with H(P) = -sum P (log P - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(P > 0, P * (np.log(P) - 1.0), 0.0)
+    return float(np.sum(C * P) + nu * np.sum(plogp))
 
 
 def test_squared_distances_definition():
@@ -73,11 +98,19 @@ def test_tracked_objectives_dual_monotone():
     rng = np.random.default_rng(7)
     for nu in (1.0, 0.1, 0.02):
         C = rng.uniform(0, 1, size=(30, 6))
-        plan = sinkhorn(TransportProblem(C, nu=nu, max_iters=300, tol=1e-10), track_objective=True)
-        assert plan.primal_objectives is not None
-        assert plan.dual_objectives is not None
-        assert len(plan.primal_objectives) == plan.iterations_used
-        d = np.diff(plan.dual_objectives)
+        problem = TransportProblem(C, nu=nu, max_iters=300, tol=1e-10)
+        a, b = problem.row_marginal, problem.col_marginal
+        primal, dual = [], []
+
+        def record(F, G):
+            P = np.exp(-C / nu + F[:, None] + G[None, :])
+            primal.append(primal_objective(C, P, nu))
+            dual.append(float(nu * (F @ a + G @ b - P.sum())))
+
+        s = sinkhorn_log(-C / nu, np.log(a), np.log(b), problem.max_iters,
+                         problem.tol, record)
+        assert len(primal) == s.iterations_used == sinkhorn(problem).iterations_used
+        d = np.diff(dual)
         assert np.all(d >= -1e-10)
 
 

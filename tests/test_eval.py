@@ -9,10 +9,8 @@ import scipy.sparse as sp
 from glocom.corpus import BowCorpus, Vocabulary
 from glocom.errors import GlocomError
 from glocom.eval import (
-    ClusteringEval,
     TopicSet,
     assign_documents,
-    evaluate_clustering,
     nmi,
     npmi_coherence,
     purity,
@@ -215,10 +213,11 @@ def test_assign_documents_argmax_lowest_tie():
 
 def test_clustering_eval_dataclass():
     theta = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
-    ev = evaluate_clustering(theta, [0, 0, 1, 1])
-    assert ev.purity == 1.0 and ev.nmi == pytest.approx(1.0)
-    ev2 = ClusteringEval(np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1]))
-    assert ev2.purity == 0.5 and ev2.nmi == 0.0
+    predicted = assign_documents(theta)
+    assert purity(predicted, [0, 0, 1, 1]) == 1.0
+    assert nmi(predicted, [0, 0, 1, 1]) == pytest.approx(1.0)
+    predicted, gold = np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1])
+    assert purity(predicted, gold) == 0.5 and nmi(predicted, gold) == 0.0
 
 
 # -------------------------------------------------------------------- NPMI

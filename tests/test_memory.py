@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from glocom.aggregation import build_global_docs, kmeans
 from glocom.corpus import BowCorpus, Vocabulary, tfidf
 from glocom.model import infer
-from glocom.trainer import TrainConfig, build_setup, train_from_setup
+from glocom.trainer import TrainConfig, build_setup, train
 
 
 D = V = 4000
@@ -49,7 +49,7 @@ def test_pipeline_peak_memory_scales_with_nonzeros():
         setup = build_setup(corpus, cfg, assignment)
         peaks["build_setup"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        model, _ = train_from_setup(setup)
+        model, _ = train(setup)
         peaks["train"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         infer(model, corpus.counts, assignment, build_global_docs(corpus, assignment),
@@ -71,7 +71,7 @@ def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
         setup = build_setup(corpus, _config(batch_size=B), assignment)
         tracemalloc.start()
         try:
-            train_from_setup(setup)
+            train(setup)
             peaks[B] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,6 +12,7 @@ from glocom.trainer import (
     TRAJECTORY_COLUMNS,
     TrainConfig,
     TrainReport,
+    TrainSetup,
     apply_ablation,
     build_setup,
     config_to_text,
@@ -19,7 +20,6 @@ from glocom.trainer import (
     parse_config_file,
     parse_config_text,
     train,
-    train_from_setup,
     write_trajectory,
 )
 
@@ -41,7 +41,7 @@ def run_tiny(corpus=None, cfg=None, **train_kw):
     corpus = tiny_corpus() if corpus is None else corpus
     cfg = tiny_config() if cfg is None else cfg
     setup = build_setup(corpus, cfg, corpus.labels)
-    return train_from_setup(setup, **train_kw), setup
+    return train(setup, **train_kw), setup
 
 
 # ------------------------------------------------------------------ config
@@ -59,7 +59,6 @@ def test_config_validation_errors():
         dict(batch_size=0),
         dict(lr=0.0),
         dict(ablation="nope"),
-        dict(embedding_source="glove"),
         dict(kl_attribution="sum"),
         dict(ecr_tol=0.0),
         dict(ecr_max_iters=0),
@@ -151,8 +150,9 @@ def test_build_setup_errors():
 def test_train_rejects_eta_mismatch():
     corpus = tiny_corpus()
     gc = build_global_corpus(corpus, corpus.labels, eta=0.3)
+    setup = TrainSetup(corpus, corpus.labels, gc, tiny_config(eta=0.1))
     with pytest.raises(TrainingError, match="eta"):
-        train(corpus, corpus.labels, gc, tiny_config(eta=0.1))
+        train(setup)
 
 
 # ---------------------------------------------------------------- training
@@ -206,7 +206,7 @@ def test_single_step_loss_equals_dense_targets_oracle():
     D = corpus.num_docs
     cfg = tiny_config(epochs=1, batch_size=D, lambda_ecr=0.0, eta=0.3)
     setup = build_setup(corpus, cfg, corpus.labels)
-    _, report = train_from_setup(setup)
+    _, report = train(setup)
 
     rng = substream(cfg.seed, "training")
     perm = rng.permutation(D)
@@ -253,7 +253,7 @@ def test_loss_decreases_over_first_10_epochs_majority():
     for seed in (0, 1, 2):
         cfg = TrainConfig(K=50, G=5, epochs=10, seed=seed)
         setup = build_setup(corpus, cfg, corpus.labels)
-        _, report = train_from_setup(setup)
+        _, report = train(setup)
         if report.trajectory[9, 0] < report.trajectory[0, 0]:
             wins += 1
     assert wins >= 2, f"loss decreased in only {wins}/3 seeds"
@@ -363,5 +363,5 @@ def test_topic_init_passes_through_to_model():
     setup = build_setup(corpus, cfg, corpus.labels)
     rng = np.random.default_rng(9)
     T0 = rng.normal(size=(cfg.K, cfg.embed_dim))
-    model, _ = train_from_setup(setup, topic_init=T0)
+    model, _ = train(setup, topic_init=T0)
     np.testing.assert_array_equal(model.space.T.value, T0)
