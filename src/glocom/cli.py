@@ -560,7 +560,8 @@ def cmd_grid(args) -> int:
     grids = _parse_grid(args.grid)
     _write_manifest(
         args.out, args,
-        [args.bow, args.vocab, args.clusters, args.config, args.labels],
+        [args.bow, args.vocab, args.clusters, args.config, args.labels,
+         args.word_embeddings],
         seed=cfg.seed, config=_config_dict(cfg),
     )
     result = grid_search(corpus, cfg, grids, assignment=assignment,

@@ -526,4 +526,171 @@ def write_topics(output: TopicModelOutput, path: str) -> None:
 
 
 def write_matrix_csv(M: np.ndarray, path: str) -> None:
-    np.savetxt(path, np.asarray(M, dtype=np.float64), fmt="%.17g", delimiter=",")
+    """Write M as comma-separated rows, every value as "%.17g".
+
+    The bytes are those of np.savetxt(path, M, fmt="%.17g", delimiter=","):
+    a 1-D array is written as one column, and an empty matrix as an empty
+    file. The values are formatted in blocks of whole rows, so memory does
+    not grow with the row count.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim == 1:
+        M = M[:, None]
+    if M.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array, got {M.ndim}-D")
+    rows, cols = M.shape
+    step = max(1, _CSV_BLOCK // max(cols, 1))
+    with open(path, "wb") as fh:
+        if cols == 0:
+            fh.write(b"\n" * rows)
+            return
+        for r0 in range(0, rows, step):
+            block = np.ascontiguousarray(M[r0:r0 + step]).reshape(-1)
+            fh.write(_format_csv_block(block, cols))
+
+
+# The exact "%.17g" formatter behind write_matrix_csv. For a window value
+# 1e-6 < |x| < 1e16 (1e-6 itself is a double just below 10^-6), the scale
+# 10^k with k = 16 - floor(log10 |x|) lies in 10^1..10^22, and each of
+# those is an exact double. A Dekker two-product then gives x * 10^k
+# exactly as hi + lo. Once k puts that product in [10^16, 10^17), hi is an
+# even integer (its spacing is at least 2), so the correctly rounded
+# 17-digit integer, ties to even as in "%" formatting, is hi + rint(lo).
+# All other values (zero, subnormal, tiny, huge, nan, inf) go through "%".
+
+_CSV_BLOCK = 16384  # values per formatted block
+_CSV_WIDTH = 25  # sign column, up to 23 characters of text, delimiter
+_CSV_OTHER = 127  # exponent key of the values formatted by "%"
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _split_high(a: np.ndarray) -> np.ndarray:
+    """The upper 26 bits of each double; a - high is exact."""
+    t = _SPLITTER * a
+    return t - (t - a)
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH = _split_high(_POW10)
+_n4 = np.arange(10000)
+# "0000".."9999" as one uint32 each, so a gather moves four characters
+_DIGITS4 = (
+    np.stack([_n4 // 1000, _n4 // 100 % 10, _n4 // 10 % 10, _n4 % 10], axis=1) + ord("0")
+).astype(np.uint8).view(np.uint32).reshape(-1)
+_TRAILING_ZEROS4 = ((_n4 % 10 == 0).astype(np.int64) + (_n4 % 100 == 0)
+                    + (_n4 % 1000 == 0) + (_n4 == 0))
+# row e selects columns 0..e of a formatted row: sign, text and delimiter
+_KEEP_UPTO = np.tri(_CSV_WIDTH, dtype=bool)
+del _n4
+
+
+def _scaled_exact(a: np.ndarray, k: np.ndarray):
+    """hi, lo with hi + lo == a * 10^k exactly (Dekker's two-product)."""
+    b = np.take(_POW10, k)
+    hi = a * b
+    ah = _split_high(a)
+    al = a - ah
+    bh = np.take(_POW10_HIGH, k)
+    bl = b - bh
+    lo = ah * bh
+    lo -= hi
+    lo += ah * bl
+    lo += al * bh
+    lo += al * bl
+    return hi, lo
+
+
+def _format_csv_block(v: np.ndarray, ncols: int) -> np.ndarray:
+    """The "%.17g" CSV bytes of whole rows of ncols values, flattened in v."""
+    n = v.size
+    negative = np.signbit(v)  # column 0 is kept for these
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        other = ~((a > 1e-6) & (a < 1e16))
+    a[other] = 1.0
+
+    # 17 significant digits: N = round(|x| * 10^k) in [10^16, 10^17)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    np.subtract(16, k, out=k)
+    np.clip(k, 1, 22, out=k)
+    hi, lo = _scaled_exact(a, k)
+    up = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    down = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(up | down)  # log10 missed near a power of ten
+    if fix.size:
+        k[fix] += up[fix].astype(np.int64) - down[fix]
+        hi[fix], lo[fix] = _scaled_exact(a[fix], k[fix])
+    N = hi.astype(np.int64)
+    N += np.rint(lo).astype(np.int64)
+    # rounding up to 10^17 adds a digit; no double in the window does so
+    # today (1e-14 is the nearest that does), but the digits rely on N < 10^17
+    carry = N == 10**17
+    N[carry] = 10**16
+    # %g's decimal exponent X: "d.ddd" has X + 1 integer digits
+    X = (16 - k + carry).astype(np.int8)
+    X[other] = _CSV_OTHER
+
+    # work in exponent order, so each layout below is one slice of rows
+    order = np.argsort(X, kind="stable")
+    Xs = np.take(X, order)
+    G = np.empty((n, 5), np.int64)  # N as five 4-digit groups "000d dddd ..."
+    h, low8 = np.divmod(np.take(N, order), 10**8)
+    np.divmod(h, 10**8, out=(G[:, 0], G[:, 1]))
+    np.divmod(G[:, 1], 10**4, out=(G[:, 1], G[:, 2]))
+    np.divmod(low8, 10**4, out=(G[:, 3], G[:, 4]))
+    digits = np.take(_DIGITS4, G).view(np.uint8)[:, 3:]
+    nsig = 17 - np.take(_TRAILING_ZEROS4, G[:, 4])  # digits left after %g strips zeros
+    longer = np.flatnonzero(G[:, 4] == 0)  # more than four trailing zeros
+    if longer.size:
+        Gz = G[longer]
+        t = np.take(_TRAILING_ZEROS4, Gz[:, 1])
+        for j in (2, 3, 4):
+            t = np.where(Gz[:, j] == 0, t + 4, np.take(_TRAILING_ZEROS4, Gz[:, j]))
+        nsig[longer] = 17 - t
+
+    # text from column 1; column 0 is the minus sign; end is the delimiter's column
+    out = np.empty((n, _CSV_WIDTH), np.uint8)
+    out[:, 0] = ord("-")
+    end = np.empty(n, np.int64)
+    bounds = [0] + (np.flatnonzero(Xs[1:] != Xs[:-1]) + 1).tolist() + [n]
+    for i0, i1 in zip(bounds[:-1], bounds[1:]):
+        x = int(Xs[i0])
+        o, d, ns = out[i0:i1], digits[i0:i1], nsig[i0:i1]
+        if x == _CSV_OTHER:
+            for j in range(i0, i1):
+                s = ("%.17g" % float(v[order[j]])).encode("ascii")
+                negative[order[j]] = s.startswith(b"-")  # not so for nan
+                text = s.lstrip(b"-")
+                out[j, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+                end[j] = 1 + len(text)
+        elif -4 <= x < 0:  # 0.000ddd
+            z = -x - 1
+            o[:, 1:3 + z] = np.frombuffer(b"0." + b"0" * z, np.uint8)
+            o[:, 3 + z:20 + z] = d
+            end[i0:i1] = ns + 3 + z
+        else:  # ddd.ddd, or d.ddde-0X below 10^-4
+            s = x + 1 if x >= 0 else 1
+            o[:, 1:1 + s] = d[:, :s]
+            o[:, 1 + s] = ord(".")
+            o[:, 2 + s:19] = d[:, s:]
+            e = np.where(ns > s, ns + 2, s + 1)
+            if x < 0:
+                cols = e[:, None] + np.arange(4)
+                o[np.arange(i1 - i0)[:, None], cols] = np.frombuffer(
+                    f"e-0{-x}".encode("ascii"), np.uint8)
+                e += 4
+            end[i0:i1] = e
+
+    # back to row order, then keep each value's sign, text and delimiter
+    inv = np.empty(n, np.int64)
+    inv[order] = np.arange(n)
+    out = np.take(out, inv, axis=0)
+    end = np.take(end, inv)
+    flat = out.reshape(-1)
+    starts = np.arange(0, n * _CSV_WIDTH, _CSV_WIDTH)
+    flat[end + starts] = ord(",")
+    last = slice(ncols - 1, None, ncols)
+    flat[end[last] + starts[last]] = ord("\n")
+    keep = np.take(_KEEP_UPTO, end, axis=0)
+    keep[:, 0] = negative
+    return out[keep]

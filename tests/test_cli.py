@@ -263,6 +263,24 @@ def test_grid_cli_report_and_best_config(tmp_path, synth_dir):
     assert best.eta in (0.1, 0.5)
 
 
+def test_grid_manifest_lists_word_embeddings(tmp_path, synth_dir):
+    import hashlib
+
+    clus = tmp_path / "c"
+    assert run("cluster", "--bow", synth_dir / "bow.txt", "--vocab",
+               synth_dir / "vocab.txt", "--num-clusters", 2, "--out", clus) == 0
+    words = tmp_path / "words.txt"
+    word = (synth_dir / "vocab.txt").read_text().split()[0]
+    words.write_text(word + " 0.1 0.2 0.3 0.4 0.5 0.6\n")
+    out = tmp_path / "g"
+    assert run("grid", "--bow", synth_dir / "bow.txt", "--vocab",
+               synth_dir / "vocab.txt", "--clusters", clus / "assignment.txt",
+               *TINY_TRAIN, "--epochs", 1, "--grid", "eta=0.1",
+               "--word-embeddings", words, "--out", out) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs[str(words)] == hashlib.sha256(words.read_bytes()).hexdigest()
+
+
 def test_grid_cli_rejects_bad_specs(tmp_path, synth_dir, capsys):
     clus = tmp_path / "c"
     run("cluster", "--bow", synth_dir / "bow.txt", "--vocab",
