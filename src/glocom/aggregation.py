@@ -11,9 +11,14 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import BowCorpus, EmbeddingMatrix, divide_rows, row_sq_norms
+from .corpus import BowCorpus, EmbeddingMatrix, divide_rows, read_label_file, row_sq_norms
 from .errors import ClusteringError
 from .rng import substream
+
+# Lloyd's iterations stop after KMEANS_MAX_ITERS, or sooner once the
+# largest centroid move falls below KMEANS_TOL.
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-6
 
 
 @dataclass
@@ -88,8 +93,6 @@ def kmeans(
     embeddings: EmbeddingMatrix,
     G: int,
     seed: int = 0,
-    max_iters: int = 100,
-    tol: float = 1e-6,
     init_centroids: Optional[np.ndarray] = None,
     normalize: bool = False,
 ) -> ClusterAssignment:
@@ -124,7 +127,7 @@ def kmeans(
 
     history: list[float] = []
     assign = np.zeros(N, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists(X, xsq, C)
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(N), assign].sum()))
@@ -143,7 +146,7 @@ def kmeans(
             d2[far, g] = 0.0
         shift = float(np.sqrt(np.sum((newC - C) ** 2, axis=1)).max())
         C = newC
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = _sq_dists(X, xsq, C)
     assign = np.argmin(d2, axis=1)
@@ -222,18 +225,12 @@ def profile_word_embeddings(
         where=row > 0,
     )
     prof = (prof - prof.mean(axis=0)) / (prof.std(axis=0) + 1e-12)
-    return EmbeddingMatrix(prof, "cluster-profile")
-
-
-def write_assignment(assignment: ClusterAssignment, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in assignment.assignment:
-            fh.write(f"{g}\n")
+    return EmbeddingMatrix(prof)
 
 
 def read_assignment(path: str, G: Optional[int] = None) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        ids = np.asarray([int(line) for line in fh if line.strip()], dtype=np.int64)
+    """Cluster ids, one per line, as ``write_label_file`` writes them."""
+    ids = read_label_file(path, ClusteringError)
     if ids.size == 0:
         raise ClusteringError(f"assignment file is empty: {path}")
     if G is not None and ids.max() >= G:

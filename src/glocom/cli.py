@@ -139,9 +139,9 @@ def _config_dict(cfg) -> dict:
 def _add_config_flags(parser) -> None:
     """One override flag per TrainConfig field, named like the config file
     keys (dotted for the transport block)."""
-    from .trainer import ABLATIONS, KL_ATTRIBUTIONS, TrainConfig, _file_key, field_type
+    from .trainer import ABLATIONS, TrainConfig, _file_key, field_type
 
-    choices = {"ablation": ABLATIONS, "kl_attribution": KL_ATTRIBUTIONS}
+    choices = {"ablation": ABLATIONS}
     for f in fields(TrainConfig):
         parser.add_argument(
             "--" + _file_key(f.name),
@@ -203,12 +203,6 @@ def _synth_spec(args, seed):
 # defining module (by a profiler or a test) is the one the stage calls.
 
 
-def _write_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
 def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
     """Raw text (one document per line) -> pruned bag-of-words corpus."""
     from .corpus import (
@@ -216,7 +210,7 @@ def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
         read_corpus_file,
         read_label_file,
         write_bow,
-        write_kept_indices,
+        write_label_file,
         write_vocabulary,
     )
 
@@ -228,16 +222,16 @@ def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
     bow, kept = preprocess(raw, min_freq, min_terms, labels)
     write_vocabulary(bow.vocab, os.path.join(out_dir, "vocab.txt"))
     write_bow(bow, os.path.join(out_dir, "bow.txt"))
-    write_kept_indices(kept, os.path.join(out_dir, "kept.txt"))
+    write_label_file(kept, os.path.join(out_dir, "kept.txt"))
     if bow.labels is not None:
-        _write_labels(bow.labels, os.path.join(out_dir, "labels.txt"))
+        write_label_file(bow.labels, os.path.join(out_dir, "labels.txt"))
     print(f"preprocess: kept {bow.num_docs}/{len(raw)} documents, {bow.num_words} words")
     return bow
 
 
 def run_synth(spec, out_dir):
     """A planted-structure corpus, with its true parameters beside it."""
-    from .corpus import write_bow, write_vocabulary
+    from .corpus import write_bow, write_label_file, write_vocabulary
     from .model import write_matrix_csv
     from .synthetic import generate
 
@@ -245,7 +239,7 @@ def run_synth(spec, out_dir):
     corpus, truth = generate(spec)
     write_vocabulary(corpus.vocab, os.path.join(out_dir, "vocab.txt"))
     write_bow(corpus, os.path.join(out_dir, "bow.txt"))
-    _write_labels(corpus.labels, os.path.join(out_dir, "labels.txt"))
+    write_label_file(corpus.labels, os.path.join(out_dir, "labels.txt"))
     write_matrix_csv(truth.beta, os.path.join(out_dir, "truth_beta.csv"))
     write_matrix_csv(truth.theta_g, os.path.join(out_dir, "truth_theta_g.csv"))
     write_matrix_csv(truth.theta_gd, os.path.join(out_dir, "truth_theta_gd.csv"))
@@ -259,8 +253,8 @@ def run_synth(spec, out_dir):
 def run_cluster(corpus, G, seed, out_dir, embeddings=None, normalize=False):
     """k-means on the document embeddings file when given, else on TF-IDF
     rows; returns the (D,) cluster ids."""
-    from .aggregation import kmeans, write_assignment
-    from .corpus import load_embeddings, tfidf
+    from .aggregation import kmeans
+    from .corpus import load_embeddings, tfidf, write_label_file
 
     os.makedirs(out_dir, exist_ok=True)
     if embeddings:
@@ -268,7 +262,7 @@ def run_cluster(corpus, G, seed, out_dir, embeddings=None, normalize=False):
     else:
         emb = tfidf(corpus)
     result = kmeans(emb, G, seed=seed, normalize=normalize)
-    write_assignment(result, os.path.join(out_dir, "assignment.txt"))
+    write_label_file(result.assignment, os.path.join(out_dir, "assignment.txt"))
     sizes = result.counts()
     print(
         f"cluster: G={G} inertia={result.inertia:.6g} "
@@ -295,6 +289,8 @@ def run_train(corpus, cfg, assignment, word_init, out_dir):
     from .trainer import build_setup, config_to_text, train, write_trajectory
 
     os.makedirs(out_dir, exist_ok=True)
+    if word_init is not None:  # the model takes its width from the vectors
+        cfg = replace(cfg, embed_dim=word_init.shape[1])
     setup = build_setup(corpus, cfg, assignment)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(setup.config))
@@ -477,7 +473,10 @@ def cmd_eval(args) -> int:
         seed=None, name="eval-manifest.json",
     )
     topics = read_topics(args.topics)
-    theta = np.loadtxt(args.theta, delimiter=",", ndmin=2)
+    try:
+        theta = np.loadtxt(args.theta, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise GlocomError(f"{args.theta}: not a numeric CSV matrix: {exc}") from exc
     run_eval(topics.topics, theta, reference, labels, args.out)
     return 0
 

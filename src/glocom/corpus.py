@@ -81,7 +81,6 @@ class BowCorpus:
 @dataclass
 class EmbeddingMatrix:
     rows: np.ndarray  # N x E, finite; CSR for TF-IDF, dense otherwise
-    source_tag: str  # "precomputed-file", "tfidf", or "cluster-profile"
 
     def __post_init__(self):
         if sp.issparse(self.rows):
@@ -93,8 +92,6 @@ class EmbeddingMatrix:
             raise EmbeddingError(f"embedding matrix must be 2-D, got shape {self.rows.shape}")
         if not np.all(np.isfinite(values)):
             raise EmbeddingError("embedding matrix contains non-finite values")
-        if self.source_tag not in ("precomputed-file", "tfidf", "cluster-profile"):
-            raise EmbeddingError(f"unknown embedding source tag: {self.source_tag!r}")
 
 
 def row_sq_norms(X) -> np.ndarray:
@@ -187,20 +184,15 @@ def preprocess(
     min_freq: int = 3,
     min_terms: int = 2,
     labels: Optional[Sequence[int]] = None,
-    vocab: Optional[Vocabulary] = None,
 ) -> tuple[BowCorpus, list[int]]:
     """Vocabulary pruning and document filtering, iterated to a fixpoint.
 
     Dropping short documents can push some word frequencies back below
     min_freq, so the two filters are alternated until the kept corpus is
-    stable. With a caller-supplied ``vocab`` the vocabulary is pinned and only
-    the document filter runs.
+    stable.
     """
     kept = list(range(len(raw_docs)))
     docs = [list(d) for d in raw_docs]
-    if vocab is not None:
-        bow, sub = build_bow(docs, vocab, min_terms, labels)
-        return bow, [kept[i] for i in sub]
     cur_labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     while True:
         vocab = build_vocabulary(docs, min_freq)
@@ -229,7 +221,7 @@ def tfidf(corpus: BowCorpus) -> EmbeddingMatrix:
     X.data *= idf[X.indices]
     X.eliminate_zeros()
     norms = np.sqrt(row_sq_norms(X))
-    return EmbeddingMatrix(divide_rows(X, np.where(norms > 0, norms, 1.0)), "tfidf")
+    return EmbeddingMatrix(divide_rows(X, np.where(norms > 0, norms, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +240,26 @@ def read_corpus_file(path: str) -> list[list[str]]:
     return docs
 
 
-def read_label_file(path: str) -> np.ndarray:
-    labels = []
+def write_label_file(values: Sequence[int], path: str) -> None:
+    """One integer per line: labels, cluster assignments, kept indices."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{int(v)}\n" for v in values))
+
+
+def read_label_file(path: str, error: type = CorpusError) -> np.ndarray:
+    """The integers of a ``write_label_file`` file, blank lines skipped; a
+    line that is not an integer raises ``error`` naming the file and line."""
+    values = []
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                labels.append(int(line))
+                values.append(int(line))
             except ValueError:
-                raise CorpusError(f"{path}:{ln}: label is not an integer: {line!r}")
-    return np.asarray(labels, dtype=np.int64)
+                raise error(f"{path}:{ln}: not an integer: {line!r}")
+    return np.asarray(values, dtype=np.int64)
 
 
 def write_vocabulary(vocab: Vocabulary, path: str) -> None:
@@ -313,26 +313,32 @@ def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) 
     return BowCorpus(counts, vocab, labels)
 
 
-def write_kept_indices(kept: Sequence[int], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in kept:
-            fh.write(f"{i}\n")
+def write_gemb(M: np.ndarray, path: str) -> None:
+    """The GEMB layout: magic "GEMB", u64-LE rows, u64-LE cols, then M's
+    own row-major bytes; M's dtype is the payload's."""
+    with open(path, "wb") as fh:
+        fh.write(_GEMB_MAGIC)
+        fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
+        fh.write(np.ascontiguousarray(M).tobytes())
 
 
-def _load_embeddings_binary(path: str) -> np.ndarray:
+def read_gemb(path: str, dtype: str, error: type = EmbeddingError) -> np.ndarray:
+    """A matrix in the GEMB layout with a ``dtype`` payload ("<f4" for
+    document embeddings, "<f8" for checkpoints); a malformed file raises
+    ``error`` naming the path."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _GEMB_MAGIC:
-            raise EmbeddingError(f"{path}: bad magic bytes {magic!r}")
+            raise error(f"{path}: bad magic bytes {magic!r}")
         header = fh.read(16)
         if len(header) != 16:
-            raise EmbeddingError(f"{path}: truncated header")
+            raise error(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", header)
         payload = fh.read()
-    expected = rows * cols * 4
+    expected = rows * cols * np.dtype(dtype).itemsize
     if len(payload) != expected:
-        raise EmbeddingError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+        raise error(f"{path}: expected {expected} payload bytes, found {len(payload)}")
+    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
 
 
 def _load_embeddings_csv(path: str) -> np.ndarray:
@@ -366,14 +372,14 @@ def load_embeddings(path: str, expected_rows: int) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == _GEMB_MAGIC:
-        M = _load_embeddings_binary(path)
+        M = read_gemb(path, "<f4").astype(np.float64)
     else:
         M = _load_embeddings_csv(path)
     if M.shape[0] != expected_rows:
         raise EmbeddingError(f"{path}: has {M.shape[0]} rows, expected {expected_rows}")
     if not np.all(np.isfinite(M)):
         raise EmbeddingError(f"{path}: contains non-finite values")
-    return EmbeddingMatrix(M, "precomputed-file")
+    return EmbeddingMatrix(M)
 
 
 def load_word_embeddings(path: str, vocab: Vocabulary, seed: int = 0) -> WordEmbeddingInit:
@@ -399,7 +405,10 @@ def load_word_embeddings(path: str, vocab: Vocabulary, seed: int = 0) -> WordEmb
                     f"{path}:{ln}: dimension {len(vals)} differs from earlier {dim}"
                 )
             if tok in vocab.index and tok not in found:
-                found[tok] = np.asarray([float(x) for x in vals], dtype=np.float64)
+                try:
+                    found[tok] = np.asarray([float(x) for x in vals], dtype=np.float64)
+                except ValueError:
+                    raise EmbeddingError(f"{path}:{ln}: unparseable value for {tok!r}")
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding lines")
     V = len(vocab)

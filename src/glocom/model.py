@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import divide_rows
+from .corpus import divide_rows, read_gemb, write_gemb
 from .ecr import squared_distances
 from .errors import TrainingError
 from .numerics import (
@@ -232,7 +232,6 @@ class GlocomModel:
         eta: float,  # targets are x + eta * global_docs[cluster_ids]
         lambda_ecr: float = 0.0,
         psi: Optional[np.ndarray] = None,
-        kl_mode: str = "divide",
         kl_scale: float = 1.0,
         rho_override: Optional[np.ndarray] = None,
         compute_grads: bool = True,
@@ -243,14 +242,13 @@ class GlocomModel:
         Returns (loss, components, latents). Gradients accumulate into the
         Param buffers; callers zero them first. The transport plan psi is a
         constant here: its gradient enters only through the shared
-        squared-distance matrix. ``kl_scale`` multiplies both KL terms
+        squared-distance matrix. The global KL counts once per distinct
+        cluster in the batch, and ``kl_scale`` multiplies both KL terms
         (warmup annealing hook). ``rho_override`` replaces the sampled
         adaptive variable and silences the local encoder and its KL (test
         hook for the plain-VAE reduction). ``sqd`` is the current
         squared-distance matrix when the caller has already computed it.
         """
-        if kl_mode not in ("divide", "literal"):
-            raise TrainingError(f"unknown kl_mode: {kl_mode!r}")
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
         if eta < 0:
@@ -291,9 +289,8 @@ class GlocomModel:
         recon, dtheta_gd, dbeta = reconstruction(x, eta * xg, inv, theta_gd, beta,
                                                  compute_grads)
 
-        cluster_weight = np.ones(C) if kl_mode == "divide" else np.bincount(inv).astype(np.float64)
         recon_mean = float(recon.sum() / B)
-        kl_g_term = float(kl_scale * (cluster_weight * kl_g).sum() / B)
+        kl_g_term = float(kl_scale * kl_g.sum() / B)
         kl_d_term = float(kl_scale * kl_d.sum() / B)
         loss_tm = recon_mean + kl_g_term + kl_d_term
 
@@ -326,7 +323,7 @@ class GlocomModel:
         dalpha_g = softmax_backward(dtheta_g, theta_g)
         dmu_g, dlv_g = gaussian_reparameterize_backward(dalpha_g, lv_g, noise_g)
         dmu_kl, dlv_kl = kl_diag_gaussian_backward(
-            kl_scale * cluster_weight / B, mu_g, lv_g, 0.0, 1.0
+            np.full(C, kl_scale / B), mu_g, lv_g, 0.0, 1.0
         )
         self.phi.backward(dmu_g + dmu_kl, dlv_g + dlv_kl, cache_g)
 
@@ -416,18 +413,15 @@ def infer(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CKPT_MAGIC = b"GEMB"  # same header layout as embedding files; f64 payload
-
 
 def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
     """Manifest plus one binary file per tensor.
 
-    The binary layout matches the embedding format (magic, u64 rows, u64
-    cols, row-major payload) but stores float64 so that reload is bit-exact;
-    the manifest carries the dtype per tensor.
+    The binary layout is the embedding files' GEMB layout with a float64
+    payload, so that reload is bit-exact; the manifest carries the dtype
+    per tensor.
     """
     import os
-    import struct
 
     os.makedirs(dirpath, exist_ok=True)
     lines = ["glocom-checkpoint 1"]
@@ -443,18 +437,14 @@ def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
     for p in model.params():
         M = np.atleast_2d(p.value)
         lines.append(f"tensor {p.name} {M.shape[0]} {M.shape[1]} float64")
-        with open(os.path.join(dirpath, f"{p.name}.bin"), "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-            fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
+        write_gemb(np.asarray(M, dtype="<f8"), os.path.join(dirpath, f"{p.name}.bin"))
     with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(dirpath: str, seed: int = 0) -> GlocomModel:
+def load_checkpoint(dirpath: str) -> GlocomModel:
     """Rebuild a model from a checkpoint directory, bit-exact."""
     import os
-    import struct
 
     mpath = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(mpath):
@@ -482,7 +472,6 @@ def load_checkpoint(dirpath: str, seed: int = 0) -> GlocomModel:
         hidden=int(meta["hidden"]),
         tau=float(meta["tau"]),
         epsilon=float(meta["epsilon"]),
-        seed=seed,
     )
     by_name = {p.name: p for p in model.params()}
     for name, rows, cols, dtype in tensors:
@@ -493,16 +482,11 @@ def load_checkpoint(dirpath: str, seed: int = 0) -> GlocomModel:
         path = os.path.join(dirpath, f"{name}.bin")
         if not os.path.exists(path):
             raise TrainingError(f"checkpoint tensor file missing: {path}")
-        with open(path, "rb") as fh:
-            if fh.read(4) != _CKPT_MAGIC:
-                raise TrainingError(f"{path}: bad magic")
-            r, c = struct.unpack("<QQ", fh.read(16))
-            if (r, c) != (rows, cols):
-                raise TrainingError(
-                    f"{path}: shape ({r},{c}) disagrees with manifest ({rows},{cols})"
-                )
-            payload = fh.read()
-        M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        M = read_gemb(path, "<f8", TrainingError)
+        if M.shape != (rows, cols):
+            raise TrainingError(
+                f"{path}: shape {M.shape} disagrees with manifest ({rows},{cols})"
+            )
         p = by_name.pop(name)
         if p.value.size != M.size:
             raise TrainingError(

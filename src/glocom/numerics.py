@@ -5,7 +5,7 @@ operation exposes an explicit forward and backward. All math is float64:
 finite-difference verification headroom matters more than speed here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -206,62 +206,49 @@ class Encoder:
 # Elements of a parameter updated per pass of Adam's 14 elementwise
 # operations: the chunk and its two scratch buffers stay in cache.
 ADAM_CHUNK = 32768
-
-
-@dataclass
-class AdamState:
-    lr: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Standard Adam with bias correction, updated in place chunk by chunk."""
 
-    def __init__(self, params: list[Param], lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Param], lr=0.002):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise TrainingError(f"duplicate parameter names: {names}")
         self.params = params
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        for p in params:
-            self.state.m[p.name] = np.zeros_like(p.value)
-            self.state.v[p.name] = np.zeros_like(p.value)
+        self.lr = lr
+        self.step_count = 0
+        self.m = {p.name: np.zeros_like(p.value) for p in params}
+        self.v = {p.name: np.zeros_like(p.value) for p in params}
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self):
-        s = self.state
-        s.step_count += 1
-        b1t = 1.0 - s.beta1**s.step_count
-        b2t = 1.0 - s.beta2**s.step_count
+        self.step_count += 1
+        b1t = 1.0 - ADAM_BETA1**self.step_count
+        b2t = 1.0 - ADAM_BETA2**self.step_count
         for p in self.params:
             value, grad = p.value.reshape(-1), p.grad.reshape(-1)
-            m, v = s.m[p.name].reshape(-1), s.v[p.name].reshape(-1)
+            m, v = self.m[p.name].reshape(-1), self.v[p.name].reshape(-1)
             for lo in range(0, value.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, value.size)
                 g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
                 t1, t2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                mc *= s.beta1
-                np.multiply(1.0 - s.beta1, g, out=t1)
+                mc *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, g, out=t1)
                 mc += t1
-                vc *= s.beta2
+                vc *= ADAM_BETA2
                 np.multiply(g, g, out=t1)
-                t1 *= 1.0 - s.beta2
+                t1 *= 1.0 - ADAM_BETA2
                 vc += t1
                 # value -= lr (m / b1t) / (sqrt(v / b2t) + eps)
                 np.divide(mc, b1t, out=t1)
-                t1 *= s.lr
+                t1 *= self.lr
                 np.divide(vc, b2t, out=t2)
                 np.sqrt(t2, out=t2)
-                t2 += s.eps
+                t2 += ADAM_EPS
                 t1 /= t2
                 value[lo:hi] -= t1

@@ -17,15 +17,21 @@ import numpy as np
 
 from .aggregation import GlobalCorpus, build_global_corpus
 from .corpus import BowCorpus
-from .ecr import TransportProblem, default_nu, sinkhorn, squared_distances
+from .ecr import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    TransportProblem,
+    default_nu,
+    sinkhorn,
+    squared_distances,
+)
 from .errors import ConfigError, TrainingError
 from .eval import assign_documents, nmi
 from .model import GlocomModel, infer, save_checkpoint
 from .numerics import Adam
 from .rng import substream
 
-ABLATIONS = ("full", "no_clustering", "no_augmentation")
-KL_ATTRIBUTIONS = ("divide", "literal")
+ABLATIONS = ("full", "no_clustering")
 TRAJECTORY_COLUMNS = ("total", "recon", "kl_global", "kl_local", "ecr")
 _COMPONENT_KEYS = ("loss", "recon", "kl_global", "kl_local", "ecr")
 
@@ -45,11 +51,10 @@ class TrainConfig:
     embed_dim: int = 200
     seed: int = 0
     ablation: str = "full"
-    kl_attribution: str = "divide"
     kl_warmup_epochs: int = 0
     ecr_nu: float = 0.0  # 0 means auto: half the mean initial transport cost
-    ecr_max_iters: int = 50
-    ecr_tol: float = 1e-6
+    ecr_max_iters: int = DEFAULT_MAX_ITERS
+    ecr_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.K < 1 or self.G < 1:
@@ -72,11 +77,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; use {ABLATIONS}")
-        if self.kl_attribution not in KL_ATTRIBUTIONS:
-            raise ConfigError(
-                f"unknown kl_attribution {self.kl_attribution!r}; "
-                f"use {KL_ATTRIBUTIONS}"
-            )
         if self.ecr_nu < 0 or self.ecr_tol <= 0 or self.ecr_max_iters < 1:
             raise ConfigError("bad transport settings")
 
@@ -141,11 +141,9 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def apply_ablation(config: TrainConfig, num_docs: int) -> TrainConfig:
-    """Resolve the ablation switches into concrete hyperparameters:
-    no_augmentation zeroes eta, no_clustering makes every document its
-    own cluster (G = D)."""
-    if config.ablation == "no_augmentation":
-        return replace(config, eta=0.0)
+    """Resolve the ablation into concrete hyperparameters: no_clustering
+    makes every document its own cluster (G = D). The run without
+    augmentation is eta = 0."""
     if config.ablation == "no_clustering":
         return replace(config, G=num_docs)
     return config
@@ -164,11 +162,10 @@ def build_setup(
     config: TrainConfig,
     assignment: Optional[np.ndarray] = None,
 ) -> TrainSetup:
-    """Resolve ablations and build the global corpus.
+    """Resolve the ablation and build the global corpus.
 
-    For no_clustering the supplied assignment is ignored; the identity
-    assignment is used and the resulting global documents are verified to
-    equal the documents themselves.
+    For no_clustering the supplied assignment is ignored and the identity
+    assignment is used, so each global document is its own document.
     """
     D = corpus.num_docs
     cfg = apply_ablation(config, D)
@@ -187,10 +184,6 @@ def build_setup(
                 f"assignment ids outside [0, {cfg.G}) for G={cfg.G}"
             )
     gc = build_global_corpus(corpus, assignment, cfg.eta, G=cfg.G)
-    if cfg.ablation == "no_clustering" and not np.array_equal(
-        gc.global_docs, corpus.dense()
-    ):
-        raise TrainingError("no_clustering setup: global docs differ from docs")
     return TrainSetup(corpus, assignment, gc, cfg)
 
 
@@ -198,7 +191,6 @@ def build_setup(
 class TrainReport:
     trajectory: np.ndarray  # (epochs, 5) epoch means: TRAJECTORY_COLUMNS
     wall_time: float
-    checkpoint_path: Optional[str]
     nu: float = 0.0  # transport strength actually used (0 when lambda_ecr=0)
     # transport solves over the run; all zero when lambda_ecr=0
     transport_solves: int = 0
@@ -332,7 +324,6 @@ def train(
                 eta=global_corpus.eta,
                 lambda_ecr=config.lambda_ecr,
                 psi=psi,
-                kl_mode=config.kl_attribution,
                 kl_scale=scale,
                 sqd=cost,
             )
@@ -346,14 +337,11 @@ def train(
             n_batches += 1
         trajectory[epoch] = sums / n_batches
 
-    checkpoint_path = None
     if checkpoint_dir is not None:
         save_checkpoint(model, checkpoint_dir)
-        checkpoint_path = checkpoint_dir
     report = TrainReport(
         trajectory,
         time.perf_counter() - t0,
-        checkpoint_path,
         nu=nu,
         transport_solves=solves,
         transport_unconverged=unconverged,
@@ -405,6 +393,8 @@ def grid_search(
             raise ConfigError(f"grid key {k!r} is not a TrainConfig field")
         if not grids[k]:
             raise ConfigError(f"grid for {k!r} is empty")
+    if word_init is not None:  # the model takes its width from the vectors
+        base_config = replace(base_config, embed_dim=word_init.shape[1])
     has_labels = corpus.labels is not None
     if not has_labels and base_config.epochs < 1:
         raise ConfigError("label-free grid search needs epochs >= 1")

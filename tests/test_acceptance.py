@@ -212,12 +212,15 @@ def test_kl_oracle():
 RECOVERY_SEEDS = (0, 1, 2)
 
 
-def _recovery_run(seed, ablation):
+def _recovery_run(seed, variant):
     spec = SyntheticSpec(V=100, K=5, G=5, D=1000, len_min=4, len_max=12,
                          epsilon_true=0.01, seed=seed)
     corpus, truth = generate(spec)
+    # the run without augmentation is the full model at eta = 0
+    ablation = "full" if variant == "no_augmentation" else variant
+    eta = 0.0 if variant == "no_augmentation" else 0.1
     embed_dim = 5 if ablation != "no_clustering" else 200
-    cfg = TrainConfig(K=5, G=5, eta=0.1, lambda_ecr=20.0, ecr_nu=0.05,
+    cfg = TrainConfig(K=5, G=5, eta=eta, lambda_ecr=20.0, ecr_nu=0.05,
                       epochs=200, seed=seed, ablation=ablation,
                       embed_dim=embed_dim)
     cfg = apply_ablation(cfg, corpus.num_docs)
@@ -252,11 +255,11 @@ def _recovery_run(seed, ablation):
 def recovery_runs():
     runs = {}
     wall = {}
-    for ablation in ("full", "no_clustering", "no_augmentation"):
+    for variant in ("full", "no_clustering", "no_augmentation"):
         for seed in RECOVERY_SEEDS:
             t0 = time.perf_counter()
-            runs[ablation, seed] = _recovery_run(seed, ablation)
-            wall[ablation, seed] = time.perf_counter() - t0
+            runs[variant, seed] = _recovery_run(seed, variant)
+            wall[variant, seed] = time.perf_counter() - t0
     runs["wall"] = wall
     return runs
 

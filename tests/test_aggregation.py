@@ -12,15 +12,14 @@ from glocom.aggregation import (
     kmeans,
     profile_word_embeddings,
     read_assignment,
-    write_assignment,
 )
-from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary
+from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary, write_label_file
 from glocom.errors import ClusteringError
 from glocom.model import reconstruction
 
 
 def _emb(rows):
-    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64), "precomputed-file")
+    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64))
 
 
 def _bow(counts):
@@ -213,7 +212,7 @@ def test_kmeans_csr_matches_dense_oracle():
         X = _tie_free_rows(rng, int(rng.integers(30, 120)), int(rng.integers(4, 30)))
         G = int(rng.integers(2, 8))
         for normalize in (False, True):
-            res = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), G, seed=trial,
+            res = kmeans(EmbeddingMatrix(sp.csr_matrix(X)), G, seed=trial,
                          normalize=normalize)
             assign, C, inertia = _dense_kmeans(X, G, seed=trial, normalize=normalize)
             np.testing.assert_array_equal(res.assignment, assign)
@@ -227,7 +226,7 @@ def test_kmeans_csr_empty_cluster_reseed_matches_dense_oracle():
     rng = np.random.default_rng(23)
     X = _tie_free_rows(rng, 60, 8)
     init = np.vstack([X[:2], np.full((3, 8), 50.0)])
-    res = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), 5, init_centroids=init)
+    res = kmeans(EmbeddingMatrix(sp.csr_matrix(X)), 5, init_centroids=init)
     assign, C, inertia = _dense_kmeans(X, 5, init=init)
     np.testing.assert_array_equal(res.assignment, assign)
     np.testing.assert_allclose(res.centroids, C, rtol=1e-10, atol=1e-12)
@@ -240,7 +239,7 @@ def test_kmeans_dense_and_csr_rows_cluster_identically():
         X = _tie_free_rows(rng, 80, 12)
         for normalize in (False, True):
             dense = kmeans(_emb(X), 5, seed=trial, normalize=normalize)
-            csr = kmeans(EmbeddingMatrix(sp.csr_matrix(X), "tfidf"), 5, seed=trial,
+            csr = kmeans(EmbeddingMatrix(sp.csr_matrix(X)), 5, seed=trial,
                          normalize=normalize)
             np.testing.assert_array_equal(dense.assignment, csr.assignment)
             np.testing.assert_allclose(dense.centroids, csr.centroids, rtol=1e-12,
@@ -371,11 +370,15 @@ def test_noc_regime_augmentation():
 def test_assignment_file_round_trip(tmp_path):
     assign = ClusterAssignment(np.array([1, 0, 1]), 2, np.zeros((2, 2)), 0.0)
     path = str(tmp_path / "assign.txt")
-    write_assignment(assign, path)
+    write_label_file(assign.assignment, path)
     back = read_assignment(path, G=2)
     np.testing.assert_array_equal(back, [1, 0, 1])
     with pytest.raises(ClusteringError):
         read_assignment(path, G=1)
+    with open(path, "w") as fh:
+        fh.write("1\nx\n")
+    with pytest.raises(ClusteringError, match="not an integer"):
+        read_assignment(path)
 
 
 def test_profile_word_embeddings_separates_cluster_vocabulary():
@@ -389,7 +392,6 @@ def test_profile_word_embeddings_separates_cluster_vocabulary():
     ]
     corpus = _bow(counts)
     emb = profile_word_embeddings(corpus, np.array([0, 0, 1, 1]))
-    assert emb.source_tag == "cluster-profile"
     assert emb.rows.shape == (5, 2)
     d = lambda a, b: float(np.linalg.norm(emb.rows[a] - emb.rows[b]))
     assert d(0, 1) < d(0, 2) and d(0, 1) < d(0, 3)

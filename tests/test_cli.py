@@ -229,6 +229,77 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_removed_settings_fail_loudly(tmp_path, capsys):
+    for body in ("kl_attribution=divide\n", "ablation=no_augmentation\n"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(body)
+        assert run("pipeline", "--synth", "--config", cfg, "--out", tmp_path / "o") == 3
+        assert "glocom:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("pipeline", "--synth", "--ablation", "no_augmentation", "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code", [
+    ("assignment", 5),
+    ("checkpoint-header", 6),
+    ("checkpoint-payload", 6),
+    ("theta", 7),
+    ("word-embeddings", 4),
+])
+def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, code):
+    bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
+    assignment = tmp_path / "c" / "assignment.txt"
+    assert run("cluster", "--bow", bow, "--vocab", vocab, "--num-clusters", 2,
+               "--out", tmp_path / "c") == 0
+
+    def train(clusters, *extra):
+        return run("train", "--bow", bow, "--vocab", vocab, "--clusters", clusters,
+                   *TINY_TRAIN, "--epochs", 1, *extra, "--out", tmp_path / "t")
+
+    def infer():
+        return run("infer", "--checkpoint", tmp_path / "t" / "checkpoint", "--bow", bow,
+                   "--vocab", vocab, "--clusters", assignment, "--out", tmp_path / "i")
+
+    bad = tmp_path / "bad.txt"
+    if case == "assignment":
+        bad.write_text("0\nx\n")
+        got = train(bad)
+    elif case == "word-embeddings":
+        bad.write_text(vocab.read_text().split()[0] + " 0.1 abc 0.3\n")
+        got = train(assignment, "--word-embeddings", bad)
+    else:
+        assert train(assignment) == 0 and infer() == 0
+        if case == "theta":
+            bad.write_text("x,y\n")
+            got = run("eval", "--topics", tmp_path / "i" / "topics.txt", "--theta", bad,
+                      "--reference", bow, "--vocab", vocab, "--out", tmp_path / "m.json")
+        else:
+            bad = tmp_path / "t" / "checkpoint" / "space.W.bin"
+            data = bad.read_bytes()
+            bad.write_bytes(data[:10] if case == "checkpoint-header" else data[:-8])
+            got = infer()
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith("glocom: ") and str(bad) in err
+
+
+def test_train_config_records_word_embedding_width(tmp_path, synth_dir):
+    bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
+    words = tmp_path / "words.txt"
+    words.write_text(vocab.read_text().split()[0] + " 0.1 0.2 0.3\n")
+    flags = (*TINY_TRAIN, "--epochs", 1, "--ablation", "no_clustering",
+             "--word-embeddings", words)
+    assert run("train", "--bow", bow, "--vocab", vocab, *flags, "--out", tmp_path / "t") == 0
+    assert "embed_dim=3" in (tmp_path / "t" / "config.txt").read_text().splitlines()
+    ckpt = (tmp_path / "t" / "checkpoint" / "manifest.txt").read_text()
+    assert "meta embed_dim 3" in ckpt.splitlines()
+    assert run("grid", "--bow", bow, "--vocab", vocab, *flags, "--grid", "eta=0.1",
+               "--out", tmp_path / "g") == 0
+    assert "embed_dim=3" in (tmp_path / "g" / "best_config.txt").read_text().splitlines()
+
+
 def test_config_flag_overrides_file(tmp_path, synth_dir):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("K=4\nG=2\nepochs=1\nbatch_size=16\n"

@@ -17,7 +17,7 @@ from glocom.corpus import (
     read_vocabulary,
     tfidf,
     write_bow,
-    write_kept_indices,
+    write_label_file,
     write_vocabulary,
 )
 from glocom.errors import CorpusError, EmbeddingError
@@ -113,14 +113,6 @@ def test_preprocess_fixpoint_iterates_vocab():
     assert (bow2.counts != bow.counts).nnz == 0
 
 
-def test_preprocess_with_pinned_vocab():
-    vocab = Vocabulary(["a", "b"])
-    docs = [["a", "b", "q"], ["q", "q"]]
-    bow, kept = preprocess(docs, min_terms=2, vocab=vocab)
-    assert kept == [0]
-    assert bow.vocab.words == ["a", "b"]
-
-
 def _dense_tfidf(corpus):
     """Reference: TF-IDF over the dense count matrix."""
     D = corpus.num_docs
@@ -192,7 +184,6 @@ def test_embedding_binary_round_trip(tmp_path):
     path = str(tmp_path / "m.gemb")
     save_embeddings(M, path)
     back = load_embeddings(path, expected_rows=5)
-    assert back.source_tag == "precomputed-file"
     np.testing.assert_array_equal(back.rows.astype(np.float32), M)
 
 
@@ -352,6 +343,7 @@ def test_vocab_and_kept_round_trip(tmp_path):
     write_vocabulary(vocab, vpath)
     assert read_vocabulary(vpath).words == ["alpha", "beta"]
     kpath = str(tmp_path / "k.txt")
-    write_kept_indices([0, 2, 5], kpath)
+    write_label_file([0, 2, 5], kpath)
     with open(kpath, encoding="utf-8") as fh:
-        assert [int(line) for line in fh] == [0, 2, 5]
+        assert fh.read() == "0\n2\n5\n"
+    assert read_label_file(kpath).tolist() == [0, 2, 5]

@@ -20,7 +20,7 @@ from glocom.model import (
     normalize_rows,
     save_checkpoint,
 )
-from glocom.numerics import softmax_forward
+from glocom.numerics import kl_diag_gaussian, softmax_forward
 
 
 def elbo_per_doc(x_aug, theta_gd, beta, kl_global_share, kl_local):
@@ -71,12 +71,11 @@ def test_full_loss_gradients_match_fd():
         _check_grads_fd(*_instance(sparse=sparse))
 
 
-def test_gradients_without_ecr_and_literal_mode():
+def test_gradients_without_ecr():
     for sparse in (False, True):
         model, inputs = _instance(seed=3, sparse=sparse)
         inputs["lambda_ecr"] = 0.0
         inputs["psi"] = None
-        inputs["kl_mode"] = "literal"
         _check_grads_fd(model, inputs)
 
 
@@ -157,24 +156,6 @@ def test_elbo_per_doc_scalar_oracle():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_corpus_loss_identical_docs_literal_mode():
-    model, _ = _instance(seed=5, V=8, K=3, D=1, G=1)
-    rng = np.random.default_rng(1)
-    x1 = rng.integers(1, 4, size=(1, 8)).astype(float)
-    gdoc = 3 * x1
-    noise_g = rng.standard_normal((1, 3))
-    nd = rng.standard_normal((1, 3))
-    single = model.corpus_loss(
-        x1, np.array([0]), gdoc, noise_g, nd, 0.0, kl_mode="literal"
-    )
-    x3 = np.repeat(x1, 3, axis=0)
-    batch = model.corpus_loss(
-        x3, np.zeros(3, dtype=int), gdoc, noise_g,
-        np.repeat(nd, 3, axis=0), 0.0, kl_mode="literal"
-    )
-    assert batch == pytest.approx(single, rel=1e-12)
-
-
 def test_corpus_loss_disjoint_singletons_average():
     model, _ = _instance(seed=6, V=8, K=3, D=2, G=2)
     rng = np.random.default_rng(2)
@@ -194,39 +175,16 @@ def test_corpus_loss_disjoint_singletons_average():
     assert both == pytest.approx(0.5 * (parts[0] + parts[1]), rel=1e-12)
 
 
-def test_corpus_loss_equals_mean_of_per_doc_literal():
-    model, inputs = _instance(seed=8)
-    inputs.pop("lambda_ecr"), inputs.pop("psi")
-    batch = model.corpus_loss(**inputs, kl_mode="literal")
-    uniq, inv = np.unique(inputs["cluster_ids"], return_inverse=True)
-    per_doc = []
-    for d in range(inputs["x"].shape[0]):
-        per_doc.append(
-            model.corpus_loss(
-                inputs["x"][d : d + 1],
-                inputs["cluster_ids"][d : d + 1],
-                inputs["global_docs"],
-                inputs["noise_g"][inv[d] : inv[d] + 1],
-                inputs["noise_d"][d : d + 1],
-                inputs["eta"],
-                kl_mode="literal",
-            )
-        )
-    assert batch == pytest.approx(np.mean(per_doc), rel=1e-12)
-
-
-def test_kl_modes_differ_by_shared_cluster_overcount():
+def test_kl_global_counts_each_batch_cluster_once():
     model, inputs = _instance(seed=10)
     inputs.pop("lambda_ecr"), inputs.pop("psi")
-    div = model.forward_backward(**inputs, kl_mode="divide", compute_grads=False)
-    lit = model.forward_backward(**inputs, kl_mode="literal", compute_grads=False)
-    _, comps_d, lat = div
-    _, comps_l, _ = lit
-    counts = np.bincount(lat.cluster_rows)
     B = inputs["x"].shape[0]
-    expected_gap = float(((counts - 1) * lat.kl_global).sum() / B)
-    assert comps_l["kl_global"] - comps_d["kl_global"] == pytest.approx(expected_gap, rel=1e-9)
-    assert expected_gap >= 0
+    uniq = np.unique(inputs["cluster_ids"])
+    assert uniq.size < B  # some cluster has several documents in the batch
+    _, comps, _ = model.forward_backward(**inputs, kl_scale=0.5, compute_grads=False)
+    mu, lv = model.encode_global(inputs["global_docs"][uniq])
+    kl = kl_diag_gaussian(mu, lv, 0.0, 1.0)
+    assert comps["kl_global"] == pytest.approx(0.5 * kl.sum() / B, rel=1e-14)
 
 
 def test_encoders_deterministic_and_batch_consistent():

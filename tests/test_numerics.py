@@ -264,8 +264,8 @@ def test_adam_chunked_step_bit_identical_to_whole_array_formula():
     values, m, v = _adam_reference(start, steps)
     for i, p in enumerate(params):
         np.testing.assert_array_equal(p.value, values[i])
-        np.testing.assert_array_equal(opt.state.m[p.name], m[i])
-        np.testing.assert_array_equal(opt.state.v[p.name], v[i])
+        np.testing.assert_array_equal(opt.m[p.name], m[i])
+        np.testing.assert_array_equal(opt.v[p.name], v[i])
 
 
 def test_param_value_is_contiguous():
@@ -299,7 +299,7 @@ def test_adam_minimizes_quadratic():
     p = Param("x", np.array([1.0]))
     opt = Adam([p], lr=0.1)
     for _ in range(200):
-        opt.zero_grad()
+        p.zero_grad()
         p.grad[:] = 2.0 * p.value
         opt.step()
     assert abs(p.value[0]) < 1e-3
@@ -319,7 +319,7 @@ def test_adam_bit_reproducible():
         p = Param("x", rng.normal(size=(4, 4)))
         opt = Adam([p], lr=0.01)
         for _ in range(50):
-            opt.zero_grad()
+            p.zero_grad()
             p.grad[:] = np.sin(p.value)
             opt.step()
         return p.value.copy()

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glocom.aggregation import build_global_corpus
 from glocom.corpus import BowCorpus
+from glocom.ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from glocom.errors import ConfigError, TrainingError
 from glocom.model import GlocomModel, infer, load_checkpoint
 from glocom.synthetic import SyntheticSpec, generate
@@ -59,7 +61,7 @@ def test_config_validation_errors():
         dict(batch_size=0),
         dict(lr=0.0),
         dict(ablation="nope"),
-        dict(kl_attribution="sum"),
+        dict(ablation="no_augmentation"),
         dict(ecr_tol=0.0),
         dict(ecr_max_iters=0),
     ):
@@ -71,12 +73,13 @@ def test_config_defaults_match_documented_values():
     cfg = TrainConfig()
     assert (cfg.tau, cfg.epochs, cfg.batch_size, cfg.lr) == (0.2, 200, 200, 0.002)
     assert (cfg.hidden_width, cfg.embed_dim) == (200, 200)
-    assert cfg.ablation == "full" and cfg.kl_attribution == "divide"
+    assert cfg.ablation == "full"
+    assert (cfg.ecr_max_iters, cfg.ecr_tol) == (DEFAULT_MAX_ITERS, DEFAULT_TOL)
 
 
 def test_config_text_round_trip():
     cfg = tiny_config(ecr_nu=0.7, ecr_max_iters=25, kl_warmup_epochs=3,
-                      ablation="no_augmentation", lr=0.01)
+                      ablation="no_clustering", lr=0.01)
     text = config_to_text(cfg)
     assert "ecr.nu=0.7" in text and "ecr_nu" not in text
     assert "ecr.max_iters=25" in text
@@ -102,8 +105,9 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_parse_rejects_bad_lines():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config_text("bogus=1\n")
+    for removed in ("bogus=1", "kl_attribution=divide"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text(removed + "\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("K=3\nK=4\n")
     with pytest.raises(ConfigError, match="cannot parse"):
@@ -114,12 +118,20 @@ def test_config_parse_rejects_bad_lines():
         parse_config_file("/does/not/exist.cfg")
 
 
+def test_readme_config_block_matches_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    pairs = section.split("```\n", 2)[1].split()
+    documented = [p.split("=", 1)[0] for p in pairs]
+    defaults = [line.split("=", 1)[0] for line in config_to_text(TrainConfig()).splitlines()]
+    assert documented == defaults
+    assert parse_config_text("\n".join(pairs)) == TrainConfig()
+
+
 # ------------------------------------------------------- setup / ablations
 
 
 def test_apply_ablation_rules():
-    cfg = tiny_config(ablation="no_augmentation", eta=0.7)
-    assert apply_ablation(cfg, 24).eta == 0.0
     cfg = tiny_config(ablation="no_clustering")
     assert apply_ablation(cfg, 24).G == 24
     cfg = tiny_config()
@@ -239,13 +251,6 @@ def test_same_seed_gives_bit_identical_trajectories():
     assert not np.array_equal(r1.trajectory, r3.trajectory)
 
 
-def test_no_augmentation_equals_eta_zero_run():
-    corpus = tiny_corpus()
-    (_, ra), _ = run_tiny(corpus, tiny_config(ablation="no_augmentation", eta=0.7))
-    (_, rb), _ = run_tiny(corpus, tiny_config(ablation="full", eta=0.0))
-    assert np.array_equal(ra.trajectory, rb.trajectory)
-
-
 def test_loss_decreases_over_first_10_epochs_majority():
     spec = SyntheticSpec(V=100, K=5, G=5, D=1000, len_min=4, len_max=12, seed=0)
     corpus, _ = generate(spec)
@@ -270,8 +275,7 @@ def test_kl_warmup_scales_early_epochs():
 
 def test_checkpoint_round_trip_through_train(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    (model, report), setup = run_tiny(checkpoint_dir=ckpt)
-    assert report.checkpoint_path == ckpt
+    (model, _), setup = run_tiny(checkpoint_dir=ckpt)
     loaded = load_checkpoint(ckpt)
     x = setup.corpus.dense()
     words = setup.corpus.vocab.words
@@ -293,10 +297,10 @@ def test_nonfinite_loss_aborts_with_breakdown():
 
 def test_report_validation_and_writer(tmp_path):
     with pytest.raises(TrainingError, match="columns"):
-        TrainReport(np.zeros((2, 3)), 0.0, None)
+        TrainReport(np.zeros((2, 3)), 0.0)
     with pytest.raises(TrainingError, match="non-finite"):
-        TrainReport(np.full((2, 5), np.nan), 0.0, None)
-    report = TrainReport(np.arange(10.0).reshape(2, 5), 0.0, None)
+        TrainReport(np.full((2, 5), np.nan), 0.0)
+    report = TrainReport(np.arange(10.0).reshape(2, 5), 0.0)
     assert report.final_tm_loss == pytest.approx(5.0 - 9.0)
     path = str(tmp_path / "traj.csv")
     write_trajectory(report, path)
