@@ -63,6 +63,18 @@ def _indicator(labels: np.ndarray, G: int, dtype) -> sp.csr_matrix:
     )
 
 
+def _cluster_sums(X: sp.csr_matrix, entry_row: np.ndarray, assign: np.ndarray,
+                  G: int) -> np.ndarray:
+    """Each cluster's sum of the rows of CSR X, (G, E) dense; ``entry_row``
+    is the row of each stored entry. bincount adds the entries of a
+    (cluster, column) key in row order, as ``_indicator(assign, G) @ X``
+    does, so the sums are the same to the bit."""
+    E = X.shape[1]
+    keys = assign[entry_row] * E + X.indices
+    sums = np.bincount(keys, weights=X.data, minlength=G * E)
+    return sums.astype(np.float64, copy=False).reshape(G, E)  # int64 when X has no entries
+
+
 def _sq_dists(X, xsq: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances ‖x‖² − 2·X·Cᵀ + ‖c‖², (N, G),
     for dense or CSR rows X with squared norms ``xsq``. Clamped at 0
@@ -125,14 +137,18 @@ def kmeans(
     else:
         C = _kmeanspp_seed(X, xsq, G, rng)
 
+    if sp.issparse(X):
+        entry_row = np.repeat(np.arange(N), np.diff(X.indptr))
     history: list[float] = []
     assign = np.zeros(N, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists(X, xsq, C)
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(N), assign].sum()))
-        sums = _indicator(assign, G, np.float64) @ X
-        newC = sums.toarray() if sp.issparse(sums) else sums
+        if sp.issparse(X):
+            newC = _cluster_sums(X, entry_row, assign, G)
+        else:
+            newC = _indicator(assign, G, np.float64) @ X
         counts = np.bincount(assign, minlength=G).astype(np.float64)
         nonempty = counts > 0
         newC[nonempty] /= counts[nonempty, None]

@@ -6,9 +6,8 @@ already lowercased); no stemming or stopword logic lives here.
 
 import itertools
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,23 +117,8 @@ class WordEmbeddingInit:
 
 def build_vocabulary(raw_docs: Sequence[Sequence[str]], min_freq: int) -> Vocabulary:
     """Keep tokens with corpus frequency >= min_freq, in first-occurrence order."""
-    if min_freq < 1:
-        raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
-    if not raw_docs:
-        raise CorpusError("cannot build a vocabulary from an empty corpus")
-    freq: Counter[str] = Counter()
-    order: list[str] = []
-    seen: set[str] = set()
-    for doc in raw_docs:
-        for tok in doc:
-            freq[tok] += 1
-            if tok not in seen:
-                seen.add(tok)
-                order.append(tok)
-    kept = [w for w in order if freq[w] >= min_freq]
-    if not kept:
-        raise CorpusError(f"vocabulary is empty after min_freq={min_freq} filtering")
-    return Vocabulary(kept)
+    words, ids, _ = _token_ids(raw_docs)
+    return Vocabulary([words[i] for i in _frequent(ids, len(words), len(raw_docs), min_freq)])
 
 
 def build_bow(
@@ -149,34 +133,10 @@ def build_bow(
     dropped. Returns the corpus plus the kept-index list so labels and
     precomputed embeddings can be filtered consistently.
     """
-    if min_terms < 1:
-        raise CorpusError(f"min_terms must be >= 1, got {min_terms}")
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    kept: list[int] = []
-    for d, doc in enumerate(raw_docs):
-        cnt = Counter(vocab.index[t] for t in doc if t in vocab.index)
-        if len(cnt) < min_terms:
-            continue
-        kept.append(d)
-        for w in sorted(cnt):
-            indices.append(w)
-            data.append(cnt[w])
-        indptr.append(len(indices))
-    if not kept:
-        raise CorpusError(f"all documents dropped at min_terms={min_terms}")
-    counts = sp.csr_matrix(
-        (np.asarray(data, dtype=np.int64), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(kept), len(vocab)),
-    )
-    kept_labels = None
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape[0] != len(raw_docs):
-            raise CorpusError(f"{labels.shape[0]} labels for {len(raw_docs)} raw documents")
-        kept_labels = labels[kept]
-    return BowCorpus(counts, vocab, kept_labels), kept
+    words, ids, doc = _token_ids(raw_docs)
+    column = np.array([vocab.index.get(w, -1) for w in words], dtype=np.int64)
+    counts, kept = _count_matrix(doc, column[ids], len(raw_docs), len(vocab), min_terms)
+    return BowCorpus(counts, vocab, _kept_labels(labels, len(raw_docs), kept)), kept.tolist()
 
 
 def preprocess(
@@ -189,20 +149,78 @@ def preprocess(
 
     Dropping short documents can push some word frequencies back below
     min_freq, so the two filters are alternated until the kept corpus is
-    stable.
+    stable. Each pass is ``build_vocabulary`` then ``build_bow`` on the
+    kept documents, run on token ids: the vocabulary order is each word's
+    first occurrence among the kept documents' tokens.
     """
-    kept = list(range(len(raw_docs)))
-    docs = [list(d) for d in raw_docs]
-    cur_labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+    words, ids, doc = _token_ids(raw_docs)
+    kept = np.arange(len(raw_docs))
     while True:
-        vocab = build_vocabulary(docs, min_freq)
-        bow, sub = build_bow(docs, vocab, min_terms, cur_labels)
-        if len(sub) == len(docs):
-            return bow, kept
-        kept = [kept[i] for i in sub]
-        docs = [docs[i] for i in sub]
-        if cur_labels is not None:
-            cur_labels = cur_labels[sub]
+        vocab_ids = _frequent(ids, len(words), kept.size, min_freq)
+        column = np.full(len(words), -1, dtype=np.int64)
+        column[vocab_ids] = np.arange(vocab_ids.size)
+        counts, sub = _count_matrix(doc, column[ids], kept.size, vocab_ids.size, min_terms)
+        kept_labels = _kept_labels(labels, len(raw_docs), kept[sub])
+        if sub.size == kept.size:
+            vocab = Vocabulary([words[i] for i in vocab_ids])
+            return BowCorpus(counts, vocab, kept_labels), kept.tolist()
+        stays = np.zeros(kept.size, dtype=bool)
+        stays[sub] = True
+        on = stays[doc]
+        ids, doc = ids[on], (np.cumsum(stays) - 1)[doc[on]]
+        kept = kept[sub]
+
+
+def _token_ids(raw_docs: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct tokens in first-occurrence order, then each token's id
+    among them and the index of its document."""
+    tokens = list(itertools.chain.from_iterable(raw_docs))
+    words = list(dict.fromkeys(tokens))
+    index = dict(zip(words, range(len(words))))
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    lengths = np.fromiter(map(len, raw_docs), np.int64, len(raw_docs))
+    return words, ids, np.repeat(np.arange(len(raw_docs)), lengths)
+
+
+def _frequent(ids: np.ndarray, num_ids: int, num_docs: int, min_freq: int) -> np.ndarray:
+    """The ids that occur at least min_freq times, in first-occurrence order."""
+    if min_freq < 1:
+        raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
+    if num_docs == 0:
+        raise CorpusError("cannot build a vocabulary from an empty corpus")
+    first = np.full(num_ids, ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    frequent = np.flatnonzero(np.bincount(ids, minlength=num_ids) >= min_freq)
+    if not frequent.size:
+        raise CorpusError(f"vocabulary is empty after min_freq={min_freq} filtering")
+    return frequent[np.argsort(first[frequent])]
+
+
+def _count_matrix(doc: np.ndarray, word: np.ndarray, num_docs: int, num_words: int,
+                  min_terms: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The counts of the tokens with a word id (-1 for none) in the
+    documents with at least min_terms distinct words, and their indices."""
+    if min_terms < 1:
+        raise CorpusError(f"min_terms must be >= 1, got {min_terms}")
+    known = word >= 0
+    keys, data = np.unique(doc[known] * num_words + word[known], return_counts=True)
+    rows, cols = np.divmod(keys, num_words)
+    terms = np.bincount(rows, minlength=num_docs)
+    kept = np.flatnonzero(terms >= min_terms)
+    if not kept.size:
+        raise CorpusError(f"all documents dropped at min_terms={min_terms}")
+    on = terms[rows] >= min_terms
+    indptr = np.concatenate(([0], np.cumsum(terms[kept])))
+    return sp.csr_matrix((data[on], cols[on], indptr), shape=(kept.size, num_words)), kept
+
+
+def _kept_labels(labels: Optional[Sequence[int]], num_raw: int, kept: np.ndarray):
+    if labels is None:
+        return None
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != num_raw:
+        raise CorpusError(f"{labels.shape[0]} labels for {num_raw} raw documents")
+    return labels[kept]
 
 
 def tfidf(corpus: BowCorpus) -> EmbeddingMatrix:
@@ -242,8 +260,8 @@ def read_corpus_file(path: str) -> list[list[str]]:
 
 def write_label_file(values: Sequence[int], path: str) -> None:
     """One integer per line: labels, cluster assignments, kept indices."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{int(v)}\n" for v in values))
+    v = np.asarray(values, dtype=np.int64)
+    _write_int_rows(path, "", v.size, 1, lambda lo, hi: v[lo:hi, None])
 
 
 def read_label_file(path: str, error: type = CorpusError) -> np.ndarray:
@@ -278,13 +296,70 @@ def read_vocabulary(path: str) -> Vocabulary:
 
 def write_bow(corpus: BowCorpus, path: str) -> None:
     """Header "D V NNZ", then one "doc word count" triple per line, ordered
-    by document, then word."""
-    coo = corpus.counts.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    entries = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{corpus.num_docs} {corpus.num_words} {coo.nnz}\n")
-        fh.write("".join(f"{d} {w} {c}\n" for d, w, c in entries))
+    by document, then word (the order of the canonical CSR counts)."""
+    X = corpus.counts
+
+    def triples(lo: int, hi: int) -> np.ndarray:
+        doc = np.searchsorted(X.indptr, np.arange(lo, hi), side="right") - 1
+        return np.column_stack((doc, X.indices[lo:hi], X.data[lo:hi]))
+
+    header = f"{corpus.num_docs} {corpus.num_words} {X.nnz}\n"
+    _write_int_rows(path, header, X.nnz, 3, triples)
+
+
+_INT_BLOCK = 1 << 14  # values per formatted block
+_POW10_U64 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_n4 = np.arange(10000)
+# "0000".."9999" as one uint32 each, so a gather moves four characters
+_DIGITS4 = (
+    np.stack([_n4 // 1000, _n4 // 100 % 10, _n4 // 10 % 10, _n4 % 10], axis=1) + ord("0")
+).astype(np.uint8).view(np.uint32).reshape(-1)
+del _n4
+
+
+def _write_int_rows(path: str, header: str, num_rows: int, num_cols: int,
+                    rows: Callable[[int, int], np.ndarray]) -> None:
+    """Write ``header``, then rows 0..num_rows-1 of integers, one line per
+    row, values in decimal as ``f"{v}"`` writes them, separated by a space.
+    ``rows(lo, hi)`` gives rows lo..hi-1 as a (hi-lo, num_cols) array; it
+    is asked for one block of about ``_INT_BLOCK`` values at a time, so
+    memory does not grow with the row count."""
+    step = max(1, _INT_BLOCK // num_cols)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for lo in range(0, num_rows, step):
+            block = rows(lo, min(lo + step, num_rows))
+            fh.write(_format_int_block(np.asarray(block, dtype=np.int64)))
+
+
+def _format_int_block(M: np.ndarray) -> bytes:
+    """The lines of the rows of M: space-separated decimal integers."""
+    ncols = M.shape[1]
+    v = M.reshape(-1)
+    u = np.abs(v).view(np.uint64)  # |int64 min| too
+    width = len(str(int(u.max())))
+    ndigits = np.ones(v.size, np.intp)
+    for p in _POW10_U64[:width - 1]:
+        ndigits += u >= p
+    groups = -(-width // 4)
+    # four digits to a uint32, most significant group first
+    digits = np.empty((v.size, groups), np.uint32)
+    for j in range(groups - 1, 0, -1):
+        u, low = np.divmod(u, np.uint64(10000))
+        digits[:, j] = np.take(_DIGITS4, low)
+    digits[:, 0] = np.take(_DIGITS4, u)
+    # column 0 is the minus sign, then the digits right-aligned, then the separator
+    W = 4 * groups
+    out = np.empty((v.size, W + 2), np.uint8)
+    out[:, 0] = ord("-")
+    out[:, 1:-1] = digits.view(np.uint8)
+    out[:, -1] = ord(" ")
+    out[ncols - 1::ncols, -1] = ord("\n")
+    cols = np.arange(W + 2)
+    # row d of the table keeps the last d digits and the separator
+    keep = np.take(cols >= W + 1 - cols[:, None], ndigits, axis=0)
+    keep[:, 0] = v < 0
+    return out[keep].tobytes()
 
 
 def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) -> BowCorpus:
@@ -386,7 +461,9 @@ def load_word_embeddings(path: str, vocab: Vocabulary, seed: int = 0) -> WordEmb
     """Read a "token v1 ... vL" text file aligned to the vocabulary.
 
     Out-of-file words are filled uniformly from [-0.05, 0.05] per coordinate
-    using the run seed, so initialization is deterministic.
+    using the run seed, so initialization is deterministic. The values of
+    an in-vocabulary word must be finite numbers; a line for a word outside
+    the vocabulary is checked for its width only.
     """
     found: dict[str, np.ndarray] = {}
     dim = None
@@ -406,9 +483,12 @@ def load_word_embeddings(path: str, vocab: Vocabulary, seed: int = 0) -> WordEmb
                 )
             if tok in vocab.index and tok not in found:
                 try:
-                    found[tok] = np.asarray([float(x) for x in vals], dtype=np.float64)
+                    vec = np.asarray([float(x) for x in vals], dtype=np.float64)
                 except ValueError:
                     raise EmbeddingError(f"{path}:{ln}: unparseable value for {tok!r}")
+                if not np.all(np.isfinite(vec)):
+                    raise EmbeddingError(f"{path}:{ln}: non-finite value for {tok!r}")
+                found[tok] = vec
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding lines")
     V = len(vocab)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import divide_rows, read_gemb, write_gemb
+from .corpus import _DIGITS4, divide_rows, read_gemb, write_gemb
 from .ecr import squared_distances
 from .errors import TrainingError
 from .numerics import (
@@ -455,24 +455,27 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
         header = fh.readline().split()
         if header[:1] != ["glocom-checkpoint"]:
             raise TrainingError(f"{mpath}: not a checkpoint manifest")
-        for line in fh:
+        for ln, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "meta":
+            if parts[0] == "meta" and len(parts) == 3:
                 meta[parts[1]] = parts[2]
-            elif parts[0] == "tensor":
+            elif (parts[0] == "tensor" and len(parts) == 5
+                  and parts[2].isdecimal() and parts[3].isdecimal()):
                 tensors.append((parts[1], int(parts[2]), int(parts[3]), parts[4]))
+            elif parts[0] in ("meta", "tensor"):
+                raise TrainingError(f"{mpath}:{ln}: malformed {parts[0]} line {line.strip()!r}")
             else:
-                raise TrainingError(f"{mpath}: unknown manifest entry {parts[0]!r}")
-    model = GlocomModel(
-        num_words=int(meta["num_words"]),
-        num_topics=int(meta["num_topics"]),
-        embed_dim=int(meta["embed_dim"]),
-        hidden=int(meta["hidden"]),
-        tau=float(meta["tau"]),
-        epsilon=float(meta["epsilon"]),
-    )
+                raise TrainingError(f"{mpath}:{ln}: unknown manifest entry {parts[0]!r}")
+    try:
+        sizes = {k: int(meta[k]) for k in ("num_words", "num_topics", "embed_dim", "hidden")}
+        scales = {k: float(meta[k]) for k in ("tau", "epsilon")}
+    except KeyError as exc:
+        raise TrainingError(f"{mpath}: no meta {exc.args[0]} line") from None
+    except ValueError as exc:
+        raise TrainingError(f"{mpath}: bad meta value: {exc}") from None
+    model = GlocomModel(**sizes, **scales)
     by_name = {p.name: p for p in model.params()}
     for name, rows, cols, dtype in tensors:
         if name not in by_name:
@@ -557,10 +560,6 @@ def _split_high(a: np.ndarray) -> np.ndarray:
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HIGH = _split_high(_POW10)
 _n4 = np.arange(10000)
-# "0000".."9999" as one uint32 each, so a gather moves four characters
-_DIGITS4 = (
-    np.stack([_n4 // 1000, _n4 // 100 % 10, _n4 // 10 % 10, _n4 % 10], axis=1) + ord("0")
-).astype(np.uint8).view(np.uint32).reshape(-1)
 _TRAILING_ZEROS4 = ((_n4 % 10 == 0).astype(np.int64) + (_n4 % 100 == 0)
                     + (_n4 % 1000 == 0) + (_n4 == 0))
 # row e selects columns 0..e of a formatted row: sign, text and delimiter

@@ -3,19 +3,25 @@
 The model never builds the augmented targets x + eta * x^g as an array;
 the dense formulas here do, the direct way, so tests can compare the two.
 ``save_embeddings`` writes the binary document-embedding format that
-``glocom.corpus.load_embeddings`` reads.
+``glocom.corpus.load_embeddings`` reads. The set-up loops (``Counter``
+per document, one f-string per written value, k-means centroid sums as an
+indicator-matrix product) are the references for the array versions in
+``glocom.corpus`` and ``glocom.aggregation``.
 """
 
 import contextlib
 import struct
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
+import glocom.aggregation
 import glocom.model
-from glocom.aggregation import ClusterAssignment
-from glocom.corpus import _GEMB_MAGIC
+from glocom.aggregation import ClusterAssignment, _indicator
+from glocom.corpus import _GEMB_MAGIC, BowCorpus, Vocabulary
+from glocom.errors import CorpusError
 
 
 def save_embeddings(matrix, path):
@@ -59,3 +65,101 @@ def dense_targets():
         yield
     finally:
         glocom.model.reconstruction = original
+
+
+def build_vocabulary_loop(raw_docs, min_freq):
+    """``glocom.corpus.build_vocabulary`` as a loop over tokens."""
+    if min_freq < 1:
+        raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
+    if not raw_docs:
+        raise CorpusError("cannot build a vocabulary from an empty corpus")
+    freq = Counter()
+    order = []
+    for doc in raw_docs:
+        for tok in doc:
+            if tok not in freq:
+                order.append(tok)
+            freq[tok] += 1
+    kept = [w for w in order if freq[w] >= min_freq]
+    if not kept:
+        raise CorpusError(f"vocabulary is empty after min_freq={min_freq} filtering")
+    return Vocabulary(kept)
+
+
+def build_bow_loop(raw_docs, vocab, min_terms, labels=None):
+    """``glocom.corpus.build_bow`` with a ``Counter`` per document."""
+    if min_terms < 1:
+        raise CorpusError(f"min_terms must be >= 1, got {min_terms}")
+    indptr, indices, data, kept = [0], [], [], []
+    for d, doc in enumerate(raw_docs):
+        cnt = Counter(vocab.index[t] for t in doc if t in vocab.index)
+        if len(cnt) < min_terms:
+            continue
+        kept.append(d)
+        for w in sorted(cnt):
+            indices.append(w)
+            data.append(cnt[w])
+        indptr.append(len(indices))
+    if not kept:
+        raise CorpusError(f"all documents dropped at min_terms={min_terms}")
+    counts = sp.csr_matrix(
+        (np.asarray(data, dtype=np.int64), np.asarray(indices, dtype=np.int64), indptr),
+        shape=(len(kept), len(vocab)),
+    )
+    kept_labels = None
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape[0] != len(raw_docs):
+            raise CorpusError(f"{labels.shape[0]} labels for {len(raw_docs)} raw documents")
+        kept_labels = labels[kept]
+    return BowCorpus(counts, vocab, kept_labels), kept
+
+
+def preprocess_loop(raw_docs, min_freq=3, min_terms=2, labels=None):
+    """``glocom.corpus.preprocess``: the two loops above, alternated on the
+    kept documents until no document drops."""
+    kept = list(range(len(raw_docs)))
+    docs = [list(d) for d in raw_docs]
+    cur_labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+    while True:
+        vocab = build_vocabulary_loop(docs, min_freq)
+        bow, sub = build_bow_loop(docs, vocab, min_terms, cur_labels)
+        if len(sub) == len(docs):
+            return bow, kept
+        kept = [kept[i] for i in sub]
+        docs = [docs[i] for i in sub]
+        if cur_labels is not None:
+            cur_labels = cur_labels[sub]
+
+
+def write_bow_loop(corpus, path):
+    """``glocom.corpus.write_bow`` entry by entry, in COO order sorted by
+    document, then word."""
+    coo = corpus.counts.tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{corpus.num_docs} {corpus.num_words} {coo.nnz}\n")
+        for i in np.lexsort((coo.col, coo.row)):
+            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]}\n")
+
+
+def write_label_file_loop(values, path):
+    """``glocom.corpus.write_label_file`` one f-string per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{int(v)}\n" for v in values))
+
+
+def indicator_sums(X, entry_row, assign, G):
+    """``glocom.aggregation._cluster_sums`` as the G x N membership matrix
+    times X."""
+    return (_indicator(assign, G, np.float64) @ X).toarray()
+
+
+@contextlib.contextmanager
+def indicator_centroid_sums():
+    """Within the block, k-means sums its CSR centroids as indicator products."""
+    original = glocom.aggregation._cluster_sums
+    glocom.aggregation._cluster_sums = indicator_sums
+    try:
+        yield
+    finally:
+        glocom.aggregation._cluster_sums = original

@@ -3,17 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import augmented_docs, dense_target_reconstruction
+from oracles import augmented_docs, dense_target_reconstruction, indicator_centroid_sums
 
 from glocom.aggregation import (
     ClusterAssignment,
+    _cluster_sums,
+    _indicator,
     build_global_corpus,
     build_global_docs,
     kmeans,
     profile_word_embeddings,
     read_assignment,
 )
-from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary, write_label_file
+from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary, tfidf, write_label_file
 from glocom.errors import ClusteringError
 from glocom.model import reconstruction
 
@@ -231,6 +233,49 @@ def test_kmeans_csr_empty_cluster_reseed_matches_dense_oracle():
     np.testing.assert_array_equal(res.assignment, assign)
     np.testing.assert_allclose(res.centroids, C, rtol=1e-10, atol=1e-12)
     assert res.inertia == pytest.approx(inertia, rel=1e-10)
+
+
+def test_cluster_sums_equal_indicator_product():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        N, E, G = int(rng.integers(1, 80)), int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        X = sp.random(N, E, density=float(rng.uniform(0, 0.5)), format="csr",
+                      random_state=rng, data_rvs=rng.standard_normal)
+        # ids drawn below G - 2 leave the top clusters empty
+        assign = rng.integers(0, max(1, G - 2), size=N)
+        entry_row = np.repeat(np.arange(N), np.diff(X.indptr))
+        sums = _cluster_sums(X, entry_row, assign, G)
+        assert sums.dtype == np.float64
+        np.testing.assert_array_equal(sums, (_indicator(assign, G, np.float64) @ X).toarray())
+
+
+def _planted_tfidf(D, V, G, seed):
+    """TF-IDF rows of a corpus shaped like a benchmark workload: G planted
+    groups, each drawing 90% of its 4 to 12 tokens from its own word block."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(4, 13, size=D)
+    group = np.repeat(rng.integers(0, G, size=D), lengths)
+    own = rng.random(group.size) < 0.9
+    words = np.where(own, group * (V // G) + rng.integers(0, V // G, size=group.size),
+                     rng.integers(0, V, size=group.size))
+    counts = sp.csr_matrix((np.ones(group.size, dtype=np.int64),
+                            (np.repeat(np.arange(D), lengths), words)), shape=(D, V))
+    return tfidf(BowCorpus(counts, Vocabulary([f"w{i}" for i in range(V)])))
+
+
+@pytest.mark.parametrize("D, V, G", [(1000, 100, 5), (1000, 2000, 20), (3000, 3000, 20)])
+def test_kmeans_matches_indicator_sums_on_benchmark_shapes(D, V, G):
+    emb = _planted_tfidf(D, V, G, seed=D + V)
+    # k-means++ seeding, then three centroids on one far point, so two
+    # clusters starve on the first iteration and are re-seeded
+    init = np.vstack([emb.rows[: G - 3].toarray(), np.full((3, V), 5.0)])
+    for kw in ({}, {"init_centroids": init}):
+        got = kmeans(emb, G, seed=0, **kw)
+        with indicator_centroid_sums():
+            want = kmeans(emb, G, seed=0, **kw)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+        assert got.inertia_history == want.inertia_history
 
 
 def test_kmeans_dense_and_csr_rows_cluster_identically():

@@ -241,12 +241,25 @@ def test_removed_settings_fail_loudly(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+# the first checkpoint manifest line with a prefix, and what it is cut to
+MANIFEST_CUTS = {
+    "checkpoint-meta": ("meta tau ", lambda fields: "meta tau"),
+    "checkpoint-tensor": ("tensor ", lambda fields: " ".join(fields[:3])),
+    "checkpoint-shape": ("tensor ", lambda fields: " ".join([*fields[:2], "x", *fields[3:]])),
+}
+
+
 @pytest.mark.parametrize("case, code", [
     ("assignment", 5),
     ("checkpoint-header", 6),
     ("checkpoint-payload", 6),
     ("theta", 7),
     ("word-embeddings", 4),
+    ("word-embeddings-nan", 4),
+    ("word-embeddings-inf", 4),
+    ("checkpoint-meta", 6),
+    ("checkpoint-tensor", 6),
+    ("checkpoint-shape", 6),
 ])
 def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, code):
     bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
@@ -266,15 +279,27 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
     if case == "assignment":
         bad.write_text("0\nx\n")
         got = train(bad)
-    elif case == "word-embeddings":
-        bad.write_text(vocab.read_text().split()[0] + " 0.1 abc 0.3\n")
+    elif case.startswith("word-embeddings"):
+        value = {"word-embeddings": "abc", "word-embeddings-nan": "nan",
+                 "word-embeddings-inf": "-inf"}[case]
+        bad.write_text(f"{vocab.read_text().split()[0]} 0.1 {value} 0.3\n")
         got = train(assignment, "--word-embeddings", bad)
+        bad = f"{bad}:1:"
     else:
         assert train(assignment) == 0 and infer() == 0
         if case == "theta":
             bad.write_text("x,y\n")
             got = run("eval", "--topics", tmp_path / "i" / "topics.txt", "--theta", bad,
                       "--reference", bow, "--vocab", vocab, "--out", tmp_path / "m.json")
+        elif case in MANIFEST_CUTS:
+            bad = tmp_path / "t" / "checkpoint" / "manifest.txt"
+            lines = bad.read_text().splitlines()
+            prefix, cut = MANIFEST_CUTS[case]
+            i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+            lines[i] = cut(lines[i].split())
+            bad.write_text("\n".join(lines) + "\n")
+            got = infer()
+            bad = f"{bad}:{i + 1}:"
         else:
             bad = tmp_path / "t" / "checkpoint" / "space.W.bin"
             data = bad.read_bytes()

@@ -1,9 +1,20 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import save_embeddings
+from oracles import (
+    indicator_centroid_sums,
+    preprocess_loop,
+    save_embeddings,
+    write_bow_loop,
+    write_label_file_loop,
+)
 
+from glocom.aggregation import kmeans
 from glocom.corpus import (
+    _INT_BLOCK,
     BowCorpus,
     Vocabulary,
     build_bow,
@@ -111,6 +122,124 @@ def test_preprocess_fixpoint_iterates_vocab():
     assert kept2 == [0, 1]
     assert bow2.vocab.words == bow.vocab.words
     assert (bow2.counts != bow.counts).nnz == 0
+
+
+def test_preprocess_first_occurrence_moves_when_a_document_drops():
+    # pass 1 keeps b, a, c in that order (x is rare) and drops document 0,
+    # whose only kept word is b; among the survivors b occurs last
+    docs = [["x", "b"], ["a", "c", "b"], ["c", "b", "a"]]
+    bow, kept = preprocess(docs, min_freq=2, min_terms=2)
+    assert bow.vocab.words == ["a", "c", "b"]
+    assert kept == [1, 2]
+    assert bow.counts.toarray().tolist() == [[1, 1, 1], [1, 1, 1]]
+    want, want_kept = preprocess_loop(docs, min_freq=2, min_terms=2)
+    assert want.vocab.words == bow.vocab.words and want_kept == kept
+
+
+def _random_raw_corpus(rng):
+    """Zipf-like tokens over a shuffled vocabulary with non-ASCII words;
+    documents of 0 to 9 tokens."""
+    words = [f"w{i}" for i in range(int(rng.integers(2, 60)))]
+    words += ["é", "日本", "naïve", "straße"]
+    words = [words[i] for i in rng.permutation(len(words))]
+    p = 1.0 / np.arange(1, len(words) + 1) ** rng.uniform(0.6, 1.6)
+    p /= p.sum()
+    return [
+        [words[i] for i in rng.choice(len(words), size=int(rng.integers(0, 10)), p=p)]
+        for _ in range(int(rng.integers(1, 40)))
+    ]
+
+
+def _setup_files(out, preprocess_fn, writers, docs, min_freq, min_terms, labels, seed):
+    """The set-up files of one corpus as bytes, or the error message."""
+    write_bow_fn, write_label_fn = writers
+    try:
+        bow, kept = preprocess_fn(docs, min_freq, min_terms, labels)
+    except CorpusError as exc:
+        return str(exc)
+    out.mkdir()
+    write_vocabulary(bow.vocab, str(out / "vocab.txt"))
+    write_bow_fn(bow, str(out / "bow.txt"))
+    write_label_fn(kept, str(out / "kept.txt"))
+    if bow.labels is not None:
+        write_label_fn(bow.labels, str(out / "labels.txt"))
+    G = min(3, bow.num_docs)
+    write_label_fn(kmeans(tfidf(bow), G, seed=seed).assignment, str(out / "assignment.txt"))
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_setup_files_match_loop_oracles_on_random_corpora(tmp_path):
+    outcomes = set()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        docs = _random_raw_corpus(rng)
+        min_freq, min_terms = (int(x) for x in rng.integers(1, 4, size=2))
+        labels = rng.integers(-12, 12, size=len(docs)).tolist() if seed % 2 else None
+        args = (docs, min_freq, min_terms, labels, seed)
+        got = _setup_files(tmp_path / f"{seed}a", preprocess,
+                           (write_bow, write_label_file), *args)
+        with indicator_centroid_sums():
+            want = _setup_files(tmp_path / f"{seed}b", preprocess_loop,
+                                (write_bow_loop, write_label_file_loop), *args)
+        assert got == want, (seed, min_freq, min_terms)
+        outcomes.add(type(got).__name__)
+    assert outcomes == {"dict", "str"}  # both kept corpora and errors were seen
+
+
+def test_writers_match_loop_oracles_at_digit_boundaries(tmp_path):
+    bounds = [0] + [10**k + d for k in range(1, 6) for d in (-1, 0)]  # 0, 9, 10, ..., 100000
+    counts = [1, 9, 10, 99, 100, 10**8 - 1, 10**8, 10**12, 10**16, 10**18, 2**63 - 1]
+    n = bounds[-1] + 1
+    X = sp.csr_matrix(
+        (counts, (bounds, bounds[::-1])), shape=(n, n), dtype=np.int64
+    )
+    bow = BowCorpus(X, Vocabulary([f"w{i}" for i in range(n)]))
+    write_bow(bow, str(tmp_path / "a.txt"))
+    write_bow_loop(bow, str(tmp_path / "b.txt"))
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    values = bounds + counts + [-v for v in bounds + counts] + [-2**63]
+    write_label_file(values, str(tmp_path / "c.txt"))
+    write_label_file_loop(values, str(tmp_path / "d.txt"))
+    assert (tmp_path / "c.txt").read_bytes() == (tmp_path / "d.txt").read_bytes()
+
+    empty = BowCorpus(sp.csr_matrix((3, 2), dtype=np.int64), Vocabulary(["a", "b"]))
+    write_bow(empty, str(tmp_path / "e.txt"))
+    write_bow_loop(empty, str(tmp_path / "f.txt"))
+    assert (tmp_path / "e.txt").read_bytes() == (tmp_path / "f.txt").read_bytes() == b"3 2 0\n"
+    write_label_file([], str(tmp_path / "g.txt"))
+    assert (tmp_path / "g.txt").read_bytes() == b""
+
+
+def _wide_corpus(D, rng):
+    """D documents of 8 distinct words each out of 3000, counts 1..49."""
+    cols = np.arange(8) * 375 + rng.integers(0, 375, size=(D, 8))
+    X = sp.csr_matrix(
+        (rng.integers(1, 50, size=8 * D), cols.ravel(), np.arange(0, 8 * D + 1, 8)),
+        shape=(D, 3000),
+    )
+    return BowCorpus(X, Vocabulary([f"w{i}" for i in range(3000)]))
+
+
+def _write_peak(bow, path):
+    tracemalloc.start()
+    try:
+        write_bow(bow, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_bow_spans_blocks_with_flat_memory(tmp_path):
+    rng = np.random.default_rng(5)
+    small, large = _wide_corpus(12000, rng), _wide_corpus(48000, rng)
+    assert 3 * small.counts.nnz > 4 * _INT_BLOCK  # more than four writer blocks
+    write_bow_loop(small, str(tmp_path / "b.txt"))
+    peak_small = _write_peak(small, str(tmp_path / "a.txt"))
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    peak_large = _write_peak(large, str(tmp_path / "c.txt"))
+    # four times the entries, the same peak: one block is held at a time
+    assert peak_large < 1.1 * peak_small
+    assert peak_large < (tmp_path / "c.txt").stat().st_size / 2
 
 
 def _dense_tfidf(corpus):
@@ -270,6 +399,17 @@ def test_word_embeddings_mixed_dimension_is_error(tmp_path):
         load_word_embeddings(path, vocab, seed=0)
 
 
+def test_word_embeddings_non_finite_values(tmp_path):
+    vocab = Vocabulary(["cat", "dog"])
+    path = tmp_path / "w.txt"
+    # a word outside the vocabulary is checked for width only
+    path.write_text("fish nan abc\ncat 1.0 2.0\ndog inf 0.5\n")
+    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:3: non-finite value for 'dog'")):
+        load_word_embeddings(str(path), vocab, seed=0)
+    path.write_text("fish nan abc\ncat 1.0 2.0\n")
+    assert load_word_embeddings(str(path), vocab, seed=0).coverage == 0.5
+
+
 def test_corpus_and_label_files(tmp_path):
     cpath = str(tmp_path / "c.txt")
     with open(cpath, "w") as fh:
@@ -298,22 +438,13 @@ def test_bow_file_round_trip(tmp_path):
     assert (back.counts != bow.counts).nnz == 0
 
 
-def _loop_write_bow(corpus, path):
-    """Reference: the entry-by-entry writer."""
-    coo = corpus.counts.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{corpus.num_docs} {corpus.num_words} {coo.nnz}\n")
-        for i in np.lexsort((coo.col, coo.row)):
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]}\n")
-
-
 def test_write_bow_bytes_match_loop_writer(tmp_path):
     rng = np.random.default_rng(3)
     M = rng.integers(0, 40, size=(30, 25)) * (rng.random((30, 25)) < 0.3)
     M[:, 0] += 1
     bow = BowCorpus(sp.csr_matrix(M), Vocabulary([f"w{i}" for i in range(25)]))
     write_bow(bow, str(tmp_path / "a.txt"))
-    _loop_write_bow(bow, str(tmp_path / "b.txt"))
+    write_bow_loop(bow, str(tmp_path / "b.txt"))
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     back = read_bow(str(tmp_path / "a.txt"), bow.vocab)
     np.testing.assert_array_equal(back.counts.toarray(), M)

@@ -339,6 +339,20 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
         load_checkpoint(str(tmp_path / "c"))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("meta tau ", None, "no meta tau line"),
+    ("meta tau ", "meta tau abc", "bad meta value"),
+])
+def test_checkpoint_rejects_missing_or_bad_meta(tmp_path, old, new, message):
+    model, _ = _instance(seed=19, V=6, K=2)
+    save_checkpoint(model, str(tmp_path / "c"))
+    manifest = tmp_path / "c" / "manifest.txt"
+    lines = [line for line in manifest.read_text().splitlines() if not line.startswith(old)]
+    manifest.write_text("\n".join(lines + [new] * (new is not None)) + "\n")
+    with pytest.raises(TrainingError, match=f"manifest.txt: {message}"):
+        load_checkpoint(str(tmp_path / "c"))
+
+
 def test_ecr_term_wiring():
     model, inputs = _instance(seed=20)
     sqd = model.space.squared_dists()
