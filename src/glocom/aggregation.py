@@ -219,31 +219,6 @@ def build_global_corpus(
     return GlobalCorpus(build_global_docs(corpus, assignment, G), float(eta))
 
 
-def profile_word_embeddings(
-    corpus: BowCorpus, assignment, G: Optional[int] = None
-) -> EmbeddingMatrix:
-    """Corpus-derived word vectors from the global documents.
-
-    Each word gets its distribution of relative frequency across the G
-    clusters (share of each cluster's mass, renormalized per word), then
-    every cluster dimension is standardized. Words loading on the same
-    clusters land close together, so this serves where pretrained vectors
-    do not exist for the vocabulary (synthetic corpora above all).
-    """
-    gd = build_global_docs(corpus, assignment, G).astype(np.float64)
-    totals = gd.sum(axis=1, keepdims=True)
-    share = np.divide(gd, totals, out=np.zeros_like(gd), where=totals > 0).T
-    row = share.sum(axis=1, keepdims=True)
-    prof = np.divide(
-        share,
-        row,
-        out=np.full_like(share, 1.0 / share.shape[1]),
-        where=row > 0,
-    )
-    prof = (prof - prof.mean(axis=0)) / (prof.std(axis=0) + 1e-12)
-    return EmbeddingMatrix(prof)
-
-
 def read_assignment(path: str, G: Optional[int] = None) -> np.ndarray:
     """Cluster ids, one per line, as ``write_label_file`` writes them."""
     ids = read_label_file(path, ClusteringError)

@@ -5,6 +5,7 @@ already lowercased); no stemming or stopword logic lives here.
 """
 
 import itertools
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -409,11 +410,12 @@ def read_gemb(path: str, dtype: str, error: type = EmbeddingError) -> np.ndarray
         if len(header) != 16:
             raise error(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", header)
-        payload = fh.read()
-    expected = rows * cols * np.dtype(dtype).itemsize
-    if len(payload) != expected:
-        raise error(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
+        expected = rows * cols * np.dtype(dtype).itemsize
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise error(f"{path}: expected {expected} payload bytes, found {found}")
+        # read straight into a writable array: no bytes object to copy from
+        return np.fromfile(fh, dtype=dtype, count=rows * cols).reshape(rows, cols)
 
 
 def _load_embeddings_csv(path: str) -> np.ndarray:

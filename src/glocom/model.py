@@ -191,13 +191,25 @@ class GlocomModel:
         else:
             limit = np.sqrt(6.0 / (num_topics + embed_dim))
             T = rng.uniform(-limit, limit, size=(num_topics, embed_dim))
-        self.space = TopicSpace(W, T, tau)
-        self.phi = Encoder("phi", num_words, hidden, num_topics, rng)
-        self.gamma = Encoder("gamma", num_words, hidden, num_topics, rng)
-        self.epsilon = float(epsilon)
-        self.hidden = int(hidden)
+        self._hold(TopicSpace(W, T, tau), Encoder("phi", num_words, hidden, num_topics, rng),
+                   Encoder("gamma", num_words, hidden, num_topics, rng), epsilon)
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, tau: float, epsilon: float) -> "GlocomModel":
+        """A model holding ``tensors`` (by parameter name, in the shapes
+        ``params()`` holds them) as they are, with no random draws."""
+        model = cls.__new__(cls)
+        model._hold(TopicSpace(tensors["space.W"], tensors["space.T"], tau),
+                    Encoder.from_values("phi", tensors),
+                    Encoder.from_values("gamma", tensors), epsilon)
+        return model
+
+    def _hold(self, space: TopicSpace, phi: Encoder, gamma: Encoder, epsilon: float):
         if epsilon <= 0:
             raise TrainingError(f"epsilon must be positive, got {epsilon}")
+        self.space, self.phi, self.gamma = space, phi, gamma
+        self.epsilon = float(epsilon)
+        self.hidden = phi.l1.W.value.shape[1]
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -337,22 +349,6 @@ class GlocomModel:
         compute_beta_backward(self.space, beta, dbeta, extra_dsqd=sqd_grad_extra)
         return loss, components, latents
 
-    def corpus_loss(
-        self,
-        x,
-        cluster_ids: np.ndarray,
-        global_docs: np.ndarray,
-        noise_g: np.ndarray,
-        noise_d: np.ndarray,
-        eta: float,
-        **kw,
-    ) -> float:
-        loss, _, _ = self.forward_backward(
-            x, cluster_ids, global_docs, noise_g, noise_d, eta,
-            compute_grads=False, **kw
-        )
-        return loss
-
 
 @dataclass
 class TopicModelOutput:
@@ -414,6 +410,22 @@ def infer(
 # checkpoints
 
 
+# The first-layer weights, held (num_words, hidden) by the model, are stored
+# (hidden, num_words) in checkpoints, as checkpoints always stored them.
+_TRANSPOSED_ON_DISK = ("phi.l1.W", "gamma.l1.W")
+
+
+def _checkpoint_shapes(num_words: int, num_topics: int, embed_dim: int,
+                       hidden: int) -> dict[str, tuple[int, int]]:
+    """Every checkpoint tensor's (rows, cols) on disk; a bias is one row."""
+    shapes = {"space.W": (num_words, embed_dim), "space.T": (num_topics, embed_dim)}
+    for enc in ("phi", "gamma"):
+        for layer, in_dim, out_dim in Encoder.layers(num_words, hidden, num_topics):
+            shapes[f"{enc}.{layer}.W"] = (out_dim, in_dim)
+            shapes[f"{enc}.{layer}.b"] = (1, out_dim)
+    return shapes
+
+
 def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
     """Manifest plus one binary file per tensor.
 
@@ -435,7 +447,7 @@ def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
     ):
         lines.append(f"meta {key} {val}")
     for p in model.params():
-        M = np.atleast_2d(p.value)
+        M = p.value.T if p.name in _TRANSPOSED_ON_DISK else np.atleast_2d(p.value)
         lines.append(f"tensor {p.name} {M.shape[0]} {M.shape[1]} float64")
         write_gemb(np.asarray(M, dtype="<f8"), os.path.join(dirpath, f"{p.name}.bin"))
     with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as fh:
@@ -443,7 +455,8 @@ def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
 
 
 def load_checkpoint(dirpath: str) -> GlocomModel:
-    """Rebuild a model from a checkpoint directory, bit-exact."""
+    """Rebuild a model from a checkpoint directory, bit-exact. The model
+    holds the files' tensors; nothing is drawn at random."""
     import os
 
     mpath = os.path.join(dirpath, "manifest.txt")
@@ -475,10 +488,10 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
         raise TrainingError(f"{mpath}: no meta {exc.args[0]} line") from None
     except ValueError as exc:
         raise TrainingError(f"{mpath}: bad meta value: {exc}") from None
-    model = GlocomModel(**sizes, **scales)
-    by_name = {p.name: p for p in model.params()}
+    shapes = _checkpoint_shapes(**sizes)
+    values: dict[str, np.ndarray] = {}
     for name, rows, cols, dtype in tensors:
-        if name not in by_name:
+        if name not in shapes or name in values:
             raise TrainingError(f"checkpoint tensor {name!r} has no model slot")
         if dtype != "float64":
             raise TrainingError(f"unsupported checkpoint dtype {dtype!r}")
@@ -490,15 +503,17 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
             raise TrainingError(
                 f"{path}: shape {M.shape} disagrees with manifest ({rows},{cols})"
             )
-        p = by_name.pop(name)
-        if p.value.size != M.size:
+        if M.shape != shapes[name]:
             raise TrainingError(
-                f"{name}: checkpoint has {M.size} values, model expects {p.value.size}"
+                f"{path}: tensor {name} has shape {M.shape}, model expects {shapes[name]}"
             )
-        p.value[...] = M.reshape(p.value.shape)
-    if by_name:
-        raise TrainingError(f"checkpoint is missing tensors: {sorted(by_name)}")
-    return model
+        if name in _TRANSPOSED_ON_DISK:
+            M = np.ascontiguousarray(M.T)
+        values[name] = M[0] if name.endswith(".b") else M
+    missing = shapes.keys() - values.keys()
+    if missing:
+        raise TrainingError(f"checkpoint is missing tensors: {sorted(missing)}")
+    return GlocomModel.from_tensors(values, **scales)
 
 
 # ---------------------------------------------------------------------------

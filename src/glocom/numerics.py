@@ -6,7 +6,6 @@ finite-difference verification headroom matters more than speed here.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -26,7 +25,9 @@ class Param:
         self.name = name
         # contiguous, so the optimizer can update it through a flat view
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros maps untouched zero pages: a model that only infers never
+        # writes its gradient buffers (np.zeros_like would fill every byte)
+        self.grad = np.zeros(self.value.shape)
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -129,13 +130,10 @@ def kl_diag_gaussian_backward(
 
 
 class DenseLayer:
-    """y = x W^T + b with gradient accumulators."""
+    """y = x W^T + b, W held (out_dim, in_dim), with gradient accumulators."""
 
-    def __init__(self, name: str, in_dim: int, out_dim: int, rng: np.random.Generator):
-        # Glorot-uniform keeps softplus preactivations in a sane range
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.W = Param(f"{name}.W", rng.uniform(-limit, limit, size=(out_dim, in_dim)))
-        self.b = Param(f"{name}.b", np.zeros(out_dim))
+    def __init__(self, W: Param, b: Param):
+        self.W, self.b = W, b
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return affine_forward(X, self.W.value, self.b.value)
@@ -150,6 +148,28 @@ class DenseLayer:
         return [self.W, self.b]
 
 
+class InputLayer(DenseLayer):
+    """y = x W + b, W held (in_dim, out_dim). X @ W then reads CSR rows
+    against W's own C-ordered rows, where X @ W.T would copy W.T first,
+    and W's gradient X^T g adds in W's layout."""
+
+    def forward(self, X) -> np.ndarray:
+        if X.shape[1] != self.W.value.shape[0]:
+            raise TrainingError(
+                f"affine: input dim {X.shape[1]} != weight dim {self.W.value.shape[0]}"
+            )
+        a = X @ self.W.value
+        a += self.b.value
+        return a
+
+    def backward(self, g: np.ndarray, X) -> None:
+        """Accumulate the parameter gradients; X^T g is a sparse product
+        when X is CSR (cost nnz x out_dim). The input gradient is not
+        computed: nothing upstream of the encoder's input is trained."""
+        self.W.grad += X.T @ g
+        self.b.grad += g.sum(axis=0)
+
+
 @dataclass
 class EncoderCache:
     X: np.ndarray
@@ -162,13 +182,44 @@ class EncoderCache:
 
 class Encoder:
     """Two softplus-activated dense layers, then separate mean / log-variance
-    heads. The log-variance head is clamped to [-10, 10]."""
+    heads. The log-variance head is clamped to [-10, 10]. The first layer's
+    weight is held (in_dim, hidden); the others (out, in)."""
 
     def __init__(self, name: str, in_dim: int, hidden: int, out_dim: int, rng):
-        self.l1 = DenseLayer(f"{name}.l1", in_dim, hidden, rng)
-        self.l2 = DenseLayer(f"{name}.l2", hidden, hidden, rng)
-        self.mu_head = DenseLayer(f"{name}.mu", hidden, out_dim, rng)
-        self.lv_head = DenseLayer(f"{name}.lv", hidden, out_dim, rng)
+        """Glorot-uniform weights drawn from ``rng``, zero biases."""
+        values = {}
+        for layer, fan_in, fan_out in self.layers(in_dim, hidden, out_dim):
+            # Glorot-uniform keeps softplus preactivations in a sane range
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            values[f"{name}.{layer}.W"] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            values[f"{name}.{layer}.b"] = np.zeros(fan_out)
+        # drawn (hidden, in_dim), held (in_dim, hidden)
+        values[f"{name}.l1.W"] = values[f"{name}.l1.W"].T
+        self._hold(name, values)
+
+    @staticmethod
+    def layers(in_dim: int, hidden: int, out_dim: int) -> tuple:
+        """(layer, in, out) of each dense layer, in ``params()`` order."""
+        return (("l1", in_dim, hidden), ("l2", hidden, hidden),
+                ("mu", hidden, out_dim), ("lv", hidden, out_dim))
+
+    @classmethod
+    def from_values(cls, name: str, values: dict) -> "Encoder":
+        """An encoder holding ``values[f"{name}.<layer>.<W|b>"]`` as they
+        are, no random draws; "l1.W" is (in_dim, hidden)."""
+        enc = cls.__new__(cls)
+        enc._hold(name, values)
+        return enc
+
+    def _hold(self, name: str, values: dict) -> None:
+        def layer(kind, key):
+            return kind(Param(f"{name}.{key}.W", values[f"{name}.{key}.W"]),
+                        Param(f"{name}.{key}.b", values[f"{name}.{key}.b"]))
+
+        self.l1 = layer(InputLayer, "l1")
+        self.l2 = layer(DenseLayer, "l2")
+        self.mu_head = layer(DenseLayer, "mu")
+        self.lv_head = layer(DenseLayer, "lv")
 
     def forward(self, X) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
         """X is dense or CSR (N, in_dim); only the first layer reads it."""
@@ -182,16 +233,12 @@ class Encoder:
         return mu, lv, EncoderCache(X, a1, h1, a2, h2, mask)
 
     def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache) -> None:
-        """Accumulate the parameter gradients. The input gradient is not
-        computed: nothing upstream of the encoder's input is trained."""
+        """Accumulate the parameter gradients."""
         dh2 = self.mu_head.backward(dmu, cache.h2)
         dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2)
         da2 = softplus_backward(dh2, cache.a2)
         dh1 = self.l2.backward(da2, cache.h1)
-        da1 = softplus_backward(dh1, cache.a1)
-        # X.T @ da1 is a sparse product when X is CSR: cost nnz x hidden
-        self.l1.W.grad += (cache.X.T @ da1).T
-        self.l1.b.grad += da1.sum(axis=0)
+        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X)
 
     def params(self) -> list[Param]:
         return (

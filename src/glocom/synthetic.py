@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import BowCorpus, Vocabulary
 from .errors import GlocomError
@@ -147,31 +146,3 @@ def generate(spec: SyntheticSpec) -> tuple[BowCorpus, SyntheticTruth]:
     corpus = BowCorpus(sp.csr_matrix(rows), vocab, labels=labels)
     return corpus, SyntheticTruth(beta, theta_g, theta_gd, labels)
 
-
-def match_topics(
-    learned_beta: np.ndarray, planted_beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best one-to-one topic matching by column cosine similarity.
-
-    Returns (perm, scores): perm[k] is the learned column assigned to
-    planted column k, scores[k] its cosine similarity. Solved exactly as a
-    linear assignment problem.
-    """
-    if learned_beta.shape != planted_beta.shape:
-        raise GlocomError(
-            f"shape mismatch: {learned_beta.shape} vs {planted_beta.shape}"
-        )
-
-    def _unit_cols(M):
-        n = np.linalg.norm(M, axis=0)
-        n[n == 0] = 1.0
-        return M / n
-
-    L = _unit_cols(np.asarray(learned_beta, dtype=np.float64))
-    P = _unit_cols(np.asarray(planted_beta, dtype=np.float64))
-    S = P.T @ L  # S[planted, learned]
-    planted_idx, learned_idx = linear_sum_assignment(-S)
-    perm = np.empty(S.shape[0], dtype=np.int64)
-    perm[planted_idx] = learned_idx
-    scores = S[planted_idx, learned_idx][np.argsort(planted_idx)]
-    return perm, scores

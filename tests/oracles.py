@@ -6,7 +6,12 @@ the dense formulas here do, the direct way, so tests can compare the two.
 ``glocom.corpus.load_embeddings`` reads. The set-up loops (``Counter``
 per document, one f-string per written value, k-means centroid sums as an
 indicator-matrix product) are the references for the array versions in
-``glocom.corpus`` and ``glocom.aggregation``.
+``glocom.corpus`` and ``glocom.aggregation``. ``encoder_hidden_in`` is the
+encoder computed with its first-layer weight laid out (hidden, in_dim), as
+checkpoints store it, the reference for the (in_dim, hidden) layout the
+encoder holds. The rest are helpers that only tests call: the loss alone,
+topic matching against planted topics, and word vectors profiled from the
+clusters.
 """
 
 import contextlib
@@ -15,13 +20,21 @@ from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 import glocom.aggregation
 import glocom.model
-from glocom.aggregation import ClusterAssignment, _indicator
-from glocom.corpus import _GEMB_MAGIC, BowCorpus, Vocabulary
-from glocom.errors import CorpusError
+from glocom.aggregation import ClusterAssignment, _indicator, build_global_docs
+from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary
+from glocom.errors import CorpusError, GlocomError
+from glocom.numerics import (
+    affine_backward,
+    affine_forward,
+    clamp_logvar,
+    softplus_backward,
+    softplus_forward,
+)
 
 
 def save_embeddings(matrix, path):
@@ -163,3 +176,82 @@ def indicator_centroid_sums():
         yield
     finally:
         glocom.aggregation._cluster_sums = original
+
+
+def encoder_hidden_in(enc, X, dmu, dlv):
+    """``glocom.numerics.Encoder`` forward and backward with the first-layer
+    weight held (hidden, in_dim): a1 = X @ W.T + b, and W's gradient
+    (X.T @ da1).T. Returns (a1, mu, lv) and the gradients of
+    ``enc.params()`` in order, the first layer's as (hidden, in_dim)."""
+    W1 = np.ascontiguousarray(enc.l1.W.value.T)
+    a1 = X @ W1.T + enc.l1.b.value[None, :]
+    h1 = softplus_forward(a1)
+    a2 = affine_forward(h1, enc.l2.W.value, enc.l2.b.value)
+    h2 = softplus_forward(a2)
+    mu = affine_forward(h2, enc.mu_head.W.value, enc.mu_head.b.value)
+    lv, mask = clamp_logvar(affine_forward(h2, enc.lv_head.W.value, enc.lv_head.b.value))
+    dh2_mu, dW_mu, db_mu = affine_backward(dmu, h2, enc.mu_head.W.value)
+    dh2_lv, dW_lv, db_lv = affine_backward(dlv * mask, h2, enc.lv_head.W.value)
+    da2 = softplus_backward(dh2_mu + dh2_lv, a2)
+    dh1, dW2, db2 = affine_backward(da2, h1, enc.l2.W.value)
+    da1 = softplus_backward(dh1, a1)
+    grads = [(X.T @ da1).T, da1.sum(axis=0), dW2, db2, dW_mu, db_mu, dW_lv, db_lv]
+    return (a1, mu, lv), grads
+
+
+def corpus_loss(model, x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw):
+    """The training loss of ``model.forward_backward``, no gradients."""
+    loss, _, _ = model.forward_backward(
+        x, cluster_ids, global_docs, noise_g, noise_d, eta, compute_grads=False, **kw
+    )
+    return loss
+
+
+def match_topics(learned_beta, planted_beta):
+    """Best one-to-one topic matching by column cosine similarity.
+
+    Returns (perm, scores): perm[k] is the learned column assigned to
+    planted column k, scores[k] its cosine similarity. Solved exactly as a
+    linear assignment problem.
+    """
+    if learned_beta.shape != planted_beta.shape:
+        raise GlocomError(
+            f"shape mismatch: {learned_beta.shape} vs {planted_beta.shape}"
+        )
+
+    def _unit_cols(M):
+        n = np.linalg.norm(M, axis=0)
+        n[n == 0] = 1.0
+        return M / n
+
+    L = _unit_cols(np.asarray(learned_beta, dtype=np.float64))
+    P = _unit_cols(np.asarray(planted_beta, dtype=np.float64))
+    S = P.T @ L  # S[planted, learned]
+    planted_idx, learned_idx = linear_sum_assignment(-S)
+    perm = np.empty(S.shape[0], dtype=np.int64)
+    perm[planted_idx] = learned_idx
+    scores = S[planted_idx, learned_idx][np.argsort(planted_idx)]
+    return perm, scores
+
+
+def profile_word_embeddings(corpus, assignment, G=None):
+    """Corpus-derived word vectors from the global documents.
+
+    Each word gets its distribution of relative frequency across the G
+    clusters (share of each cluster's mass, renormalized per word), then
+    every cluster dimension is standardized. Words loading on the same
+    clusters land close together, so this serves where pretrained vectors
+    do not exist for the vocabulary (synthetic corpora above all).
+    """
+    gd = build_global_docs(corpus, assignment, G).astype(np.float64)
+    totals = gd.sum(axis=1, keepdims=True)
+    share = np.divide(gd, totals, out=np.zeros_like(gd), where=totals > 0).T
+    row = share.sum(axis=1, keepdims=True)
+    prof = np.divide(
+        share,
+        row,
+        out=np.full_like(share, 1.0 / share.shape[1]),
+        where=row > 0,
+    )
+    prof = (prof - prof.mean(axis=0)) / (prof.std(axis=0) + 1e-12)
+    return EmbeddingMatrix(prof)

@@ -3,7 +3,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import augmented_docs, dense_target_reconstruction, indicator_centroid_sums
+from oracles import (
+    augmented_docs,
+    dense_target_reconstruction,
+    indicator_centroid_sums,
+    profile_word_embeddings,
+)
 
 from glocom.aggregation import (
     ClusterAssignment,
@@ -12,7 +17,6 @@ from glocom.aggregation import (
     build_global_corpus,
     build_global_docs,
     kmeans,
-    profile_word_embeddings,
     read_assignment,
 )
 from glocom.corpus import BowCorpus, EmbeddingMatrix, Vocabulary, tfidf, write_label_file

@@ -8,6 +8,7 @@ import pytest
 from oracles import save_embeddings
 
 from glocom.cli import main
+from glocom.corpus import read_gemb, write_gemb
 
 
 def run(*argv):
@@ -260,6 +261,7 @@ MANIFEST_CUTS = {
     ("checkpoint-meta", 6),
     ("checkpoint-tensor", 6),
     ("checkpoint-shape", 6),
+    ("checkpoint-transposed", 6),
 ])
 def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, code):
     bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
@@ -300,6 +302,16 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
             bad.write_text("\n".join(lines) + "\n")
             got = infer()
             bad = f"{bad}:{i + 1}:"
+        elif case == "checkpoint-transposed":
+            # phi.l1.W written (num_words, hidden), its manifest line to match
+            bad = tmp_path / "t" / "checkpoint" / "phi.l1.W.bin"
+            W = read_gemb(str(bad), "<f8")
+            write_gemb(np.ascontiguousarray(W.T), str(bad))
+            manifest = bad.parent / "manifest.txt"
+            manifest.write_text(manifest.read_text().replace(
+                f"tensor phi.l1.W {W.shape[0]} {W.shape[1]} ",
+                f"tensor phi.l1.W {W.shape[1]} {W.shape[0]} "))
+            got = infer()
         else:
             bad = tmp_path / "t" / "checkpoint" / "space.W.bin"
             data = bad.read_bytes()

@@ -1,12 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import dense_targets
+from oracles import corpus_loss, dense_targets
 from scipy.special import logsumexp
 
+import glocom.model
+from glocom.corpus import _GEMB_MAGIC, read_gemb, write_gemb
 from glocom.ecr import TransportProblem, default_nu, sinkhorn
 from glocom.errors import TrainingError
 from glocom.model import (
@@ -62,7 +65,7 @@ def _check_grads_fd(model, inputs):
     model.zero_grad()
     model.forward_backward(**inputs)
     for p in model.params():
-        fd = central_diff(lambda: model.corpus_loss(**inputs), p.value)
+        fd = central_diff(lambda: corpus_loss(model, **inputs), p.value)
         assert rel_err(p.grad, fd) < 1e-3, p.name
 
 
@@ -163,12 +166,12 @@ def test_corpus_loss_disjoint_singletons_average():
     gdocs = x.copy()
     noise_g = rng.standard_normal((2, 3))
     noise_d = rng.standard_normal((2, 3))
-    both = model.corpus_loss(x, np.array([0, 1]), gdocs, noise_g, noise_d, 0.0)
+    both = corpus_loss(model, x, np.array([0, 1]), gdocs, noise_g, noise_d, 0.0)
     parts = []
     for d in range(2):
         parts.append(
-            model.corpus_loss(
-                x[d : d + 1], np.array([d]), gdocs,
+            corpus_loss(
+                model, x[d : d + 1], np.array([d]), gdocs,
                 noise_g[d : d + 1], noise_d[d : d + 1], 0.0,
             )
         )
@@ -298,10 +301,6 @@ def test_infer_determinism_and_top_words():
 
 
 def test_infer_csr_blocks_match_dense(monkeypatch):
-    import scipy.sparse as sp
-
-    import glocom.model
-
     model, inputs = _instance(seed=19, D=30)
     rng = np.random.default_rng(4)
     x = inputs["x"] * (rng.random(inputs["x"].shape) < 0.5)
@@ -350,6 +349,74 @@ def test_checkpoint_rejects_missing_or_bad_meta(tmp_path, old, new, message):
     lines = [line for line in manifest.read_text().splitlines() if not line.startswith(old)]
     manifest.write_text("\n".join(lines + [new] * (new is not None)) + "\n")
     with pytest.raises(TrainingError, match=f"manifest.txt: {message}"):
+        load_checkpoint(str(tmp_path / "c"))
+
+
+def test_checkpoint_stores_first_layer_hidden_by_words(tmp_path):
+    model, _ = _instance(seed=21)  # V=20, hidden=10
+    save_checkpoint(model, str(tmp_path / "c"))
+    manifest = (tmp_path / "c" / "manifest.txt").read_text().splitlines()
+    for enc in (model.phi, model.gamma):
+        W = enc.l1.W.value
+        assert W.shape == (20, 10) and W.flags.c_contiguous
+        data = (tmp_path / "c" / f"{enc.l1.W.name}.bin").read_bytes()
+        assert data == _GEMB_MAGIC + struct.pack("<QQ", 10, 20) + W.T.tobytes()
+        assert f"tensor {enc.l1.W.name} 10 20 float64" in manifest
+
+
+def test_checkpoint_written_by_hand_loads_bit_exact_without_draws(tmp_path, monkeypatch):
+    # the layout checkpoints have always had: biases one row, first-layer
+    # weights (hidden, num_words), written in params() order
+    V, K, L, H = 7, 3, 4, 5
+    shapes = {"space.W": (V, L), "space.T": (K, L)}
+    for enc in ("phi", "gamma"):
+        for layer, rows, cols in (("l1", H, V), ("l2", H, H), ("mu", K, H), ("lv", K, H)):
+            shapes[f"{enc}.{layer}.W"] = (rows, cols)
+            shapes[f"{enc}.{layer}.b"] = (1, rows)
+    rng = np.random.default_rng(8)
+    stored = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ckpt = tmp_path / "c"
+    ckpt.mkdir()
+    lines = ["glocom-checkpoint 1"] + [
+        f"meta {key} {val}" for key, val in (("num_words", V), ("num_topics", K),
+                                             ("embed_dim", L), ("hidden", H),
+                                             ("tau", 0.25), ("epsilon", 0.02))]
+    for name, M in stored.items():
+        lines.append(f"tensor {name} {M.shape[0]} {M.shape[1]} float64")
+        write_gemb(M, str(ckpt / f"{name}.bin"))
+    (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+    def no_draws(*args):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(glocom.model, "substream", no_draws)
+    model = load_checkpoint(str(ckpt))
+    assert [p.name for p in model.params()] == list(stored)
+    for p in model.params():
+        M = stored[p.name]
+        np.testing.assert_array_equal(p.value, M.T if p.name.endswith(".l1.W") else
+                                      M.reshape(p.value.shape))
+        assert p.value.flags.c_contiguous and p.value.flags.writeable
+    assert (model.space.tau, model.epsilon, model.hidden) == (0.25, 0.02, H)
+    save_checkpoint(model, str(tmp_path / "again"))
+    for name in ["manifest.txt"] + [f"{name}.bin" for name in stored]:
+        assert (tmp_path / "again" / name).read_bytes() == (ckpt / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["phi.mu.W", "gamma.l1.W"])
+def test_checkpoint_rejects_transposed_tensor(tmp_path, name):
+    # file and manifest line agree, but the slot's shape is the transpose
+    model, _ = _instance(seed=19, V=6, K=2)
+    save_checkpoint(model, str(tmp_path / "c"))
+    path = tmp_path / "c" / f"{name}.bin"
+    M = read_gemb(str(path), "<f8")
+    write_gemb(np.ascontiguousarray(M.T), str(path))
+    manifest = tmp_path / "c" / "manifest.txt"
+    rows, cols = M.shape
+    manifest.write_text(manifest.read_text().replace(
+        f"tensor {name} {rows} {cols} ", f"tensor {name} {cols} {rows} "))
+    want = rf"tensor {name} has shape \({cols}, {rows}\), model expects \({rows}, {cols}\)"
+    with pytest.raises(TrainingError, match=want):
         load_checkpoint(str(tmp_path / "c"))
 
 

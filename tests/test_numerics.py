@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
+from oracles import encoder_hidden_in
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -209,6 +210,45 @@ def test_encoder_csr_input_matches_dense():
         np.testing.assert_allclose(g_csr, g_dense, rtol=1e-12, atol=1e-12, err_msg=p.name)
 
 
+def _encoder_against_hidden_in(rows):
+    """The encoder's (a1, mu, lv) and gradients, and the (hidden, in_dim)
+    oracle's, on ``rows`` built from one sparse (9, 300) matrix."""
+    rng = np.random.default_rng(3)
+    enc = Encoder("gamma", in_dim=300, hidden=16, out_dim=5, rng=rng)
+    assert enc.l1.W.value.shape == (300, 16) and enc.l1.W.value.flags.c_contiguous
+    X = rows(rng.uniform(0, 2, size=(9, 300)) * (rng.random((9, 300)) < 0.05))
+    dmu, dlv = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+    mu, lv, cache = enc.forward(X)
+    enc.backward(dmu, dlv, cache)
+    grads = [p.grad for p in enc.params()]
+    grads[0] = grads[0].T
+    return ((cache.a1, mu, lv), grads), encoder_hidden_in(enc, X, dmu, dlv)
+
+
+def test_encoder_csr_matches_hidden_in_layout_bitwise():
+    # X @ W.T on CSR copied W.T into the C-ordered (in_dim, hidden) array
+    # that the encoder now holds, so both run the same sparse kernel
+    (outs, grads), (want_outs, want_grads) = _encoder_against_hidden_in(sp.csr_matrix)
+    for got, want in zip(outs, want_outs):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_encoder_dense_matches_hidden_in_layout():
+    # not bitwise: on dense rows X @ W is an NN gemm and X @ W.T an NT gemm,
+    # and the two kernels sum the products in different orders
+    (outs, grads), (want_outs, want_grads) = _encoder_against_hidden_in(np.asarray)
+    for got, want in zip([*outs, *grads], [*want_outs, *want_grads]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_encoder_rejects_wrong_input_width():
+    enc = Encoder("phi", in_dim=6, hidden=5, out_dim=3, rng=np.random.default_rng(0))
+    with pytest.raises(TrainingError, match="input dim 7 != weight dim 6"):
+        enc.forward(np.ones((2, 7)))
+
+
 def _masked_sigmoid(x):
     # the two-branch formula softplus_backward used before expit
     out = np.empty_like(x)
@@ -279,7 +319,7 @@ def test_param_value_is_contiguous():
 
 def test_dense_layer_grad_accumulates():
     rng = np.random.default_rng(0)
-    layer = DenseLayer("t", 3, 2, rng)
+    layer = DenseLayer(Param("t.W", rng.normal(size=(2, 3))), Param("t.b", np.zeros(2)))
     X = rng.normal(size=(4, 3))
     g = rng.normal(size=(4, 2))
     layer.backward(g, X)

@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import match_topics
 
 from glocom.errors import GlocomError
 from glocom.synthetic import (
     SyntheticSpec,
     generate,
-    match_topics,
     planted_beta,
 )
 
