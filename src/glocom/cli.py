@@ -7,13 +7,13 @@ other output, so a run can be reproduced from the artifacts alone.
 
 Exit codes:
   0  success
-  1  unexpected internal error
+  1  unexpected internal error (the traceback is printed)
   2  missing or unreadable input file
-  3  configuration error
+  3  configuration error or bad option value
   4  corpus or embedding error
   5  clustering error
   6  training or transport error
-  7  evaluation error
+  7  any other package error, such as an unreadable evaluation input
 
 The environment variable GLOCOM_THREADS caps BLAS parallelism; it is
 applied before numpy is first imported, so it only takes full effect for
@@ -87,6 +87,11 @@ def _pin_malloc() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _check_top_n(top_n: int) -> None:
+    if top_n < 1:
+        raise ConfigError(f"--top-n must be at least 1, got {top_n}")
 
 
 def _require(path, what: str, optional: bool = False):
@@ -439,6 +444,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     from .aggregation import read_assignment
 
+    _check_top_n(args.top_n)
     _require(args.checkpoint, "checkpoint")
     _require(os.path.join(args.checkpoint, "manifest.txt"), "checkpoint manifest")
     corpus = _read_corpus(args.bow, args.vocab)
@@ -490,6 +496,7 @@ def _stage(name, fn, *args):
 
 
 def cmd_pipeline(args) -> int:
+    _check_top_n(args.top_n)
     cfg = _resolve_config(args)
     if args.synth:
         spec = _synth_spec(args, cfg.seed)

@@ -20,12 +20,14 @@ DEFAULT_TOL = 1e-6
 
 
 def squared_distances(W: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (V, K), clamped at zero."""
-    d2 = (
-        np.sum(W * W, axis=1)[:, None]
-        - 2.0 * (W @ T.T)
-        + np.sum(T * T, axis=1)[None, :]
-    )
+    """Pairwise squared Euclidean distances, (V, K), clamped at zero.
+
+    |w|^2 - 2 w.t + |t|^2 formed in the GEMM's own output array; -2 w.t + |w|^2
+    rounds as |w|^2 - 2 w.t does, so the bits are those of the direct sum."""
+    d2 = W @ T.T
+    d2 *= -2.0
+    d2 += np.sum(W * W, axis=1)[:, None]
+    d2 += np.sum(T * T, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -20,10 +20,12 @@ import scipy.sparse as sp
 
 from .corpus import _DIGITS4, divide_rows, read_gemb, write_gemb
 from .ecr import squared_distances
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .numerics import (
     Encoder,
     Param,
+    Update,
+    accumulate,
     gaussian_reparameterize,
     gaussian_reparameterize_backward,
     kl_diag_gaussian,
@@ -89,18 +91,32 @@ def compute_beta(space: TopicSpace, sqd: Optional[np.ndarray] = None) -> np.ndar
 
 
 def compute_beta_backward(space: TopicSpace, beta: np.ndarray, dbeta: np.ndarray,
-                          extra_dsqd: Optional[np.ndarray] = None) -> None:
-    """Accumulate d(loss)/dW and d(loss)/dT into the space's grads.
+                          extra_dsqd: Optional[np.ndarray] = None,
+                          update: Update = accumulate) -> None:
+    """Hand d(loss)/dW and d(loss)/dT to ``update``; both are formed
+    before either is applied.
 
     ``extra_dsqd`` adds a gradient that hits the squared-distance matrix
     directly (the transport regularizer shares this cost matrix)."""
-    dA = softmax_backward(dbeta, beta)
-    dsqd = -dA / space.tau
+    # dsqd = -softmax_backward(dbeta, beta) / tau + extra_dsqd, in one V x K
+    # array; x / -tau rounds as (-x) / tau does
+    dsqd = np.multiply(dbeta, beta)
+    row = np.sum(dsqd, axis=-1, keepdims=True)
+    np.subtract(dbeta, row, out=dsqd)
+    dsqd *= beta
+    dsqd /= -space.tau
     if extra_dsqd is not None:
-        dsqd = dsqd + extra_dsqd
+        dsqd += extra_dsqd
     W, T = space.W.value, space.T.value
-    space.W.grad += 2.0 * (W * dsqd.sum(axis=1)[:, None] - dsqd @ T)
-    space.T.grad += 2.0 * (T * dsqd.sum(axis=0)[:, None] - dsqd.T @ W)
+    # 2 (W * rowsum - dsqd T), each product formed once
+    dW = np.multiply(W, dsqd.sum(axis=1)[:, None])
+    dW -= dsqd @ T
+    dW *= 2.0
+    dT = np.multiply(T, dsqd.sum(axis=0)[:, None])
+    dT -= dsqd.T @ W
+    dT *= 2.0
+    update(space.W, dW)
+    update(space.T, dT)
 
 
 def combine(theta_g: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -216,10 +232,6 @@ class GlocomModel:
     def params(self) -> list[Param]:
         return self.space.params() + self.phi.params() + self.gamma.params()
 
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
     # -- encoders ----------------------------------------------------------
 
     def encode_global(self, x_g) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +260,14 @@ class GlocomModel:
         rho_override: Optional[np.ndarray] = None,
         compute_grads: bool = True,
         sqd: Optional[np.ndarray] = None,
+        update: Update = accumulate,
     ) -> tuple[float, dict, LatentBatch]:
         """One step's loss and (optionally) parameter gradients.
 
-        Returns (loss, components, latents). Gradients accumulate into the
-        Param buffers; callers zero them first. The transport plan psi is a
+        Returns (loss, components, latents). Each parameter's gradient goes
+        to ``update(param, grad)`` once, after the backward pass has read
+        every parameter value it needs; by default it adds into the Param's
+        ``grad``, which the caller zeroes first. The transport plan psi is a
         constant here: its gradient enters only through the shared
         squared-distance matrix. The global KL counts once per distinct
         cluster in the batch, and ``kl_scale`` multiplies both KL terms
@@ -337,16 +352,17 @@ class GlocomModel:
         dmu_kl, dlv_kl = kl_diag_gaussian_backward(
             np.full(C, kl_scale / B), mu_g, lv_g, 0.0, 1.0
         )
-        self.phi.backward(dmu_g + dmu_kl, dlv_g + dlv_kl, cache_g)
+        self.phi.backward(dmu_g + dmu_kl, dlv_g + dlv_kl, cache_g, update)
 
         if rho_override is None:
             dmu_d, dlv_d = gaussian_reparameterize_backward(drho, lv_d, noise_d)
             dmu_dkl, dlv_dkl = kl_diag_gaussian_backward(
                 np.full(B, kl_scale / B), mu_d, lv_d, 1.0, self.epsilon
             )
-            self.gamma.backward(dmu_d + dmu_dkl, dlv_d + dlv_dkl, cache_d)
+            self.gamma.backward(dmu_d + dmu_dkl, dlv_d + dlv_dkl, cache_d, update)
 
-        compute_beta_backward(self.space, beta, dbeta, extra_dsqd=sqd_grad_extra)
+        compute_beta_backward(self.space, beta, dbeta, extra_dsqd=sqd_grad_extra,
+                              update=update)
         return loss, components, latents
 
 
@@ -379,6 +395,8 @@ def infer(
     INFER_BLOCK_ROWS at a time. A cluster with an empty global document
     (no members) gets the prior mean theta^g = softmax(0), uniform.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be at least 1, got {top_n}")
     if len(vocab_words) != model.space.num_words:
         raise TrainingError(
             f"{len(vocab_words)} vocabulary words for a "
@@ -399,11 +417,25 @@ def infer(
         mu_d, _ = model.encode_local(x[block])
         theta_local[block] = combine(theta_global[cluster_ids[block]], mu_d)
     beta = compute_beta(model.space)
-    top_words = []
-    for k in range(beta.shape[1]):
-        order = np.argsort(-beta[:, k], kind="stable")[:top_n]
-        top_words.append([vocab_words[i] for i in order])
+    top_words = [[vocab_words[i] for i in row] for row in top_word_ids(beta, top_n).tolist()]
     return TopicModelOutput(beta, theta_global, theta_local, top_words)
+
+
+def top_word_ids(beta: np.ndarray, top_n: int) -> np.ndarray:
+    """(K, min(top_n, V)) word ids of each topic's heaviest words: the first
+    top_n of a stable argsort of -beta[:, k], that is descending weight and
+    the lowest id first on ties, from one partial selection over all topics."""
+    V, K = beta.shape
+    n = min(top_n, V)
+    # each topic's n-th heaviest weight; every word at least that heavy is a
+    # candidate, so ties at the threshold keep their lowest ids
+    threshold = np.partition(beta, V - n, axis=0)[V - n]
+    k, v = np.nonzero((beta >= threshold).T)  # by topic, then id
+    order = np.lexsort((v, -beta[v, k], k))
+    k, v = k[order], v[order]
+    counts = np.bincount(k, minlength=K)
+    rank = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return v[rank < n].reshape(K, n)
 
 
 # ---------------------------------------------------------------------------

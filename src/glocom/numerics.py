@@ -3,9 +3,15 @@
 The model's computation graph is fixed, so instead of general autodiff every
 operation exposes an explicit forward and backward. All math is float64:
 finite-difference verification headroom matters more than speed here.
+
+Each backward hands every parameter's finished gradient to an ``update(param,
+grad)`` callable, once per parameter, after it has read every parameter value
+it still needs. The default, ``accumulate``, adds the gradient into
+``param.grad``; training passes ``Adam.update``, which applies it at once.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -29,8 +35,13 @@ class Param:
         # writes its gradient buffers (np.zeros_like would fill every byte)
         self.grad = np.zeros(self.value.shape)
 
-    def zero_grad(self):
-        self.grad.fill(0.0)
+
+def accumulate(p: Param, g: np.ndarray) -> None:
+    """The default gradient sink: add ``g`` into ``p.grad``."""
+    p.grad += g
+
+
+Update = Callable[[Param, np.ndarray], None]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +141,7 @@ def kl_diag_gaussian_backward(
 
 
 class DenseLayer:
-    """y = x W^T + b, W held (out_dim, in_dim), with gradient accumulators."""
+    """y = x W^T + b, W held (out_dim, in_dim)."""
 
     def __init__(self, W: Param, b: Param):
         self.W, self.b = W, b
@@ -138,10 +149,13 @@ class DenseLayer:
     def forward(self, X: np.ndarray) -> np.ndarray:
         return affine_forward(X, self.W.value, self.b.value)
 
-    def backward(self, g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def backward(self, g: np.ndarray, X: np.ndarray,
+                 update: Update = accumulate) -> np.ndarray:
+        """Hand W's and b's gradients to ``update``; dX is formed first,
+        from W's value before the update."""
         dX, dW, db = affine_backward(g, X, self.W.value)
-        self.W.grad += dW
-        self.b.grad += db
+        update(self.W, dW)
+        update(self.b, db)
         return dX
 
     def params(self) -> list[Param]:
@@ -162,12 +176,12 @@ class InputLayer(DenseLayer):
         a += self.b.value
         return a
 
-    def backward(self, g: np.ndarray, X) -> None:
-        """Accumulate the parameter gradients; X^T g is a sparse product
-        when X is CSR (cost nnz x out_dim). The input gradient is not
-        computed: nothing upstream of the encoder's input is trained."""
-        self.W.grad += X.T @ g
-        self.b.grad += g.sum(axis=0)
+    def backward(self, g: np.ndarray, X, update: Update = accumulate) -> None:
+        """Hand the parameter gradients to ``update``; X^T g is a sparse
+        product when X is CSR (cost nnz x out_dim). The input gradient is
+        not computed: nothing upstream of the encoder's input is trained."""
+        update(self.W, X.T @ g)
+        update(self.b, g.sum(axis=0))
 
 
 @dataclass
@@ -232,13 +246,14 @@ class Encoder:
         lv, mask = clamp_logvar(lv_raw)
         return mu, lv, EncoderCache(X, a1, h1, a2, h2, mask)
 
-    def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache) -> None:
-        """Accumulate the parameter gradients."""
-        dh2 = self.mu_head.backward(dmu, cache.h2)
-        dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2)
+    def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache,
+                 update: Update = accumulate) -> None:
+        """Hand each parameter's gradient to ``update``, once."""
+        dh2 = self.mu_head.backward(dmu, cache.h2, update)
+        dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2, update)
         da2 = softplus_backward(dh2, cache.a2)
-        dh1 = self.l2.backward(da2, cache.h1)
-        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X)
+        dh1 = self.l2.backward(da2, cache.h1, update)
+        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X, update)
 
     def params(self) -> list[Param]:
         return (
@@ -259,7 +274,11 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction, updated in place chunk by chunk."""
+    """Standard Adam with bias correction, updated in place chunk by chunk.
+
+    ``update(p, g)`` applies one parameter's gradient for the current step
+    as soon as it is made; ``step()`` then applies ``p.grad`` to every
+    parameter that received no ``update`` and ends the step."""
 
     def __init__(self, params: list[Param], lr=0.002):
         names = [p.name for p in params]
@@ -271,31 +290,48 @@ class Adam:
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        self._updated: set[str] = set()  # parameters updated in this step
 
-    def step(self):
-        self.step_count += 1
-        b1t = 1.0 - ADAM_BETA1**self.step_count
-        b2t = 1.0 - ADAM_BETA2**self.step_count
+    def update(self, p: Param, grad: np.ndarray) -> None:
+        """Apply this step's gradient ``grad`` to ``p``; once per step."""
+        if p.name in self._updated:
+            raise TrainingError(f"parameter {p.name!r} updated twice in one step")
+        if grad.shape != p.value.shape:  # a flat view would hide a transpose
+            raise TrainingError(
+                f"gradient shape {grad.shape} != parameter {p.name!r} shape {p.value.shape}"
+            )
+        self._updated.add(p.name)
+        t = self.step_count + 1
+        b1t = 1.0 - ADAM_BETA1**t
+        b2t = 1.0 - ADAM_BETA2**t
+        value, grad = p.value.reshape(-1), grad.reshape(-1)
+        m, v = self.m[p.name].reshape(-1), self.v[p.name].reshape(-1)
+        for lo in range(0, value.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, value.size)
+            g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
+            t1, t2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            mc *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=t1)
+            mc += t1
+            vc *= ADAM_BETA2
+            np.multiply(g, g, out=t1)
+            t1 *= 1.0 - ADAM_BETA2
+            vc += t1
+            # value -= lr (m / b1t) / (sqrt(v / b2t) + eps)
+            np.divide(mc, b1t, out=t1)
+            t1 *= self.lr
+            np.divide(vc, b2t, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += ADAM_EPS
+            t1 /= t2
+            value[lo:hi] -= t1
+
+    def step(self) -> None:
+        """End the step: update every parameter not yet updated from its
+        ``.grad``, then advance the bias corrections."""
         for p in self.params:
-            value, grad = p.value.reshape(-1), p.grad.reshape(-1)
-            m, v = self.m[p.name].reshape(-1), self.v[p.name].reshape(-1)
-            for lo in range(0, value.size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, value.size)
-                g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
-                t1, t2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                mc *= ADAM_BETA1
-                np.multiply(1.0 - ADAM_BETA1, g, out=t1)
-                mc += t1
-                vc *= ADAM_BETA2
-                np.multiply(g, g, out=t1)
-                t1 *= 1.0 - ADAM_BETA2
-                vc += t1
-                # value -= lr (m / b1t) / (sqrt(v / b2t) + eps)
-                np.divide(mc, b1t, out=t1)
-                t1 *= self.lr
-                np.divide(vc, b2t, out=t2)
-                np.sqrt(t2, out=t2)
-                t2 += ADAM_EPS
-                t1 /= t2
-                value[lo:hi] -= t1
+            if p.name not in self._updated:
+                self.update(p, p.grad)
+        self._updated.clear()
+        self.step_count += 1

@@ -1,10 +1,11 @@
 """Training loop, configuration, ablations, and grid search.
 
 The loop batches over documents, gathers the distinct global documents a
-batch touches, refreshes the word-topic transport plan every step at a
-fixed regularization strength, and Adam-updates all parameters. Runs are
-bit-reproducible given the seed: all noise comes from one named
-substream consumed in a deterministic order.
+batch touches, and refreshes the word-topic transport plan every step at a
+fixed regularization strength. The backward pass hands each parameter's
+gradient to Adam as soon as it is made, so no gradient buffer is filled or
+zeroed. Runs are bit-reproducible given the seed: all noise comes from one
+named substream consumed in a deterministic order.
 """
 
 import itertools
@@ -241,7 +242,9 @@ def train(
     The transport plan is re-solved from the current embeddings at every
     step, holding the regularization strength nu fixed at its value from
     the initial embeddings (or the configured override). Training aborts
-    on the first non-finite loss with a component breakdown in the error.
+    on the first non-finite loss with a component breakdown in the error;
+    that step's backward pass has already updated the model, which is
+    neither returned nor checkpointed.
     """
     t0 = time.perf_counter()
     corpus, global_corpus, config = setup.corpus, setup.global_corpus, setup.config
@@ -314,7 +317,6 @@ def train(
                 iters_total += plan.iterations_used
                 err_max = max(err_max, plan.row_err, plan.col_err)
 
-            model.zero_grad()
             loss, comps, _ = model.forward_backward(
                 x[idx],
                 cids,
@@ -326,6 +328,7 @@ def train(
                 psi=psi,
                 kl_scale=scale,
                 sqd=cost,
+                update=adam.update,
             )
             if not all(math.isfinite(v) for v in comps.values()):
                 raise TrainingError(

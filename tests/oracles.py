@@ -9,9 +9,13 @@ indicator-matrix product) are the references for the array versions in
 ``glocom.corpus`` and ``glocom.aggregation``. ``encoder_hidden_in`` is the
 encoder computed with its first-layer weight laid out (hidden, in_dim), as
 checkpoints store it, the reference for the (in_dim, hidden) layout the
-encoder holds. The rest are helpers that only tests call: the loss alone,
-topic matching against planted topics, and word vectors profiled from the
-clusters.
+encoder holds. ``ReferenceAdam`` and ``direct_expressions`` give the
+training step as three passes (gradients accumulated into zeroed ``.grad``
+buffers by the direct squared-distance and beta-backward expressions, then
+Adam over every ``.grad``), the reference for the step that applies each
+gradient in the backward pass. The rest are helpers that only tests call:
+the loss alone, topic matching against planted topics, and word vectors
+profiled from the clusters.
 """
 
 import contextlib
@@ -25,13 +29,19 @@ from scipy.special import logsumexp
 
 import glocom.aggregation
 import glocom.model
+import glocom.trainer
 from glocom.aggregation import ClusterAssignment, _indicator, build_global_docs
 from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary
 from glocom.errors import CorpusError, GlocomError
 from glocom.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    accumulate,
     affine_backward,
     affine_forward,
     clamp_logvar,
+    softmax_backward,
     softplus_backward,
     softplus_forward,
 )
@@ -197,6 +207,82 @@ def encoder_hidden_in(enc, X, dmu, dlv):
     da1 = softplus_backward(dh1, a1)
     grads = [(X.T @ da1).T, da1.sum(axis=0), dW2, db2, dW_mu, db_mu, dW_lv, db_lv]
     return (a1, mu, lv), grads
+
+
+def zero_grad(params):
+    """Zero every parameter's gradient buffer."""
+    for p in params:
+        p.grad.fill(0.0)
+
+
+def squared_distances_direct(W, T):
+    """``glocom.ecr.squared_distances`` as the sum of three V x K arrays."""
+    d2 = (
+        np.sum(W * W, axis=1)[:, None]
+        - 2.0 * (W @ T.T)
+        + np.sum(T * T, axis=1)[None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def compute_beta_backward_direct(space, beta, dbeta, extra_dsqd=None, update=accumulate):
+    """``glocom.model.compute_beta_backward`` with a temporary per operation."""
+    dA = softmax_backward(dbeta, beta)
+    dsqd = -dA / space.tau
+    if extra_dsqd is not None:
+        dsqd = dsqd + extra_dsqd
+    W, T = space.W.value, space.T.value
+    update(space.W, 2.0 * (W * dsqd.sum(axis=1)[:, None] - dsqd @ T))
+    update(space.T, 2.0 * (T * dsqd.sum(axis=0)[:, None] - dsqd.T @ W))
+
+
+@contextlib.contextmanager
+def direct_expressions():
+    """Within the block, the model and the trainer form squared distances
+    and the beta backward with the direct expressions."""
+    saved = [(glocom.model, "compute_beta_backward", compute_beta_backward_direct),
+             (glocom.model, "squared_distances", squared_distances_direct),
+             (glocom.trainer, "squared_distances", squared_distances_direct)]
+    originals = [getattr(module, name) for module, name, _ in saved]
+    for module, name, oracle in saved:
+        setattr(module, name, oracle)
+    try:
+        yield
+    finally:
+        for (module, name, _), original in zip(saved, originals):
+            setattr(module, name, original)
+
+
+def adam_whole_array(value, m, v, g, t, lr):
+    """One Adam update of ``value``, ``m`` and ``v`` in place at step t,
+    each operation over the whole array."""
+    b1t, b2t = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g**2
+    value -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+
+
+class ReferenceAdam:
+    """The three-pass step's optimiser: ``update`` adds each gradient into
+    ``.grad``, and ``step`` updates every parameter from its ``.grad`` with
+    the whole-array formula, then zeroes the gradients for the next step."""
+
+    update = staticmethod(accumulate)
+
+    def __init__(self, params, lr=0.002):
+        self.params, self.lr, self.step_count = params, lr, 0
+        self.m = {p.name: np.zeros_like(p.value) for p in params}
+        self.v = {p.name: np.zeros_like(p.value) for p in params}
+
+    def step(self):
+        self.step_count += 1
+        for p in self.params:
+            adam_whole_array(p.value, self.m[p.name], self.v[p.name], p.grad,
+                             self.step_count, self.lr)
+        zero_grad(self.params)
 
 
 def corpus_loss(model, x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw):

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import augmented_docs, corpus_loss, match_topics, profile_word_embeddings
+from oracles import (
+    augmented_docs,
+    corpus_loss,
+    match_topics,
+    profile_word_embeddings,
+    zero_grad,
+)
 from scipy.integrate import quad
 
 from glocom.aggregation import build_global_docs, kmeans
@@ -63,7 +69,7 @@ def _training_instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10,
 def test_gradient_correctness():
     start = time.perf_counter()
     model, inputs = _training_instance(seed=7, V=20, K=4, D=6, G=2)
-    model.zero_grad()
+    zero_grad(model.params())
     model.forward_backward(**inputs)
     worst = 0.0
     for p in model.params():

@@ -189,6 +189,15 @@ def test_pipeline_missing_input_file_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_pipeline_rejects_top_n_below_one(tmp_path, capsys, top_n):
+    code = run("pipeline", "--synth", *SYNTH, *TINY_TRAIN, "--top-n", top_n,
+               "--out", tmp_path / "o")
+    assert code == 3
+    assert f"--top-n must be at least 1, got {top_n}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_no_clustering_skips_cluster_stage(tmp_path):
     out = tmp_path / "noc"
     assert run("pipeline", "--synth", *SYNTH, *TINY_TRAIN, "--epochs", 1,
@@ -262,6 +271,8 @@ MANIFEST_CUTS = {
     ("checkpoint-tensor", 6),
     ("checkpoint-shape", 6),
     ("checkpoint-transposed", 6),
+    ("top-n-0", 3),
+    ("top-n--1", 3),
 ])
 def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, code):
     bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
@@ -273,9 +284,9 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
         return run("train", "--bow", bow, "--vocab", vocab, "--clusters", clusters,
                    *TINY_TRAIN, "--epochs", 1, *extra, "--out", tmp_path / "t")
 
-    def infer():
+    def infer(*extra):
         return run("infer", "--checkpoint", tmp_path / "t" / "checkpoint", "--bow", bow,
-                   "--vocab", vocab, "--clusters", assignment, "--out", tmp_path / "i")
+                   "--vocab", vocab, "--clusters", assignment, *extra, "--out", tmp_path / "i")
 
     bad = tmp_path / "bad.txt"
     if case == "assignment":
@@ -302,6 +313,13 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
             bad.write_text("\n".join(lines) + "\n")
             got = infer()
             bad = f"{bad}:{i + 1}:"
+        elif case.startswith("top-n-"):
+            # nothing is written: the earlier run's topics stay as they were
+            topics = (tmp_path / "i" / "topics.txt").read_bytes()
+            value = case[len("top-n-"):]
+            got = infer("--top-n", value)
+            assert (tmp_path / "i" / "topics.txt").read_bytes() == topics
+            bad = f"--top-n must be at least 1, got {value}"
         elif case == "checkpoint-transposed":
             # phi.l1.W written (num_words, hidden), its manifest line to match
             bad = tmp_path / "t" / "checkpoint" / "phi.l1.W.bin"

@@ -47,6 +47,22 @@ def test_squared_distances_definition():
     assert np.all(D >= 0)
 
 
+def test_squared_distances_equal_direct_expression_bitwise():
+    # the first 20 words sit on the 20 topics: there the direct sum rounds to
+    # tiny values of either sign, and the clamp sets the negative ones to 0
+    from oracles import squared_distances_direct
+
+    rng = np.random.default_rng(0)
+    T = rng.normal(size=(20, 200))
+    W = rng.normal(size=(300, 200))
+    W[:20] = T
+    raw = np.sum(W * W, axis=1)[:, None] - 2.0 * (W @ T.T) + np.sum(T * T, axis=1)[None, :]
+    assert (raw < 0).any()
+    D = squared_distances(W, T)
+    np.testing.assert_array_equal(D, squared_distances_direct(W, T))
+    assert D.min() == 0.0 and not np.signbit(D).any()
+
+
 def test_zero_cost_gives_uniform_plan():
     plan = sinkhorn(TransportProblem(np.zeros((2, 2)), nu=1.0))
     np.testing.assert_allclose(plan.psi, 0.25, atol=1e-12)

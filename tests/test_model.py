@@ -5,23 +5,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import corpus_loss, dense_targets
+from oracles import compute_beta_backward_direct, corpus_loss, dense_targets, zero_grad
 from scipy.special import logsumexp
 
 import glocom.model
 from glocom.corpus import _GEMB_MAGIC, read_gemb, write_gemb
 from glocom.ecr import TransportProblem, default_nu, sinkhorn
-from glocom.errors import TrainingError
+from glocom.errors import ConfigError, TrainingError
 from glocom.model import (
     GlocomModel,
     LatentBatch,
     TopicSpace,
     combine,
     compute_beta,
+    compute_beta_backward,
     infer,
     load_checkpoint,
     normalize_rows,
     save_checkpoint,
+    top_word_ids,
 )
 from glocom.numerics import kl_diag_gaussian, softmax_forward
 
@@ -62,7 +64,7 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
 
 
 def _check_grads_fd(model, inputs):
-    model.zero_grad()
+    zero_grad(model.params())
     model.forward_backward(**inputs)
     for p in model.params():
         fd = central_diff(lambda: corpus_loss(model, **inputs), p.value)
@@ -300,6 +302,51 @@ def test_infer_determinism_and_top_words():
     np.testing.assert_allclose(out.theta_local, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("top_n", [1, 3, 8, 29, 30, 31, 100])
+def test_top_word_ids_match_stable_argsort(top_n):
+    # weights drawn from four values, so most topics tie at their threshold
+    rng = np.random.default_rng(top_n)
+    V, K = 30, 6
+    beta = rng.choice([0.0, 0.1, 0.25, 0.5], size=(V, K))
+    beta[:, 0] = 0.1  # one topic all ties
+    beta[:5, 1] = [0.5, 0.5, 0.0, 0.5, 0.5]
+    got = top_word_ids(beta, top_n)
+    assert got.shape == (K, min(top_n, V))
+    for k in range(K):
+        np.testing.assert_array_equal(
+            got[k], np.argsort(-beta[:, k], kind="stable")[:top_n], err_msg=str(k))
+
+
+def test_infer_rejects_top_n_below_one():
+    model, inputs = _instance(seed=17)
+    words = [f"w{i}" for i in range(inputs["x"].shape[1])]
+    for top_n in (0, -1):
+        with pytest.raises(ConfigError, match=f"top_n must be at least 1, got {top_n}"):
+            infer(model, inputs["x"], inputs["cluster_ids"], inputs["global_docs"], words,
+                  top_n=top_n)
+
+
+@pytest.mark.parametrize("with_plan", [False, True])
+def test_compute_beta_backward_equals_direct_expressions(with_plan):
+    # a word embedding equal to a topic embedding puts a clamped zero in sqd
+    model, inputs = _instance(seed=31, V=300, K=20, embed_dim=200)
+    space = model.space
+    space.W.value[:20] = space.T.value
+    sqd = space.squared_dists()
+    assert (sqd == 0.0).any()
+    beta = compute_beta(space, sqd)
+    rng = np.random.default_rng(31)
+    dbeta = rng.normal(size=beta.shape)
+    extra = 20.0 * inputs["psi"] if with_plan else None
+    grads = []
+    for backward in (compute_beta_backward, compute_beta_backward_direct):
+        zero_grad(space.params())
+        backward(space, beta, dbeta, extra_dsqd=extra)
+        grads.append([p.grad.copy() for p in space.params()])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_infer_csr_blocks_match_dense(monkeypatch):
     model, inputs = _instance(seed=19, D=30)
     rng = np.random.default_rng(4)
@@ -453,7 +500,7 @@ def test_kl_scale_gradients_match_fd():
 
 
 def _loss_and_grads(model, inputs, **kw):
-    model.zero_grad()
+    zero_grad(model.params())
     loss, comps, _ = model.forward_backward(**inputs, **kw)
     return loss, comps, {p.name: p.grad.copy() for p in model.params()}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import encoder_hidden_in
+from oracles import adam_whole_array, encoder_hidden_in, zero_grad
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -183,8 +183,7 @@ def test_encoder_backward_fd():
         return np.sum(R1 * mu) + np.sum(R2 * lv)
 
     mu, lv, cache = enc.forward(X)
-    for p in enc.params():
-        p.zero_grad()
+    zero_grad(enc.params())
     enc.backward(R1, R2, cache)
     for p in enc.params():
         assert rel_err(p.grad, central_diff(loss, p.value)) < 1e-4, p.name
@@ -198,8 +197,7 @@ def test_encoder_csr_input_matches_dense():
     R1, R2 = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
     grads, outs = [], []
     for rows in (X, sp.csr_matrix(X)):
-        for p in enc.params():
-            p.zero_grad()
+        zero_grad(enc.params())
         mu, lv, cache = enc.forward(rows)
         enc.backward(R1, R2, cache)
         outs.append((mu, lv))
@@ -272,19 +270,14 @@ def test_softplus_backward_is_expit_of_masked_sigmoid():
     assert got[4] == 0.5 and got[0] == 0.0 and got[8] == 1.0
 
 
-def _adam_reference(values, grads_per_step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+def _adam_reference(values, grads_per_step, lr=0.01):
     # the per-parameter whole-array formula the chunked step reproduces
     values = [v.copy() for v in values]
     m = [np.zeros_like(v) for v in values]
     v2 = [np.zeros_like(v) for v in values]
     for t, grads in enumerate(grads_per_step, start=1):
-        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
         for value, mm, vv, g in zip(values, m, v2, grads):
-            mm *= b1
-            mm += (1.0 - b1) * g
-            vv *= b2
-            vv += (1.0 - b2) * g**2
-            value -= lr * (mm / b1t) / (np.sqrt(vv / b2t) + eps)
+            adam_whole_array(value, mm, vv, g, t, lr)
     return values, m, v2
 
 
@@ -306,6 +299,46 @@ def test_adam_chunked_step_bit_identical_to_whole_array_formula():
         np.testing.assert_array_equal(p.value, values[i])
         np.testing.assert_array_equal(opt.m[p.name], m[i])
         np.testing.assert_array_equal(opt.v[p.name], v[i])
+
+
+def test_adam_update_matches_step_from_grad():
+    # update(p, g) within a step, then step(), equals g written to .grad and
+    # step(); a parameter given no update is still updated from its .grad
+    rng = np.random.default_rng(8)
+    shapes = [(ADAM_CHUNK + 5,), (30, 7), (4,)]
+    start = [rng.normal(size=s) for s in shapes]
+    fused = [Param(f"p{i}", v.copy()) for i, v in enumerate(start)]
+    ref = [Param(f"p{i}", v.copy()) for i, v in enumerate(start)]
+    opt_fused, opt_ref = Adam(fused, lr=0.01), Adam(ref, lr=0.01)
+    for _ in range(6):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(fused[:2], grads):
+            opt_fused.update(p, g)
+        fused[2].grad[...] = grads[2]
+        opt_fused.step()
+        for p, g in zip(ref, grads):
+            p.grad[...] = g
+        opt_ref.step()
+        for p, q in zip(fused, ref):
+            np.testing.assert_array_equal(p.value, q.value)
+            np.testing.assert_array_equal(opt_fused.m[p.name], opt_ref.m[q.name])
+            np.testing.assert_array_equal(opt_fused.v[p.name], opt_ref.v[q.name])
+    assert not fused[0].grad.any() and not fused[1].grad.any()
+
+
+def test_adam_update_refuses_a_second_update_in_one_step():
+    p, q = Param("x", np.ones(3)), Param("y", np.ones((2, 3)))
+    opt = Adam([p], lr=0.1)
+    opt.update(p, np.ones(3))
+    before = p.value.copy()
+    with pytest.raises(TrainingError, match="'x' updated twice in one step"):
+        opt.update(p, np.ones(3))
+    np.testing.assert_array_equal(p.value, before)
+    with pytest.raises(TrainingError, match=r"gradient shape \(3, 2\) != parameter 'y'"):
+        Adam([q]).update(q, np.ones((3, 2)))
+    opt.step()  # the next step may update it again
+    opt.update(p, np.ones(3))
+    assert opt.step_count == 1
 
 
 def test_param_value_is_contiguous():
@@ -339,7 +372,6 @@ def test_adam_minimizes_quadratic():
     p = Param("x", np.array([1.0]))
     opt = Adam([p], lr=0.1)
     for _ in range(200):
-        p.zero_grad()
         p.grad[:] = 2.0 * p.value
         opt.step()
     assert abs(p.value[0]) < 1e-3
@@ -359,7 +391,6 @@ def test_adam_bit_reproducible():
         p = Param("x", rng.normal(size=(4, 4)))
         opt = Adam([p], lr=0.01)
         for _ in range(50):
-            p.zero_grad()
             p.grad[:] = np.sin(p.value)
             opt.step()
         return p.value.copy()

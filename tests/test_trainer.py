@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,6 +285,96 @@ def test_checkpoint_round_trip_through_train(tmp_path):
     np.testing.assert_array_equal(before.beta, after.beta)
     np.testing.assert_array_equal(before.theta_local, after.theta_local)
     assert before.top_words == after.top_words
+
+
+STEP_CASES = {
+    # x as CSR or dense; ECR on (a plan given) or off; eta; KL warm-up; or
+    # every document its own cluster, the global documents the corpus rows
+    "csr": dict(),
+    "dense": dict(dense=True),
+    "ecr_off": dict(lambda_ecr=0.0),
+    "no_clustering": dict(no_clustering=True),
+    "eta_0": dict(eta=0.0),
+    "kl_warmup": dict(warmup=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_equals_three_pass_reference(case):
+    # the step that applies each gradient in the backward pass against the
+    # step that zeroes .grad, accumulates into it with the direct squared
+    # distances and beta backward, and then runs Adam over every .grad;
+    # phi.l1.W and gamma.l1.W (400 x 100) span two Adam chunks
+    from oracles import ReferenceAdam, direct_expressions, squared_distances_direct
+
+    from glocom.ecr import TransportProblem, default_nu, sinkhorn, squared_distances
+    from glocom.numerics import Adam
+
+    opts = dict(dense=False, lambda_ecr=20.0, no_clustering=False, eta=0.1, warmup=0)
+    opts.update(STEP_CASES[case])
+    corpus, _ = generate(SyntheticSpec(V=400, K=3, G=3, D=30, len_min=4, len_max=9, seed=3))
+    x = corpus.counts.astype(np.float64)
+    if opts["dense"]:
+        x = x.toarray()
+    if opts["no_clustering"]:
+        assignment, gdocs = np.arange(corpus.num_docs), corpus.dense().astype(np.float64)
+    else:
+        assignment = corpus.labels
+        gdocs = build_global_corpus(corpus, assignment, opts["eta"], G=3).global_docs
+    models = [GlocomModel(corpus.num_words, 4, embed_dim=12, hidden=100, seed=2)
+              for _ in range(2)]
+    fused, ref = Adam(models[0].params(), lr=0.01), ReferenceAdam(models[1].params(), lr=0.01)
+    nu = default_nu(squared_distances(models[0].space.W.value, models[0].space.T.value))
+    rng = np.random.default_rng(4)
+    for step in range(6):
+        idx = rng.permutation(corpus.num_docs)[:12]
+        cids = assignment[idx]
+        noise_g = rng.standard_normal((np.unique(cids).size, 4))
+        noise_d = rng.standard_normal((idx.size, 4))
+        scale = min(1.0, (step + 1) / opts["warmup"]) if opts["warmup"] else 1.0
+        costs = []
+        for model, opt, distances in ((models[0], fused, squared_distances),
+                                      (models[1], ref, squared_distances_direct)):
+            cost = psi = None
+            if opts["lambda_ecr"]:
+                cost = distances(model.space.W.value, model.space.T.value)
+                psi = sinkhorn(TransportProblem(cost, nu)).psi
+                costs.append(cost)
+            with direct_expressions() if opt is ref else contextlib.nullcontext():
+                model.forward_backward(x[idx], cids, gdocs, noise_g, noise_d, eta=opts["eta"],
+                                       lambda_ecr=opts["lambda_ecr"], psi=psi,
+                                       kl_scale=scale, sqd=cost, update=opt.update)
+            opt.step()
+        if costs:
+            np.testing.assert_array_equal(costs[0], costs[1])
+        for p, q in zip(*(m.params() for m in models)):
+            np.testing.assert_array_equal(p.value, q.value, err_msg=f"{p.name} step {step}")
+            np.testing.assert_array_equal(fused.m[p.name], ref.m[q.name], err_msg=p.name)
+            np.testing.assert_array_equal(fused.v[p.name], ref.v[q.name], err_msg=p.name)
+            assert not p.grad.any(), p.name
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(lambda_ecr=0.0), dict(ablation="no_clustering"), dict(eta=0.0),
+    dict(kl_warmup_epochs=2, epochs=3),
+], ids=["ecr", "ecr_off", "no_clustering", "eta_0", "kl_warmup"])
+def test_train_equals_three_pass_reference(monkeypatch, overrides):
+    # train() through the reference step, the trainer's own loop driving it,
+    # gives the same trajectory and parameters; train() writes no gradient
+    from oracles import ReferenceAdam, direct_expressions
+
+    import glocom.trainer
+
+    cfg = tiny_config(**overrides)
+    (model, report), _ = run_tiny(cfg=cfg)
+    for p in model.params():
+        assert not p.grad.any(), p.name
+    monkeypatch.setattr(glocom.trainer, "Adam", ReferenceAdam)
+    with direct_expressions():
+        (ref_model, ref_report), _ = run_tiny(cfg=cfg)
+    np.testing.assert_array_equal(report.trajectory, ref_report.trajectory)
+    for p, q in zip(model.params(), ref_model.params()):
+        np.testing.assert_array_equal(p.value, q.value, err_msg=p.name)
 
 
 def test_nonfinite_loss_aborts_with_breakdown():
