@@ -7,7 +7,7 @@ potentials and the kernel is rebuilt from them (Schmitzer 2019), so steep
 costs that underflow a plain kernel still solve.
 """
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -40,16 +40,13 @@ def sinkhorn_log(
     logb: np.ndarray,
     max_iters: int,
     tol: float,
-    callback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> Scaling:
     """Scale exp(Mr) to row marginals exp(loga) and column marginals exp(logb).
 
     Each iteration updates the row scaling, then the column scaling, then
     stops once the L1 row and column marginal errors are both below tol.
-    ``callback(F, G)``, when given, receives the log potentials after every
-    iteration; the plan is exp(Mr + F[:, None] + G[None, :]). Kernel
-    collapse (a row or column of exp(Mr) with no finite entry) returns a
-    non-finite ``u`` for the caller to report.
+    Kernel collapse (a row or column of exp(Mr) with no finite entry)
+    returns a non-finite ``u`` for the caller to report.
     """
     V, K = Mr.shape
     a, b = np.exp(loga), np.exp(logb)
@@ -87,8 +84,6 @@ def sinkhorn_log(
             Kv = kernel @ v
             row_err = np.abs(u * Kv - a).sum()
             col_err = np.abs(v * KTu - b).sum()
-            if callback is not None:
-                callback(f + np.log(u), g + np.log(v))
             if row_err < tol and col_err < tol:
                 converged = True
                 break

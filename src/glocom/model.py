@@ -25,7 +25,6 @@ from .numerics import (
     Encoder,
     Param,
     Update,
-    accumulate,
     gaussian_reparameterize,
     gaussian_reparameterize_backward,
     kl_diag_gaussian,
@@ -91,13 +90,13 @@ def compute_beta(space: TopicSpace, sqd: Optional[np.ndarray] = None) -> np.ndar
 
 
 def compute_beta_backward(space: TopicSpace, beta: np.ndarray, dbeta: np.ndarray,
-                          extra_dsqd: Optional[np.ndarray] = None,
-                          update: Update = accumulate) -> None:
+                          extra_dsqd: Optional[np.ndarray], update: Update) -> None:
     """Hand d(loss)/dW and d(loss)/dT to ``update``; both are formed
     before either is applied.
 
-    ``extra_dsqd`` adds a gradient that hits the squared-distance matrix
-    directly (the transport regularizer shares this cost matrix)."""
+    ``extra_dsqd``, unless None, adds a gradient that hits the
+    squared-distance matrix directly (the transport regularizer shares
+    this cost matrix)."""
     # dsqd = -softmax_backward(dbeta, beta) / tau + extra_dsqd, in one V x K
     # array; x / -tau rounds as (-x) / tau does
     dsqd = np.multiply(dbeta, beta)
@@ -125,7 +124,7 @@ def combine(theta_g: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray,
-                   beta: np.ndarray, compute_grads: bool = True):
+                   beta: np.ndarray, with_grads: bool = True):
     """Per-row loss -sum_v T_dv log softmax(theta_gd beta^T)_dv against the
     target T = x + context[inv], and the gradients of its batch mean.
 
@@ -144,7 +143,7 @@ def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray
     z = p.sum(axis=1)
     lse = row_max + np.log(z)
     recon = lse * s - np.einsum("ij,ij->i", t_beta, theta_gd)
-    if not compute_grads:
+    if not with_grads:
         return recon, None, None
     p /= z[:, None]
     per_cluster = np.zeros((context.shape[0], theta_gd.shape[1]))
@@ -257,24 +256,20 @@ class GlocomModel:
         lambda_ecr: float = 0.0,
         psi: Optional[np.ndarray] = None,
         kl_scale: float = 1.0,
-        rho_override: Optional[np.ndarray] = None,
-        compute_grads: bool = True,
         sqd: Optional[np.ndarray] = None,
-        update: Update = accumulate,
+        update: Optional[Update] = None,
     ) -> tuple[float, dict, LatentBatch]:
-        """One step's loss and (optionally) parameter gradients.
+        """One step's loss and, when ``update`` is given, its backward pass.
 
         Returns (loss, components, latents). Each parameter's gradient goes
         to ``update(param, grad)`` once, after the backward pass has read
-        every parameter value it needs; by default it adds into the Param's
-        ``grad``, which the caller zeroes first. The transport plan psi is a
-        constant here: its gradient enters only through the shared
-        squared-distance matrix. The global KL counts once per distinct
-        cluster in the batch, and ``kl_scale`` multiplies both KL terms
-        (warmup annealing hook). ``rho_override`` replaces the sampled
-        adaptive variable and silences the local encoder and its KL (test
-        hook for the plain-VAE reduction). ``sqd`` is the current
-        squared-distance matrix when the caller has already computed it.
+        every parameter value it needs; without ``update`` only the loss
+        is computed. The transport plan psi is a constant here: its
+        gradient enters only through the shared squared-distance matrix.
+        The global KL counts once per distinct cluster in the batch, and
+        ``kl_scale`` multiplies both KL terms (warmup annealing hook).
+        ``sqd`` is the current squared-distance matrix when the caller has
+        already computed it.
         """
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
@@ -298,14 +293,9 @@ class GlocomModel:
         kl_g = kl_diag_gaussian(mu_g, lv_g, 0.0, 1.0)  # (C,)
 
         # local side: adaptive variable per document
-        x_n = normalize_rows(x, "document")
-        if rho_override is None:
-            mu_d, lv_d, cache_d = self.gamma.forward(x_n)
-            rho = gaussian_reparameterize(mu_d, lv_d, noise_d)
-            kl_d = kl_diag_gaussian(mu_d, lv_d, 1.0, self.epsilon)  # (B,)
-        else:
-            rho = np.asarray(rho_override, dtype=np.float64)
-            kl_d = np.zeros(B)
+        mu_d, lv_d, cache_d = self.gamma.forward(normalize_rows(x, "document"))
+        rho = gaussian_reparameterize(mu_d, lv_d, noise_d)
+        kl_d = kl_diag_gaussian(mu_d, lv_d, 1.0, self.epsilon)  # (B,)
 
         s = theta_g[inv] * rho
         theta_gd = softmax_forward(s)
@@ -314,7 +304,7 @@ class GlocomModel:
             sqd = self.space.squared_dists()
         beta = compute_beta(self.space, sqd)
         recon, dtheta_gd, dbeta = reconstruction(x, eta * xg, inv, theta_gd, beta,
-                                                 compute_grads)
+                                                 update is not None)
 
         recon_mean = float(recon.sum() / B)
         kl_g_term = float(kl_scale * kl_g.sum() / B)
@@ -338,7 +328,7 @@ class GlocomModel:
             "ecr": ecr_term,
         }
         latents = LatentBatch(theta_g, rho, theta_gd, kl_g, kl_d, inv)
-        if not compute_grads:
+        if update is None:
             return loss, components, latents
 
         # ---- backward ----
@@ -354,15 +344,13 @@ class GlocomModel:
         )
         self.phi.backward(dmu_g + dmu_kl, dlv_g + dlv_kl, cache_g, update)
 
-        if rho_override is None:
-            dmu_d, dlv_d = gaussian_reparameterize_backward(drho, lv_d, noise_d)
-            dmu_dkl, dlv_dkl = kl_diag_gaussian_backward(
-                np.full(B, kl_scale / B), mu_d, lv_d, 1.0, self.epsilon
-            )
-            self.gamma.backward(dmu_d + dmu_dkl, dlv_d + dlv_dkl, cache_d, update)
+        dmu_d, dlv_d = gaussian_reparameterize_backward(drho, lv_d, noise_d)
+        dmu_dkl, dlv_dkl = kl_diag_gaussian_backward(
+            np.full(B, kl_scale / B), mu_d, lv_d, 1.0, self.epsilon
+        )
+        self.gamma.backward(dmu_d + dmu_dkl, dlv_d + dlv_dkl, cache_d, update)
 
-        compute_beta_backward(self.space, beta, dbeta, extra_dsqd=sqd_grad_extra,
-                              update=update)
+        compute_beta_backward(self.space, beta, dbeta, sqd_grad_extra, update)
         return loss, components, latents
 
 

@@ -6,8 +6,7 @@ finite-difference verification headroom matters more than speed here.
 
 Each backward hands every parameter's finished gradient to an ``update(param,
 grad)`` callable, once per parameter, after it has read every parameter value
-it still needs. The default, ``accumulate``, adds the gradient into
-``param.grad``; training passes ``Adam.update``, which applies it at once.
+it still needs; training passes ``Adam.update``, which applies it at once.
 """
 
 from dataclasses import dataclass
@@ -23,22 +22,14 @@ LOGVAR_MAX = 10.0
 
 
 class Param:
-    """A named tensor with a gradient accumulator."""
+    """A named tensor."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         # contiguous, so the optimizer can update it through a flat view
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        # np.zeros maps untouched zero pages: a model that only infers never
-        # writes its gradient buffers (np.zeros_like would fill every byte)
-        self.grad = np.zeros(self.value.shape)
-
-
-def accumulate(p: Param, g: np.ndarray) -> None:
-    """The default gradient sink: add ``g`` into ``p.grad``."""
-    p.grad += g
 
 
 Update = Callable[[Param, np.ndarray], None]
@@ -149,8 +140,7 @@ class DenseLayer:
     def forward(self, X: np.ndarray) -> np.ndarray:
         return affine_forward(X, self.W.value, self.b.value)
 
-    def backward(self, g: np.ndarray, X: np.ndarray,
-                 update: Update = accumulate) -> np.ndarray:
+    def backward(self, g: np.ndarray, X: np.ndarray, update: Update) -> np.ndarray:
         """Hand W's and b's gradients to ``update``; dX is formed first,
         from W's value before the update."""
         dX, dW, db = affine_backward(g, X, self.W.value)
@@ -176,7 +166,7 @@ class InputLayer(DenseLayer):
         a += self.b.value
         return a
 
-    def backward(self, g: np.ndarray, X, update: Update = accumulate) -> None:
+    def backward(self, g: np.ndarray, X, update: Update) -> None:
         """Hand the parameter gradients to ``update``; X^T g is a sparse
         product when X is CSR (cost nnz x out_dim). The input gradient is
         not computed: nothing upstream of the encoder's input is trained."""
@@ -247,7 +237,7 @@ class Encoder:
         return mu, lv, EncoderCache(X, a1, h1, a2, h2, mask)
 
     def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache,
-                 update: Update = accumulate) -> None:
+                 update: Update) -> None:
         """Hand each parameter's gradient to ``update``, once."""
         dh2 = self.mu_head.backward(dmu, cache.h2, update)
         dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2, update)
@@ -277,8 +267,8 @@ class Adam:
     """Standard Adam with bias correction, updated in place chunk by chunk.
 
     ``update(p, g)`` applies one parameter's gradient for the current step
-    as soon as it is made; ``step()`` then applies ``p.grad`` to every
-    parameter that received no ``update`` and ends the step."""
+    as soon as it is made; ``step()`` ends the step once every parameter
+    has had its ``update``."""
 
     def __init__(self, params: list[Param], lr=0.002):
         names = [p.name for p in params]
@@ -328,10 +318,10 @@ class Adam:
             value[lo:hi] -= t1
 
     def step(self) -> None:
-        """End the step: update every parameter not yet updated from its
-        ``.grad``, then advance the bias corrections."""
-        for p in self.params:
-            if p.name not in self._updated:
-                self.update(p, p.grad)
+        """End the step and advance the bias corrections; a parameter that
+        had no ``update`` in the step is an error."""
+        missed = [p.name for p in self.params if p.name not in self._updated]
+        if missed:
+            raise TrainingError(f"parameters not updated in step {self.step_count + 1}: {missed}")
         self._updated.clear()
         self.step_count += 1

@@ -10,12 +10,13 @@ indicator-matrix product) are the references for the array versions in
 encoder computed with its first-layer weight laid out (hidden, in_dim), as
 checkpoints store it, the reference for the (in_dim, hidden) layout the
 encoder holds. ``ReferenceAdam`` and ``direct_expressions`` give the
-training step as three passes (gradients accumulated into zeroed ``.grad``
-buffers by the direct squared-distance and beta-backward expressions, then
-Adam over every ``.grad``), the reference for the step that applies each
-gradient in the backward pass. The rest are helpers that only tests call:
-the loss alone, topic matching against planted topics, and word vectors
-profiled from the clusters.
+training step as three passes (gradients summed into zeroed buffers of the
+optimiser's own by the direct squared-distance and beta-backward
+expressions, then Adam over each whole buffer), the reference for the step
+that applies each gradient in the backward pass. ``GradientSink`` collects
+a backward pass's gradients by parameter name, for tests to compare. The
+rest are helpers that only tests call: the loss alone, topic matching
+against planted topics, and word vectors profiled from the clusters.
 """
 
 import contextlib
@@ -37,7 +38,6 @@ from glocom.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    accumulate,
     affine_backward,
     affine_forward,
     clamp_logvar,
@@ -64,7 +64,7 @@ def augmented_docs(corpus, global_docs, assignment, eta):
     return corpus.dense() + eta * np.asarray(global_docs, dtype=np.float64)[assignment]
 
 
-def dense_target_reconstruction(x, context, inv, theta_gd, beta, compute_grads=True):
+def dense_target_reconstruction(x, context, inv, theta_gd, beta, with_grads=True):
     """``glocom.model.reconstruction`` computed on a dense B x V target:
     logsumexp log-probabilities, -sum(x_aug * logp) and the dense dlogits."""
     x_aug = (x.toarray() if sp.issparse(x) else x) + context[inv]
@@ -72,7 +72,7 @@ def dense_target_reconstruction(x, context, inv, theta_gd, beta, compute_grads=T
     logits = theta_gd @ beta.T
     logp = logits - logsumexp(logits, axis=1, keepdims=True)
     recon = -np.sum(x_aug * logp, axis=1)
-    if not compute_grads:
+    if not with_grads:
         return recon, None, None
     p = np.exp(logp)
     dlogits = (x_aug.sum(axis=1)[:, None] * p - x_aug) / B
@@ -209,10 +209,13 @@ def encoder_hidden_in(enc, X, dmu, dlv):
     return (a1, mu, lv), grads
 
 
-def zero_grad(params):
-    """Zero every parameter's gradient buffer."""
-    for p in params:
-        p.grad.fill(0.0)
+class GradientSink(dict):
+    """An ``update(param, grad)`` for a backward pass that keeps each
+    parameter's gradient under its name, once per parameter."""
+
+    def __call__(self, p, g):
+        assert p.name not in self, f"{p.name} given two gradients"
+        self[p.name] = g
 
 
 def squared_distances_direct(W, T):
@@ -226,7 +229,7 @@ def squared_distances_direct(W, T):
     return d2
 
 
-def compute_beta_backward_direct(space, beta, dbeta, extra_dsqd=None, update=accumulate):
+def compute_beta_backward_direct(space, beta, dbeta, extra_dsqd, update):
     """``glocom.model.compute_beta_backward`` with a temporary per operation."""
     dA = softmax_backward(dbeta, beta)
     dsqd = -dA / space.tau
@@ -267,29 +270,31 @@ def adam_whole_array(value, m, v, g, t, lr):
 
 class ReferenceAdam:
     """The three-pass step's optimiser: ``update`` adds each gradient into
-    ``.grad``, and ``step`` updates every parameter from its ``.grad`` with
-    the whole-array formula, then zeroes the gradients for the next step."""
-
-    update = staticmethod(accumulate)
+    a zeroed buffer of its own, and ``step`` updates every parameter from
+    its buffer with the whole-array formula, then zeroes the buffers for
+    the next step."""
 
     def __init__(self, params, lr=0.002):
         self.params, self.lr, self.step_count = params, lr, 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
+        self.grad = {p.name: np.zeros_like(p.value) for p in params}
+
+    def update(self, p, g):
+        self.grad[p.name] += g
 
     def step(self):
         self.step_count += 1
         for p in self.params:
-            adam_whole_array(p.value, self.m[p.name], self.v[p.name], p.grad,
+            adam_whole_array(p.value, self.m[p.name], self.v[p.name], self.grad[p.name],
                              self.step_count, self.lr)
-        zero_grad(self.params)
+        for g in self.grad.values():
+            g.fill(0.0)
 
 
 def corpus_loss(model, x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw):
     """The training loss of ``model.forward_backward``, no gradients."""
-    loss, _, _ = model.forward_backward(
-        x, cluster_ids, global_docs, noise_g, noise_d, eta, compute_grads=False, **kw
-    )
+    loss, _, _ = model.forward_backward(x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw)
     return loss
 
 

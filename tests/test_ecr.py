@@ -32,13 +32,6 @@ def ecr_grad(W, T, plan):
     return dW, dT
 
 
-def primal_objective(C, P, nu):
-    # <C,P> - nu * H(P), with H(P) = -sum P (log P - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0, P * (np.log(P) - 1.0), 0.0)
-    return float(np.sum(C * P) + nu * np.sum(plogp))
-
-
 def test_squared_distances_definition():
     W = np.array([[0.0, 0.0], [3.0, 4.0]])
     T = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -108,24 +101,25 @@ def test_large_nu_gives_product_of_marginals():
 
 def test_tracked_objectives_dual_monotone():
     # The dual of the entropic problem is maximized coordinate-wise by the
-    # alternating updates, so it must never decrease. The primal value of
-    # the intermediate (infeasible) plans is recorded as a diagnostic but is
-    # NOT monotone in general.
+    # alternating updates, so it must never decrease. A solve stopped at
+    # max_iters=t returns the state after iteration t, so solves stopped at
+    # t = 1, 2, ... trace the iterations of the full solve.
     rng = np.random.default_rng(7)
     for nu in (1.0, 0.1, 0.02):
         C = rng.uniform(0, 1, size=(30, 6))
         problem = TransportProblem(C, nu=nu, max_iters=300, tol=1e-10)
         a, b = problem.row_marginal, problem.col_marginal
-        primal, dual = [], []
-
-        def record(F, G):
-            P = np.exp(-C / nu + F[:, None] + G[None, :])
-            primal.append(primal_objective(C, P, nu))
+        s = sinkhorn_log(-C / nu, np.log(a), np.log(b), problem.max_iters, problem.tol)
+        assert s.iterations_used == sinkhorn(problem).iterations_used
+        dual = []
+        for t in range(1, s.iterations_used + 1):
+            st = sinkhorn_log(-C / nu, np.log(a), np.log(b), t, problem.tol)
+            P = st.u[:, None] * st.kernel * st.v[None, :]
+            # the plan is exp(-C/nu + F_i + G_j); F.a + G.b does not see a
+            # constant moved from F to G, as a and b each sum to one
+            L = np.log(P) + C / nu
+            F, G = L[:, 0], L[0] - L[0, 0]
             dual.append(float(nu * (F @ a + G @ b - P.sum())))
-
-        s = sinkhorn_log(-C / nu, np.log(a), np.log(b), problem.max_iters,
-                         problem.tol, record)
-        assert len(primal) == s.iterations_used == sinkhorn(problem).iterations_used
         d = np.diff(dual)
         assert np.all(d >= -1e-10)
 

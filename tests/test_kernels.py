@@ -141,17 +141,5 @@ def test_kernel_converges_and_reports_iterations():
     assert np.abs(P.sum(0) - 1 / 5).sum() < 1e-8
 
 
-def test_callback_sees_every_iteration():
-    rng = np.random.default_rng(3)
-    C = rng.uniform(0, 1, size=(12, 4))
-    Mr = -C / 0.2
-    loga, logb = _uniform_logmarg(12, 4)
-    seen = []
-    s = sinkhorn_log(Mr, loga, logb, 100, 1e-9, lambda F, G: seen.append((F, G)))
-    assert len(seen) == s.iterations_used
-    F, G = seen[-1]
-    np.testing.assert_allclose(np.exp(Mr + F[:, None] + G[None, :]), _plan(s), rtol=1e-12)
-
-
 def test_backend_name_is_reported():
     assert BACKEND == "numpy"

@@ -1,13 +1,15 @@
-"""Memory scales with the corpus's nonzeros, not with D x V."""
+"""Memory scales with the corpus's nonzeros, not with D x V, and a model
+holds only its parameter values."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from glocom.aggregation import build_global_docs, kmeans
 from glocom.corpus import BowCorpus, Vocabulary, tfidf
-from glocom.model import infer
+from glocom.model import GlocomModel, infer, load_checkpoint, save_checkpoint
 from glocom.trainer import TrainConfig, build_setup, train
 
 
@@ -77,3 +79,22 @@ def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
             tracemalloc.stop()
     per_row = (peaks[200] - peaks[32]) / (200 - 32)
     assert per_row < 2 * V * 8, f"{per_row / 2**20:.3f} MiB per batch row"
+
+
+@pytest.mark.parametrize("source", ["init", "checkpoint"])
+def test_model_holds_only_its_parameter_values(tmp_path, source):
+    # the corpus_l benchmark's shapes; a parameter holds its value and no
+    # gradient buffer, whether drawn at random or loaded from a checkpoint
+    build, args = GlocomModel, (2999, 20)
+    if source == "checkpoint":
+        save_checkpoint(build(*args), str(tmp_path / "c"))
+        build, args = load_checkpoint, (str(tmp_path / "c"),)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = build(*args)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    values = sum(p.value.nbytes for p in model.params())
+    assert held <= 1.05 * values, f"{held / 2**20:.1f} MiB held for {values / 2**20:.1f} MiB"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import compute_beta_backward_direct, corpus_loss, dense_targets, zero_grad
+from oracles import GradientSink, compute_beta_backward_direct, corpus_loss, dense_targets
 from scipy.special import logsumexp
 
 import glocom.model
@@ -37,7 +37,7 @@ def elbo_per_doc(x_aug, theta_gd, beta, kl_global_share, kl_local):
 
 
 def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
-              sparse=False):
+              sparse=False, epsilon=0.01):
     """Small fixed training instance with frozen noise and transport plan.
     ``sparse`` gives the counts as CSR rows with about half the entries 0."""
     rng = np.random.default_rng(seed)
@@ -50,7 +50,7 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
     global_docs = np.zeros((G, V))
     np.add.at(global_docs, cluster_ids, x)
     model = GlocomModel(V, K, embed_dim=embed_dim, hidden=hidden, tau=0.2,
-                        epsilon=0.01, seed=seed)
+                        epsilon=epsilon, seed=seed)
     C = np.unique(cluster_ids).size
     noise_g = rng.standard_normal((C, K))
     noise_d = rng.standard_normal((D, K))
@@ -64,11 +64,11 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
 
 
 def _check_grads_fd(model, inputs):
-    zero_grad(model.params())
-    model.forward_backward(**inputs)
+    grads = GradientSink()
+    model.forward_backward(**inputs, update=grads)
     for p in model.params():
         fd = central_diff(lambda: corpus_loss(model, **inputs), p.value)
-        assert rel_err(p.grad, fd) < 1e-3, p.name
+        assert rel_err(grads[p.name], fd) < 1e-3, p.name
 
 
 def test_full_loss_gradients_match_fd():
@@ -186,7 +186,7 @@ def test_kl_global_counts_each_batch_cluster_once():
     B = inputs["x"].shape[0]
     uniq = np.unique(inputs["cluster_ids"])
     assert uniq.size < B  # some cluster has several documents in the batch
-    _, comps, _ = model.forward_backward(**inputs, kl_scale=0.5, compute_grads=False)
+    _, comps, _ = model.forward_backward(**inputs, kl_scale=0.5)
     mu, lv = model.encode_global(inputs["global_docs"][uniq])
     kl = kl_diag_gaussian(mu, lv, 0.0, 1.0)
     assert comps["kl_global"] == pytest.approx(0.5 * kl.sum() / B, rel=1e-14)
@@ -228,7 +228,7 @@ def test_zero_sum_input_rejected():
 
 def test_latents_are_simplex_points():
     model, inputs = _instance(seed=14)
-    _, _, lat = model.forward_backward(**inputs, compute_grads=False)
+    _, _, lat = model.forward_backward(**inputs)
     np.testing.assert_allclose(lat.theta_g.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(lat.theta_gd.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(lat.theta_g >= 0) and np.all(lat.theta_gd >= 0)
@@ -243,44 +243,81 @@ def test_latent_batch_validation():
         LatentBatch(ok, ok, ok, np.array([-1.0]), np.zeros(1), np.zeros(1, int))
 
 
+def _local_encoder_at_prior(model):
+    """Set the local encoder's heads to output the prior N(1, eps) for any
+    document: mu = 1 and log-variance = ln eps exactly, so with zero noise
+    rho is 1 exactly."""
+    g = model.gamma
+    g.mu_head.W.value[...] = 0.0
+    g.mu_head.b.value[...] = 1.0
+    g.lv_head.W.value[...] = 0.0
+    g.lv_head.b.value[...] = np.log(model.epsilon)
+
+
 def test_rho_override_silences_local_terms():
-    model, inputs = _instance(seed=15)
+    # a local posterior equal to the prior, and no noise: rho is 1 and the
+    # local KL vanishes (eps = 1/16, where e^(ln eps)/eps is exactly 1)
+    model, inputs = _instance(seed=15, epsilon=0.0625)
     inputs.pop("lambda_ecr"), inputs.pop("psi")
+    _local_encoder_at_prior(model)
     B, K = inputs["x"].shape[0], 4
-    _, comps, lat = model.forward_backward(
-        **inputs, rho_override=np.ones((B, K)), compute_grads=False
-    )
+    inputs["noise_d"] = np.zeros((B, K))
+    _, comps, lat = model.forward_backward(**inputs)
     assert comps["kl_local"] == 0.0
     np.testing.assert_array_equal(lat.rho, np.ones((B, K)))
 
 
 def test_reduces_to_plain_vae_with_ablations():
-    # eta=0, G=D, rho forced to the prior mean: the loss must equal a
-    # logistic-normal VAE computed independently here
+    # eta=0, G=D, rho held at the prior mean by the local encoder: the loss
+    # must equal a logistic-normal VAE computed independently here
     V, K, D = 12, 3, 5
-    model, _ = _instance(seed=16, V=V, K=K, D=D, G=D)
+    model, _ = _instance(seed=16, V=V, K=K, D=D, G=D, epsilon=0.0625)
+    _local_encoder_at_prior(model)
     rng = np.random.default_rng(3)
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, _ = model.forward_backward(
-        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0,
-        rho_override=np.ones((D, K)), compute_grads=False,
-    )
+        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0)
+    assert comps["kl_local"] == 0.0
     # independent computation
-    from glocom.numerics import kl_diag_gaussian
-    from scipy.special import logsumexp as lse
-
     mu, lv, _ = model.phi.forward(x / x.sum(axis=1, keepdims=True))
     alpha = mu + np.exp(0.5 * lv) * noise
     theta = softmax_forward(alpha)
     theta_d = softmax_forward(theta)  # the combine step with rho = 1
     beta = compute_beta(model.space)
     logits = theta_d @ beta.T
-    logp = logits - lse(logits, axis=1, keepdims=True)
+    logp = logits - logsumexp(logits, axis=1, keepdims=True)
     recon = -np.sum(x * logp, axis=1)
     kl = kl_diag_gaussian(mu, lv, 0.0, 1.0)
     expected = float((recon + kl).mean())
     assert loss == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_equals_independent_elbo_at_local_posterior_mean():
+    # eta=0, G=D and noise_d=0, so rho = mu_gamma(x): the loss must equal
+    # the ELBO computed here from the encoders, the local KL taken against
+    # the prior N(1, eps)
+    V, K, D, eps = 12, 3, 5, 0.01
+    model, _ = _instance(seed=16, V=V, K=K, D=D, G=D)
+    rng = np.random.default_rng(3)
+    x = rng.integers(1, 5, size=(D, V)).astype(float)
+    noise = rng.standard_normal((D, K))
+    loss, comps, lat = model.forward_backward(
+        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0)
+
+    x_n = x / x.sum(axis=1, keepdims=True)
+    mu, lv, _ = model.phi.forward(x_n)
+    theta = softmax_forward(mu + np.exp(0.5 * lv) * noise)
+    mu_d, lv_d, _ = model.gamma.forward(x_n)
+    np.testing.assert_array_equal(lat.rho, mu_d)
+    theta_d = softmax_forward(theta * mu_d)
+    logits = theta_d @ compute_beta(model.space).T
+    recon = -np.sum(x * (logits - logsumexp(logits, axis=1, keepdims=True)), axis=1)
+    kl_global = 0.5 * np.sum(np.exp(lv) + mu**2 - 1.0 - lv, axis=1)
+    kl_local = 0.5 * np.sum(np.exp(lv_d) / eps + (mu_d - 1.0) ** 2 / eps - 1.0
+                            + np.log(eps) - lv_d, axis=1)
+    assert comps["kl_local"] == pytest.approx(kl_local.mean(), rel=1e-12)
+    assert loss == pytest.approx(float((recon + kl_global + kl_local).mean()), rel=1e-12)
 
 
 def test_infer_determinism_and_top_words():
@@ -340,11 +377,11 @@ def test_compute_beta_backward_equals_direct_expressions(with_plan):
     extra = 20.0 * inputs["psi"] if with_plan else None
     grads = []
     for backward in (compute_beta_backward, compute_beta_backward_direct):
-        zero_grad(space.params())
-        backward(space, beta, dbeta, extra_dsqd=extra)
-        grads.append([p.grad.copy() for p in space.params()])
-    for got, want in zip(*grads):
-        np.testing.assert_array_equal(got, want)
+        grads.append(GradientSink())
+        backward(space, beta, dbeta, extra, grads[-1])
+    assert grads[0].keys() == {"space.W", "space.T"}
+    for name, want in grads[1].items():
+        np.testing.assert_array_equal(grads[0][name], want, err_msg=name)
 
 
 def test_infer_csr_blocks_match_dense(monkeypatch):
@@ -471,25 +508,25 @@ def test_ecr_term_wiring():
     model, inputs = _instance(seed=20)
     sqd = model.space.squared_dists()
     expected_ecr = 20.0 * float(np.sum(sqd * inputs["psi"]))
-    loss_with, comps, _ = model.forward_backward(**inputs, compute_grads=False)
+    loss_with, comps, _ = model.forward_backward(**inputs)
     assert comps["ecr"] == pytest.approx(expected_ecr, rel=1e-12)
     no_ecr = dict(inputs, lambda_ecr=0.0, psi=None)
-    loss_without, comps2, _ = model.forward_backward(**no_ecr, compute_grads=False)
+    loss_without, comps2, _ = model.forward_backward(**no_ecr)
     assert loss_with == pytest.approx(loss_without + expected_ecr, rel=1e-12)
     assert comps2["ecr"] == 0.0
 
 
 def test_kl_scale_scales_kl_components_exactly():
     model, inputs = _instance(seed=21)
-    _, full, _ = model.forward_backward(**inputs, compute_grads=False)
-    _, half, _ = model.forward_backward(**inputs, kl_scale=0.5, compute_grads=False)
-    _, off, _ = model.forward_backward(**inputs, kl_scale=0.0, compute_grads=False)
+    _, full, _ = model.forward_backward(**inputs)
+    _, half, _ = model.forward_backward(**inputs, kl_scale=0.5)
+    _, off, _ = model.forward_backward(**inputs, kl_scale=0.0)
     assert half["kl_global"] == pytest.approx(0.5 * full["kl_global"], rel=1e-15)
     assert half["kl_local"] == pytest.approx(0.5 * full["kl_local"], rel=1e-15)
     assert half["recon"] == full["recon"] and half["ecr"] == full["ecr"]
     assert off["kl_global"] == 0.0 and off["kl_local"] == 0.0
     with pytest.raises(TrainingError, match="kl_scale"):
-        model.forward_backward(**inputs, kl_scale=-0.1, compute_grads=False)
+        model.forward_backward(**inputs, kl_scale=-0.1)
 
 
 def test_kl_scale_gradients_match_fd():
@@ -499,10 +536,23 @@ def test_kl_scale_gradients_match_fd():
         _check_grads_fd(model, inputs)
 
 
-def _loss_and_grads(model, inputs, **kw):
-    zero_grad(model.params())
-    loss, comps, _ = model.forward_backward(**inputs, **kw)
-    return loss, comps, {p.name: p.grad.copy() for p in model.params()}
+def _loss_and_grads(model, inputs):
+    grads = GradientSink()
+    loss, comps, _ = model.forward_backward(**inputs, update=grads)
+    return loss, comps, grads
+
+
+def test_loss_only_pass_equals_backward_pass():
+    # update=None computes the loss alone: the same loss, components and
+    # latents as the pass that hands every gradient to update, bit for bit
+    model, inputs = _instance(seed=24, sparse=True)
+    loss, comps, lat = model.forward_backward(**inputs)
+    grads = GradientSink()
+    loss_b, comps_b, lat_b = model.forward_backward(**inputs, update=grads)
+    assert loss_b == loss and comps_b == comps
+    for field in ("theta_g", "rho", "theta_gd", "kl_global", "kl_local"):
+        np.testing.assert_array_equal(getattr(lat_b, field), getattr(lat, field))
+    assert grads.keys() == {p.name for p in model.params()}
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.37])

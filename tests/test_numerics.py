@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import adam_whole_array, encoder_hidden_in, zero_grad
+from oracles import GradientSink, adam_whole_array, encoder_hidden_in
 from scipy.integrate import quad
 from scipy.special import expit
 
 from glocom.numerics import (
     ADAM_CHUNK,
     Adam,
-    DenseLayer,
     Encoder,
     Param,
     affine_backward,
@@ -183,10 +182,10 @@ def test_encoder_backward_fd():
         return np.sum(R1 * mu) + np.sum(R2 * lv)
 
     mu, lv, cache = enc.forward(X)
-    zero_grad(enc.params())
-    enc.backward(R1, R2, cache)
+    grads = GradientSink()
+    enc.backward(R1, R2, cache, grads)
     for p in enc.params():
-        assert rel_err(p.grad, central_diff(loss, p.value)) < 1e-4, p.name
+        assert rel_err(grads[p.name], central_diff(loss, p.value)) < 1e-4, p.name
 
 
 def test_encoder_csr_input_matches_dense():
@@ -197,15 +196,15 @@ def test_encoder_csr_input_matches_dense():
     R1, R2 = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
     grads, outs = [], []
     for rows in (X, sp.csr_matrix(X)):
-        zero_grad(enc.params())
         mu, lv, cache = enc.forward(rows)
-        enc.backward(R1, R2, cache)
+        grads.append(GradientSink())
+        enc.backward(R1, R2, cache, grads[-1])
         outs.append((mu, lv))
-        grads.append([p.grad.copy() for p in enc.params()])
     for a, b in zip(outs[0], outs[1]):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
-    for p, g_dense, g_csr in zip(enc.params(), *grads):
-        np.testing.assert_allclose(g_csr, g_dense, rtol=1e-12, atol=1e-12, err_msg=p.name)
+    for p in enc.params():
+        np.testing.assert_allclose(grads[1][p.name], grads[0][p.name], rtol=1e-12,
+                                   atol=1e-12, err_msg=p.name)
 
 
 def _encoder_against_hidden_in(rows):
@@ -217,8 +216,9 @@ def _encoder_against_hidden_in(rows):
     X = rows(rng.uniform(0, 2, size=(9, 300)) * (rng.random((9, 300)) < 0.05))
     dmu, dlv = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
     mu, lv, cache = enc.forward(X)
-    enc.backward(dmu, dlv, cache)
-    grads = [p.grad for p in enc.params()]
+    sink = GradientSink()
+    enc.backward(dmu, dlv, cache, sink)
+    grads = [sink[p.name] for p in enc.params()]
     grads[0] = grads[0].T
     return ((cache.a1, mu, lv), grads), encoder_hidden_in(enc, X, dmu, dlv)
 
@@ -292,7 +292,7 @@ def test_adam_chunked_step_bit_identical_to_whole_array_formula():
     opt = Adam(params, lr=0.01)
     for grads in steps:
         for p, g in zip(params, grads):
-            p.grad[...] = g
+            opt.update(p, g)
         opt.step()
     values, m, v = _adam_reference(start, steps)
     for i, p in enumerate(params):
@@ -301,29 +301,20 @@ def test_adam_chunked_step_bit_identical_to_whole_array_formula():
         np.testing.assert_array_equal(opt.v[p.name], v[i])
 
 
-def test_adam_update_matches_step_from_grad():
-    # update(p, g) within a step, then step(), equals g written to .grad and
-    # step(); a parameter given no update is still updated from its .grad
-    rng = np.random.default_rng(8)
-    shapes = [(ADAM_CHUNK + 5,), (30, 7), (4,)]
-    start = [rng.normal(size=s) for s in shapes]
-    fused = [Param(f"p{i}", v.copy()) for i, v in enumerate(start)]
-    ref = [Param(f"p{i}", v.copy()) for i, v in enumerate(start)]
-    opt_fused, opt_ref = Adam(fused, lr=0.01), Adam(ref, lr=0.01)
-    for _ in range(6):
-        grads = [rng.normal(size=s) for s in shapes]
-        for p, g in zip(fused[:2], grads):
-            opt_fused.update(p, g)
-        fused[2].grad[...] = grads[2]
-        opt_fused.step()
-        for p, g in zip(ref, grads):
-            p.grad[...] = g
-        opt_ref.step()
-        for p, q in zip(fused, ref):
-            np.testing.assert_array_equal(p.value, q.value)
-            np.testing.assert_array_equal(opt_fused.m[p.name], opt_ref.m[q.name])
-            np.testing.assert_array_equal(opt_fused.v[p.name], opt_ref.v[q.name])
-    assert not fused[0].grad.any() and not fused[1].grad.any()
+def test_adam_step_names_every_parameter_not_updated():
+    # a parameter the backward pass skipped is an error, not a silent
+    # momentum-only move; the step does not end
+    params = [Param(name, np.ones(3)) for name in ("a", "b", "c")]
+    opt = Adam(params, lr=0.1)
+    opt.update(params[1], np.ones(3))
+    with pytest.raises(TrainingError, match=r"not updated in step 1: \['a', 'c'\]"):
+        opt.step()
+    np.testing.assert_array_equal(params[0].value, np.ones(3))
+    assert opt.step_count == 0
+    opt.update(params[0], np.ones(3))
+    opt.update(params[2], np.ones(3))
+    opt.step()
+    assert opt.step_count == 1
 
 
 def test_adam_update_refuses_a_second_update_in_one_step():
@@ -345,25 +336,15 @@ def test_param_value_is_contiguous():
     p = Param("w", np.asfortranarray(np.arange(6.0).reshape(2, 3)))
     assert p.value.flags.c_contiguous
     opt = Adam([p], lr=0.1)
-    p.grad[...] = 1.0
+    opt.update(p, np.ones((2, 3)))
     opt.step()
     assert np.all(p.value < np.arange(6.0).reshape(2, 3))
-
-
-def test_dense_layer_grad_accumulates():
-    rng = np.random.default_rng(0)
-    layer = DenseLayer(Param("t.W", rng.normal(size=(2, 3))), Param("t.b", np.zeros(2)))
-    X = rng.normal(size=(4, 3))
-    g = rng.normal(size=(4, 2))
-    layer.backward(g, X)
-    first = layer.W.grad.copy()
-    layer.backward(g, X)
-    np.testing.assert_allclose(layer.W.grad, 2 * first)
 
 
 def test_adam_zero_gradient_no_move():
     p = Param("x", np.array([[1.0, 2.0]]))
     opt = Adam([p], lr=0.1)
+    opt.update(p, np.zeros((1, 2)))
     opt.step()
     np.testing.assert_array_equal(p.value, [[1.0, 2.0]])
 
@@ -372,7 +353,7 @@ def test_adam_minimizes_quadratic():
     p = Param("x", np.array([1.0]))
     opt = Adam([p], lr=0.1)
     for _ in range(200):
-        p.grad[:] = 2.0 * p.value
+        opt.update(p, 2.0 * p.value)
         opt.step()
     assert abs(p.value[0]) < 1e-3
 
@@ -380,7 +361,7 @@ def test_adam_minimizes_quadratic():
 def test_adam_first_step_is_lr_sized():
     p = Param("x", np.array([3.0, -4.0]))
     opt = Adam([p], lr=0.05)
-    p.grad[:] = np.array([0.2, -7.0])
+    opt.update(p, np.array([0.2, -7.0]))
     opt.step()
     np.testing.assert_allclose(p.value, [3.0 - 0.05, -4.0 + 0.05], atol=1e-6)
 
@@ -391,7 +372,7 @@ def test_adam_bit_reproducible():
         p = Param("x", rng.normal(size=(4, 4)))
         opt = Adam([p], lr=0.01)
         for _ in range(50):
-            p.grad[:] = np.sin(p.value)
+            opt.update(p, np.sin(p.value))
             opt.step()
         return p.value.copy()
 
