@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import BowCorpus, EmbeddingMatrix, divide_rows, read_label_file, row_sq_norms
+from .ecr import squared_distances
 from .errors import ClusteringError
 from .rng import substream
 
@@ -75,21 +76,12 @@ def _cluster_sums(X: sp.csr_matrix, entry_row: np.ndarray, assign: np.ndarray,
     return sums.astype(np.float64, copy=False).reshape(G, E)  # int64 when X has no entries
 
 
-def _sq_dists(X, xsq: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances ‖x‖² − 2·X·Cᵀ + ‖c‖², (N, G),
-    for dense or CSR rows X with squared norms ``xsq``. Clamped at 0
-    because the expanded form can go slightly negative in floating point."""
-    d2 = xsq[:, None] - 2.0 * np.asarray(X @ C.T) + row_sq_norms(C)[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _kmeanspp_seed(X, xsq: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarray:
     N = X.shape[0]
     centroids = np.empty((G, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(N))
     centroids[0] = _row(X, first)
-    closest = _sq_dists(X, xsq, centroids[:1]).ravel()
+    closest = squared_distances(X, centroids[:1], xsq).ravel()
     for j in range(1, G):
         total = closest.sum()
         if total <= 0.0:
@@ -97,7 +89,7 @@ def _kmeanspp_seed(X, xsq: np.ndarray, G: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(N, p=closest / total))
         centroids[j] = _row(X, idx)
-        np.minimum(closest, _sq_dists(X, xsq, centroids[j : j + 1]).ravel(), out=closest)
+        np.minimum(closest, squared_distances(X, centroids[j : j + 1], xsq).ravel(), out=closest)
     return centroids
 
 
@@ -142,7 +134,7 @@ def kmeans(
     history: list[float] = []
     assign = np.zeros(N, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _sq_dists(X, xsq, C)
+        d2 = squared_distances(X, C, xsq)
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(N), assign].sum()))
         if sp.issparse(X):
@@ -164,7 +156,7 @@ def kmeans(
         C = newC
         if shift < KMEANS_TOL:
             break
-    d2 = _sq_dists(X, xsq, C)
+    d2 = squared_distances(X, C, xsq)
     assign = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(N), assign].sum())
     history.append(inertia)

@@ -116,30 +116,6 @@ class WordEmbeddingInit:
     coverage: float  # fraction of vocabulary found in the init file
 
 
-def build_vocabulary(raw_docs: Sequence[Sequence[str]], min_freq: int) -> Vocabulary:
-    """Keep tokens with corpus frequency >= min_freq, in first-occurrence order."""
-    words, ids, _ = _token_ids(raw_docs)
-    return Vocabulary([words[i] for i in _frequent(ids, len(words), len(raw_docs), min_freq)])
-
-
-def build_bow(
-    raw_docs: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    min_terms: int,
-    labels: Optional[Sequence[int]] = None,
-) -> tuple[BowCorpus, list[int]]:
-    """Count in-vocabulary tokens per document.
-
-    Documents with fewer than ``min_terms`` distinct in-vocabulary terms are
-    dropped. Returns the corpus plus the kept-index list so labels and
-    precomputed embeddings can be filtered consistently.
-    """
-    words, ids, doc = _token_ids(raw_docs)
-    column = np.array([vocab.index.get(w, -1) for w in words], dtype=np.int64)
-    counts, kept = _count_matrix(doc, column[ids], len(raw_docs), len(vocab), min_terms)
-    return BowCorpus(counts, vocab, _kept_labels(labels, len(raw_docs), kept)), kept.tolist()
-
-
 def preprocess(
     raw_docs: Sequence[Sequence[str]],
     min_freq: int = 3,
@@ -148,11 +124,13 @@ def preprocess(
 ) -> tuple[BowCorpus, list[int]]:
     """Vocabulary pruning and document filtering, iterated to a fixpoint.
 
-    Dropping short documents can push some word frequencies back below
-    min_freq, so the two filters are alternated until the kept corpus is
-    stable. Each pass is ``build_vocabulary`` then ``build_bow`` on the
-    kept documents, run on token ids: the vocabulary order is each word's
-    first occurrence among the kept documents' tokens.
+    Each pass keeps the words with corpus frequency >= min_freq, in the
+    order of their first occurrence among the kept documents' tokens, then
+    the documents with at least min_terms distinct kept words. Dropping
+    short documents can push some word frequencies back below min_freq, so
+    the passes repeat until the kept corpus is stable. Returns the corpus
+    plus the kept-index list so labels and precomputed embeddings can be
+    filtered consistently.
     """
     words, ids, doc = _token_ids(raw_docs)
     kept = np.arange(len(raw_docs))

@@ -9,9 +9,11 @@ gradient flows through the solve itself.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from .corpus import row_sq_norms
 from .errors import TransportError
 from .kernels import sinkhorn_log
 
@@ -19,15 +21,19 @@ DEFAULT_MAX_ITERS = 50
 DEFAULT_TOL = 1e-6
 
 
-def squared_distances(W: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (V, K), clamped at zero.
+def squared_distances(X, C: np.ndarray, xsq: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of X, dense or
+    CSR, and of C, (N, K), clamped at zero because the expanded form can go
+    slightly negative. ``xsq`` holds X's squared row norms when the caller
+    has them.
 
-    |w|^2 - 2 w.t + |t|^2 formed in the GEMM's own output array; -2 w.t + |w|^2
-    rounds as |w|^2 - 2 w.t does, so the bits are those of the direct sum."""
-    d2 = W @ T.T
+    |x|^2 - 2 x.c + |c|^2 formed in the product's own output array;
+    -2 x.c + |x|^2 rounds as |x|^2 - 2 x.c does, so the bits are those of
+    the direct sum."""
+    d2 = np.asarray(X @ C.T)
     d2 *= -2.0
-    d2 += np.sum(W * W, axis=1)[:, None]
-    d2 += np.sum(T * T, axis=1)[None, :]
+    d2 += (row_sq_norms(X) if xsq is None else xsq)[:, None]
+    d2 += row_sq_norms(C)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

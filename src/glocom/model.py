@@ -124,7 +124,7 @@ def combine(theta_g: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray,
-                   beta: np.ndarray, with_grads: bool = True):
+                   beta: np.ndarray):
     """Per-row loss -sum_v T_dv log softmax(theta_gd beta^T)_dv against the
     target T = x + context[inv], and the gradients of its batch mean.
 
@@ -132,7 +132,7 @@ def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray
     times the batch's distinct global documents. The loss is linear in T,
     so only its row sums s, T beta and T^T theta_gd are formed, each as a
     part on x plus a part on the C context rows; the softmax is the one
-    B x V array. Returns (recon (B,), dtheta_gd or None, dbeta or None)."""
+    B x V array. Returns (recon (B,), dtheta_gd, dbeta)."""
     B = x.shape[0]
     s = np.asarray(x.sum(axis=1), dtype=np.float64).ravel() + context.sum(axis=1)[inv]
     t_beta = np.asarray(x @ beta) + (context @ beta)[inv]
@@ -143,8 +143,6 @@ def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray
     z = p.sum(axis=1)
     lse = row_max + np.log(z)
     recon = lse * s - np.einsum("ij,ij->i", t_beta, theta_gd)
-    if not with_grads:
-        return recon, None, None
     p /= z[:, None]
     per_cluster = np.zeros((context.shape[0], theta_gd.shape[1]))
     np.add.at(per_cluster, inv, theta_gd)
@@ -253,23 +251,22 @@ class GlocomModel:
         noise_g: np.ndarray,  # (C, K), one row per distinct batch cluster
         noise_d: np.ndarray,  # (B, K)
         eta: float,  # targets are x + eta * global_docs[cluster_ids]
+        update: Update,
         lambda_ecr: float = 0.0,
         psi: Optional[np.ndarray] = None,
         kl_scale: float = 1.0,
         sqd: Optional[np.ndarray] = None,
-        update: Optional[Update] = None,
     ) -> tuple[float, dict, LatentBatch]:
-        """One step's loss and, when ``update`` is given, its backward pass.
+        """One step's loss and its backward pass.
 
         Returns (loss, components, latents). Each parameter's gradient goes
         to ``update(param, grad)`` once, after the backward pass has read
-        every parameter value it needs; without ``update`` only the loss
-        is computed. The transport plan psi is a constant here: its
-        gradient enters only through the shared squared-distance matrix.
-        The global KL counts once per distinct cluster in the batch, and
-        ``kl_scale`` multiplies both KL terms (warmup annealing hook).
-        ``sqd`` is the current squared-distance matrix when the caller has
-        already computed it.
+        every parameter value it needs. The transport plan psi is a
+        constant here: its gradient enters only through the shared
+        squared-distance matrix. The global KL counts once per distinct
+        cluster in the batch, and ``kl_scale`` multiplies both KL terms
+        (warmup annealing hook). ``sqd`` is the current squared-distance
+        matrix when the caller has already computed it.
         """
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
@@ -303,8 +300,7 @@ class GlocomModel:
         if sqd is None:
             sqd = self.space.squared_dists()
         beta = compute_beta(self.space, sqd)
-        recon, dtheta_gd, dbeta = reconstruction(x, eta * xg, inv, theta_gd, beta,
-                                                 update is not None)
+        recon, dtheta_gd, dbeta = reconstruction(x, eta * xg, inv, theta_gd, beta)
 
         recon_mean = float(recon.sum() / B)
         kl_g_term = float(kl_scale * kl_g.sum() / B)
@@ -328,8 +324,6 @@ class GlocomModel:
             "ecr": ecr_term,
         }
         latents = LatentBatch(theta_g, rho, theta_gd, kl_g, kl_d, inv)
-        if update is None:
-            return loss, components, latents
 
         # ---- backward ----
         ds = softmax_backward(dtheta_gd, theta_gd)
@@ -430,9 +424,10 @@ def top_word_ids(beta: np.ndarray, top_n: int) -> np.ndarray:
 # checkpoints
 
 
-# The first-layer weights, held (num_words, hidden) by the model, are stored
-# (hidden, num_words) in checkpoints, as checkpoints always stored them.
-_TRANSPOSED_ON_DISK = ("phi.l1.W", "gamma.l1.W")
+# The encoder weights, held (in, out) by the model, are stored (out, in) in
+# checkpoints, as checkpoints always stored them.
+_TRANSPOSED_ON_DISK = tuple(f"{enc}.{layer}.W" for enc in ("phi", "gamma")
+                            for layer in ("l1", "l2", "mu", "lv"))
 
 
 def _checkpoint_shapes(num_words: int, num_topics: int, embed_dim: int,
@@ -486,8 +481,9 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
     tensors: list[tuple[str, int, int, str]] = []
     with open(mpath, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if header[:1] != ["glocom-checkpoint"]:
-            raise TrainingError(f"{mpath}: not a checkpoint manifest")
+        if header != ["glocom-checkpoint", "1"]:
+            raise TrainingError(f"{mpath}:1: header {' '.join(header)!r} is not "
+                                "'glocom-checkpoint 1'")
         for ln, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
@@ -528,7 +524,7 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
                 f"{path}: tensor {name} has shape {M.shape}, model expects {shapes[name]}"
             )
         if name in _TRANSPOSED_ON_DISK:
-            M = np.ascontiguousarray(M.T)
+            M = M.T  # the model's Param makes it contiguous
         values[name] = M[0] if name.endswith(".b") else M
     missing = shapes.keys() - values.keys()
     if missing:

@@ -10,7 +10,7 @@ it still needs; training passes ``Adam.update``, which applies it at once.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -37,18 +37,6 @@ Update = Callable[[Param, np.ndarray], None]
 
 # ---------------------------------------------------------------------------
 # primitive ops
-
-
-def affine_forward(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X (N,in) @ W.T (in,out) + b -> (N,out)."""
-    if X.shape[1] != W.shape[1]:
-        raise TrainingError(f"affine: input dim {X.shape[1]} != weight dim {W.shape[1]}")
-    return X @ W.T + b[None, :]
-
-
-def affine_backward(g: np.ndarray, X: np.ndarray, W: np.ndarray):
-    """Returns (dX, dW, db) for upstream gradient g of shape (N,out)."""
-    return g @ W, g.T @ X, g.sum(axis=0)
 
 
 def softplus_forward(x: np.ndarray) -> np.ndarray:
@@ -132,30 +120,12 @@ def kl_diag_gaussian_backward(
 
 
 class DenseLayer:
-    """y = x W^T + b, W held (out_dim, in_dim)."""
+    """y = x W + b, W held (in_dim, out_dim). X @ W reads CSR rows against
+    W's own C-ordered rows, where X @ W.T would copy W.T first, and W's
+    gradient X^T g adds in W's layout."""
 
     def __init__(self, W: Param, b: Param):
         self.W, self.b = W, b
-
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return affine_forward(X, self.W.value, self.b.value)
-
-    def backward(self, g: np.ndarray, X: np.ndarray, update: Update) -> np.ndarray:
-        """Hand W's and b's gradients to ``update``; dX is formed first,
-        from W's value before the update."""
-        dX, dW, db = affine_backward(g, X, self.W.value)
-        update(self.W, dW)
-        update(self.b, db)
-        return dX
-
-    def params(self) -> list[Param]:
-        return [self.W, self.b]
-
-
-class InputLayer(DenseLayer):
-    """y = x W + b, W held (in_dim, out_dim). X @ W then reads CSR rows
-    against W's own C-ordered rows, where X @ W.T would copy W.T first,
-    and W's gradient X^T g adds in W's layout."""
 
     def forward(self, X) -> np.ndarray:
         if X.shape[1] != self.W.value.shape[0]:
@@ -166,12 +136,18 @@ class InputLayer(DenseLayer):
         a += self.b.value
         return a
 
-    def backward(self, g: np.ndarray, X, update: Update) -> None:
-        """Hand the parameter gradients to ``update``; X^T g is a sparse
-        product when X is CSR (cost nnz x out_dim). The input gradient is
-        not computed: nothing upstream of the encoder's input is trained."""
+    def backward(self, g: np.ndarray, X, update: Update,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Hand W's and b's gradients to ``update``; X^T g is a sparse
+        product when X is CSR (cost nnz x out_dim). dX is formed first,
+        from W's value before the update, unless ``input_grad`` is False."""
+        dX = g @ self.W.value.T if input_grad else None
         update(self.W, X.T @ g)
         update(self.b, g.sum(axis=0))
+        return dX
+
+    def params(self) -> list[Param]:
+        return [self.W, self.b]
 
 
 @dataclass
@@ -186,8 +162,8 @@ class EncoderCache:
 
 class Encoder:
     """Two softplus-activated dense layers, then separate mean / log-variance
-    heads. The log-variance head is clamped to [-10, 10]. The first layer's
-    weight is held (in_dim, hidden); the others (out, in)."""
+    heads. The log-variance head is clamped to [-10, 10]. Every weight is
+    held (in, out)."""
 
     def __init__(self, name: str, in_dim: int, hidden: int, out_dim: int, rng):
         """Glorot-uniform weights drawn from ``rng``, zero biases."""
@@ -195,10 +171,9 @@ class Encoder:
         for layer, fan_in, fan_out in self.layers(in_dim, hidden, out_dim):
             # Glorot-uniform keeps softplus preactivations in a sane range
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            values[f"{name}.{layer}.W"] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            # drawn (out, in), held (in, out)
+            values[f"{name}.{layer}.W"] = rng.uniform(-limit, limit, size=(fan_out, fan_in)).T
             values[f"{name}.{layer}.b"] = np.zeros(fan_out)
-        # drawn (hidden, in_dim), held (in_dim, hidden)
-        values[f"{name}.l1.W"] = values[f"{name}.l1.W"].T
         self._hold(name, values)
 
     @staticmethod
@@ -210,20 +185,17 @@ class Encoder:
     @classmethod
     def from_values(cls, name: str, values: dict) -> "Encoder":
         """An encoder holding ``values[f"{name}.<layer>.<W|b>"]`` as they
-        are, no random draws; "l1.W" is (in_dim, hidden)."""
+        are, no random draws; each "W" is (in, out)."""
         enc = cls.__new__(cls)
         enc._hold(name, values)
         return enc
 
     def _hold(self, name: str, values: dict) -> None:
-        def layer(kind, key):
-            return kind(Param(f"{name}.{key}.W", values[f"{name}.{key}.W"]),
-                        Param(f"{name}.{key}.b", values[f"{name}.{key}.b"]))
+        def layer(key):
+            return DenseLayer(Param(f"{name}.{key}.W", values[f"{name}.{key}.W"]),
+                              Param(f"{name}.{key}.b", values[f"{name}.{key}.b"]))
 
-        self.l1 = layer(InputLayer, "l1")
-        self.l2 = layer(DenseLayer, "l2")
-        self.mu_head = layer(DenseLayer, "mu")
-        self.lv_head = layer(DenseLayer, "lv")
+        self.l1, self.l2, self.mu_head, self.lv_head = map(layer, ("l1", "l2", "mu", "lv"))
 
     def forward(self, X) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
         """X is dense or CSR (N, in_dim); only the first layer reads it."""
@@ -243,7 +215,8 @@ class Encoder:
         dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2, update)
         da2 = softplus_backward(dh2, cache.a2)
         dh1 = self.l2.backward(da2, cache.h1, update)
-        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X, update)
+        # nothing upstream of the encoder's input is trained
+        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X, update, input_grad=False)
 
     def params(self) -> list[Param]:
         return (

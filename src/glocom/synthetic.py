@@ -128,21 +128,27 @@ def generate(spec: SyntheticSpec) -> tuple[BowCorpus, SyntheticTruth]:
     theta_gd = softmax_forward(theta_g[labels] * rho)
     lengths = rng.integers(spec.len_min, spec.len_max + 1, size=spec.D)
 
-    rows = np.zeros((spec.D, spec.V), dtype=np.int64)
+    # each document's nonzero counts, as CSR rows
+    words, values = [], []
     for d in range(spec.D):
         for _ in range(_MAX_RETRIES):
             counts = np.zeros(spec.V, dtype=np.int64)
             z_counts = rng.multinomial(lengths[d], theta_gd[d])
             for k in np.flatnonzero(z_counts):
                 counts += rng.multinomial(z_counts[k], beta[:, k])
-            if np.count_nonzero(counts) >= 2:
-                rows[d] = counts
+            present = np.flatnonzero(counts)
+            if present.size >= 2:
+                words.append(present)
+                values.append(counts[present])
                 break
         else:
             raise GlocomError(f"document {d} never drew two distinct words")
+    indptr = np.concatenate(([0], np.cumsum([w.size for w in words])))
+    rows = sp.csr_matrix((np.concatenate(values), np.concatenate(words), indptr),
+                         shape=(spec.D, spec.V))
 
     width = len(str(spec.V - 1))
     vocab = Vocabulary([f"w{str(i).zfill(width)}" for i in range(spec.V)])
-    corpus = BowCorpus(sp.csr_matrix(rows), vocab, labels=labels)
+    corpus = BowCorpus(rows, vocab, labels=labels)
     return corpus, SyntheticTruth(beta, theta_g, theta_gd, labels)
 

@@ -32,14 +32,12 @@ import glocom.aggregation
 import glocom.model
 import glocom.trainer
 from glocom.aggregation import ClusterAssignment, _indicator, build_global_docs
-from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary
+from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary, row_sq_norms
 from glocom.errors import CorpusError, GlocomError
 from glocom.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    affine_backward,
-    affine_forward,
     clamp_logvar,
     softmax_backward,
     softplus_backward,
@@ -64,7 +62,7 @@ def augmented_docs(corpus, global_docs, assignment, eta):
     return corpus.dense() + eta * np.asarray(global_docs, dtype=np.float64)[assignment]
 
 
-def dense_target_reconstruction(x, context, inv, theta_gd, beta, with_grads=True):
+def dense_target_reconstruction(x, context, inv, theta_gd, beta):
     """``glocom.model.reconstruction`` computed on a dense B x V target:
     logsumexp log-probabilities, -sum(x_aug * logp) and the dense dlogits."""
     x_aug = (x.toarray() if sp.issparse(x) else x) + context[inv]
@@ -72,8 +70,6 @@ def dense_target_reconstruction(x, context, inv, theta_gd, beta, with_grads=True
     logits = theta_gd @ beta.T
     logp = logits - logsumexp(logits, axis=1, keepdims=True)
     recon = -np.sum(x_aug * logp, axis=1)
-    if not with_grads:
-        return recon, None, None
     p = np.exp(logp)
     dlogits = (x_aug.sum(axis=1)[:, None] * p - x_aug) / B
     return recon, dlogits @ beta, dlogits.T @ theta_gd
@@ -91,7 +87,9 @@ def dense_targets():
 
 
 def build_vocabulary_loop(raw_docs, min_freq):
-    """``glocom.corpus.build_vocabulary`` as a loop over tokens."""
+    """One pass of ``glocom.corpus.preprocess``'s vocabulary filter as a
+    loop over tokens: the words with frequency >= min_freq, in
+    first-occurrence order."""
     if min_freq < 1:
         raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
     if not raw_docs:
@@ -110,7 +108,9 @@ def build_vocabulary_loop(raw_docs, min_freq):
 
 
 def build_bow_loop(raw_docs, vocab, min_terms, labels=None):
-    """``glocom.corpus.build_bow`` with a ``Counter`` per document."""
+    """One pass of ``glocom.corpus.preprocess``'s document filter with a
+    ``Counter`` per document: the in-vocabulary counts of the documents
+    with at least min_terms distinct in-vocabulary words."""
     if min_terms < 1:
         raise CorpusError(f"min_terms must be >= 1, got {min_terms}")
     indptr, indices, data, kept = [0], [], [], []
@@ -196,16 +196,17 @@ def encoder_hidden_in(enc, X, dmu, dlv):
     W1 = np.ascontiguousarray(enc.l1.W.value.T)
     a1 = X @ W1.T + enc.l1.b.value[None, :]
     h1 = softplus_forward(a1)
-    a2 = affine_forward(h1, enc.l2.W.value, enc.l2.b.value)
+    (W2, b2), (Wmu, bmu), (Wlv, blv) = (
+        (layer.W.value, layer.b.value) for layer in (enc.l2, enc.mu_head, enc.lv_head))
+    a2 = h1 @ W2 + b2
     h2 = softplus_forward(a2)
-    mu = affine_forward(h2, enc.mu_head.W.value, enc.mu_head.b.value)
-    lv, mask = clamp_logvar(affine_forward(h2, enc.lv_head.W.value, enc.lv_head.b.value))
-    dh2_mu, dW_mu, db_mu = affine_backward(dmu, h2, enc.mu_head.W.value)
-    dh2_lv, dW_lv, db_lv = affine_backward(dlv * mask, h2, enc.lv_head.W.value)
-    da2 = softplus_backward(dh2_mu + dh2_lv, a2)
-    dh1, dW2, db2 = affine_backward(da2, h1, enc.l2.W.value)
-    da1 = softplus_backward(dh1, a1)
-    grads = [(X.T @ da1).T, da1.sum(axis=0), dW2, db2, dW_mu, db_mu, dW_lv, db_lv]
+    mu = h2 @ Wmu + bmu
+    lv, mask = clamp_logvar(h2 @ Wlv + blv)
+    dlv = dlv * mask
+    da2 = softplus_backward(dmu @ Wmu.T + dlv @ Wlv.T, a2)
+    da1 = softplus_backward(da2 @ W2.T, a1)
+    grads = [(X.T @ da1).T, da1.sum(axis=0), h1.T @ da2, da2.sum(axis=0),
+             h2.T @ dmu, dmu.sum(axis=0), h2.T @ dlv, dlv.sum(axis=0)]
     return (a1, mu, lv), grads
 
 
@@ -218,13 +219,10 @@ class GradientSink(dict):
         self[p.name] = g
 
 
-def squared_distances_direct(W, T):
-    """``glocom.ecr.squared_distances`` as the sum of three V x K arrays."""
-    d2 = (
-        np.sum(W * W, axis=1)[:, None]
-        - 2.0 * (W @ T.T)
-        + np.sum(T * T, axis=1)[None, :]
-    )
+def squared_distances_direct(X, C):
+    """``glocom.ecr.squared_distances`` as the sum of three N x K arrays,
+    |x|^2 - 2 X C^T + |c|^2, the expression k-means used; X dense or CSR."""
+    d2 = row_sq_norms(X)[:, None] - 2.0 * np.asarray(X @ C.T) + row_sq_norms(C)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -292,9 +290,15 @@ class ReferenceAdam:
             g.fill(0.0)
 
 
+def discard(p, g):
+    """An ``update(param, grad)`` that drops every gradient."""
+
+
 def corpus_loss(model, x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw):
-    """The training loss of ``model.forward_backward``, no gradients."""
-    loss, _, _ = model.forward_backward(x, cluster_ids, global_docs, noise_g, noise_d, eta, **kw)
+    """The training loss of ``model.forward_backward``; its gradients are
+    dropped."""
+    loss, _, _ = model.forward_backward(x, cluster_ids, global_docs, noise_g, noise_d, eta,
+                                        discard, **kw)
     return loss
 
 

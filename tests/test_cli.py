@@ -256,6 +256,7 @@ MANIFEST_CUTS = {
     "checkpoint-meta": ("meta tau ", lambda fields: "meta tau"),
     "checkpoint-tensor": ("tensor ", lambda fields: " ".join(fields[:3])),
     "checkpoint-shape": ("tensor ", lambda fields: " ".join([*fields[:2], "x", *fields[3:]])),
+    "checkpoint-version": ("glocom-checkpoint", lambda fields: "glocom-checkpoint 2"),
 }
 
 
@@ -270,6 +271,7 @@ MANIFEST_CUTS = {
     ("checkpoint-meta", 6),
     ("checkpoint-tensor", 6),
     ("checkpoint-shape", 6),
+    ("checkpoint-version", 6),
     ("checkpoint-transposed", 6),
     ("top-n-0", 3),
     ("top-n--1", 3),

@@ -17,8 +17,6 @@ from glocom.corpus import (
     _INT_BLOCK,
     BowCorpus,
     Vocabulary,
-    build_bow,
-    build_vocabulary,
     load_embeddings,
     load_word_embeddings,
     preprocess,
@@ -35,22 +33,22 @@ from glocom.errors import CorpusError, EmbeddingError
 
 
 def test_build_vocabulary_counts_and_order():
-    vocab = build_vocabulary([["a", "b", "a"], ["a", "c"]], min_freq=2)
-    assert vocab.words == ["a"]
+    bow, _ = preprocess([["a", "b", "a"], ["a", "c"]], min_freq=2, min_terms=1)
+    assert bow.vocab.words == ["a"]
     # min_freq=1 keeps all distinct tokens, first-occurrence order
-    vocab = build_vocabulary([["b", "a", "b"], ["c", "a"]], min_freq=1)
-    assert vocab.words == ["b", "a", "c"]
-    assert vocab.index == {"b": 0, "a": 1, "c": 2}
+    bow, _ = preprocess([["b", "a", "b"], ["c", "a"]], min_freq=1, min_terms=1)
+    assert bow.vocab.words == ["b", "a", "c"]
+    assert bow.vocab.index == {"b": 0, "a": 1, "c": 2}
 
 
 def test_build_vocabulary_empty_result_names_min_freq():
     with pytest.raises(CorpusError, match="min_freq=5"):
-        build_vocabulary([["a"], ["b"]], min_freq=5)
+        preprocess([["a"], ["b"]], min_freq=5, min_terms=1)
 
 
 def test_build_vocabulary_rejects_empty_corpus():
     with pytest.raises(CorpusError):
-        build_vocabulary([], min_freq=1)
+        preprocess([], min_freq=1)
 
 
 def test_vocabulary_rejects_duplicates_and_empties():
@@ -61,39 +59,38 @@ def test_vocabulary_rejects_duplicates_and_empties():
 
 
 def test_build_bow_filter_rule():
-    vocab = Vocabulary(["a", "b"])
-    bow, kept = build_bow([["a", "b"], ["a"]], vocab, min_terms=2)
+    bow, kept = preprocess([["a", "b"], ["a"]], min_freq=1, min_terms=2)
     assert kept == [0]
     assert bow.num_docs == 1
+    assert bow.vocab.words == ["a", "b"]
     assert bow.dense().tolist() == [[1.0, 1.0]]
 
 
 def test_build_bow_drops_empty_docs_regardless_of_min_terms():
-    vocab = Vocabulary(["a"])
-    # second doc is all out-of-vocabulary, third is empty
-    bow, kept = build_bow([["a"], ["z", "q"], []], vocab, min_terms=1)
+    # second doc is all out-of-vocabulary (z and q occur once), third is empty
+    bow, kept = preprocess([["a", "a"], ["z", "q"], []], min_freq=2, min_terms=1)
+    assert bow.vocab.words == ["a"]
     assert kept == [0]
 
 
 def test_build_bow_all_dropped_is_an_error():
-    vocab = Vocabulary(["a"])
     with pytest.raises(CorpusError, match="min_terms=2"):
-        build_bow([["a"], ["a", "a"]], vocab, min_terms=2)
+        preprocess([["a"], ["a", "a"]], min_freq=1, min_terms=2)
 
 
 def test_build_bow_filters_labels_through_kept_indices():
-    vocab = Vocabulary(["a", "b"])
-    bow, kept = build_bow(
-        [["a", "b"], ["z"], ["b", "a", "a"]], vocab, min_terms=2, labels=[7, 8, 9]
+    # z occurs once, so the second document has no vocabulary word
+    bow, kept = preprocess(
+        [["a", "b"], ["z"], ["b", "a", "a"]], min_freq=2, min_terms=2, labels=[7, 8, 9]
     )
+    assert bow.vocab.words == ["a", "b"]
     assert kept == [0, 2]
     assert bow.labels.tolist() == [7, 9]
 
 
 def test_doc_lengths_match_counts():
-    vocab = Vocabulary(["a", "b", "c"])
     docs = [["a", "a", "b"], ["b", "c", "c", "c"]]
-    bow, _ = build_bow(docs, vocab, min_terms=1)
+    bow, _ = preprocess(docs, min_freq=1, min_terms=1)
     lengths = np.asarray(bow.counts.sum(axis=1)).ravel()
     assert lengths.tolist() == [3, 4]
     assert lengths.tolist() == [len(d) for d in docs]
@@ -272,8 +269,9 @@ def test_tfidf_csr_matches_dense_oracle():
 
 def test_tfidf_hand_oracle():
     # docs: [a a b], [a c], [b b b]; df(a)=2 df(b)=2 df(c)=1, D=3
-    vocab = Vocabulary(["a", "b", "c"])
-    bow, _ = build_bow([["a", "a", "b"], ["a", "c"], ["b", "b", "b"]], vocab, min_terms=1)
+    bow, _ = preprocess([["a", "a", "b"], ["a", "c"], ["b", "b", "b"]], min_freq=1,
+                        min_terms=1)
+    assert bow.vocab.words == ["a", "b", "c"]
     X = tfidf(bow).rows.toarray()
     expected = np.array(
         [
@@ -286,8 +284,7 @@ def test_tfidf_hand_oracle():
 
 
 def test_tfidf_single_document_gives_zero_row():
-    vocab = Vocabulary(["a", "b"])
-    bow, _ = build_bow([["a", "b", "b"]], vocab, min_terms=1)
+    bow, _ = preprocess([["a", "b", "b"]], min_freq=1, min_terms=1)
     X = tfidf(bow).rows.toarray()
     assert np.all(X == 0.0)
 
@@ -428,13 +425,12 @@ def test_corpus_and_label_files(tmp_path):
 
 
 def test_bow_file_round_trip(tmp_path):
-    vocab = Vocabulary(["a", "b", "c"])
-    bow, _ = build_bow([["a", "a", "c"], ["b", "c"]], vocab, min_terms=1)
+    bow, _ = preprocess([["a", "a", "c"], ["b", "c"]], min_freq=1, min_terms=1)
     path = str(tmp_path / "bow.txt")
     write_bow(bow, path)
     with open(path) as fh:
         assert fh.readline().strip() == "2 3 4"
-    back = read_bow(path, vocab)
+    back = read_bow(path, bow.vocab)
     assert (back.counts != bow.counts).nnz == 0
 
 

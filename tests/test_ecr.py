@@ -56,6 +56,32 @@ def test_squared_distances_equal_direct_expression_bitwise():
     assert D.min() == 0.0 and not np.signbit(D).any()
 
 
+def test_squared_distances_csr_rows_match_kmeans_expression_bitwise():
+    # k-means passes CSR TF-IDF rows with their cached squared norms; the
+    # distances must keep the bits of |x|^2 - 2 X C^T + |c|^2, which decide
+    # its assignments. Rows 0-4 are centroids (clamped to 0) and the last
+    # rows share no word with any centroid (|x|^2 + |c|^2 exactly).
+    import scipy.sparse as sp
+
+    from glocom.corpus import row_sq_norms
+
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0, 1, size=(60, 40)) * (rng.random((60, 40)) < 0.15)
+    X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
+    X[:5, 30:] = 0.0
+    C = X[:5].copy()
+    X[-6:, :30] = 0.0
+    X = sp.csr_matrix(X)
+    xsq = row_sq_norms(X)
+    D = squared_distances(X, C, xsq)
+    want = xsq[:, None] - 2.0 * np.asarray(X @ C.T) + row_sq_norms(C)[None, :]
+    np.maximum(want, 0.0, out=want)
+    np.testing.assert_array_equal(D, want)
+    np.testing.assert_array_equal(D, squared_distances(X, C))
+    assert not np.signbit(D).any() and np.all(np.diag(D[:5]) < 1e-15)
+    np.testing.assert_allclose(D, squared_distances(X.toarray(), C), rtol=1e-12, atol=1e-15)
+
+
 def test_zero_cost_gives_uniform_plan():
     plan = sinkhorn(TransportProblem(np.zeros((2, 2)), nu=1.0))
     np.testing.assert_allclose(plan.psi, 0.25, atol=1e-12)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fd import central_diff, rel_err
-from oracles import GradientSink, compute_beta_backward_direct, corpus_loss, dense_targets
+from oracles import (
+    GradientSink,
+    compute_beta_backward_direct,
+    corpus_loss,
+    dense_targets,
+    discard,
+)
 from scipy.special import logsumexp
 
 import glocom.model
@@ -186,7 +192,7 @@ def test_kl_global_counts_each_batch_cluster_once():
     B = inputs["x"].shape[0]
     uniq = np.unique(inputs["cluster_ids"])
     assert uniq.size < B  # some cluster has several documents in the batch
-    _, comps, _ = model.forward_backward(**inputs, kl_scale=0.5)
+    _, comps, _ = model.forward_backward(**inputs, update=discard, kl_scale=0.5)
     mu, lv = model.encode_global(inputs["global_docs"][uniq])
     kl = kl_diag_gaussian(mu, lv, 0.0, 1.0)
     assert comps["kl_global"] == pytest.approx(0.5 * kl.sum() / B, rel=1e-14)
@@ -228,7 +234,7 @@ def test_zero_sum_input_rejected():
 
 def test_latents_are_simplex_points():
     model, inputs = _instance(seed=14)
-    _, _, lat = model.forward_backward(**inputs)
+    _, _, lat = model.forward_backward(**inputs, update=discard)
     np.testing.assert_allclose(lat.theta_g.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(lat.theta_gd.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(lat.theta_g >= 0) and np.all(lat.theta_gd >= 0)
@@ -262,7 +268,7 @@ def test_rho_override_silences_local_terms():
     _local_encoder_at_prior(model)
     B, K = inputs["x"].shape[0], 4
     inputs["noise_d"] = np.zeros((B, K))
-    _, comps, lat = model.forward_backward(**inputs)
+    _, comps, lat = model.forward_backward(**inputs, update=discard)
     assert comps["kl_local"] == 0.0
     np.testing.assert_array_equal(lat.rho, np.ones((B, K)))
 
@@ -277,7 +283,7 @@ def test_reduces_to_plain_vae_with_ablations():
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, _ = model.forward_backward(
-        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0)
+        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0, discard)
     assert comps["kl_local"] == 0.0
     # independent computation
     mu, lv, _ = model.phi.forward(x / x.sum(axis=1, keepdims=True))
@@ -303,7 +309,7 @@ def test_loss_equals_independent_elbo_at_local_posterior_mean():
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, lat = model.forward_backward(
-        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0)
+        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0, discard)
 
     x_n = x / x.sum(axis=1, keepdims=True)
     mu, lv, _ = model.phi.forward(x_n)
@@ -437,20 +443,24 @@ def test_checkpoint_rejects_missing_or_bad_meta(tmp_path, old, new, message):
 
 
 def test_checkpoint_stores_first_layer_hidden_by_words(tmp_path):
-    model, _ = _instance(seed=21)  # V=20, hidden=10
+    # the model holds every encoder weight (in, out); the checkpoint stores
+    # each (out, in), the first layer's (hidden, num_words)
+    model, _ = _instance(seed=21)  # V=20, K=4, hidden=10
     save_checkpoint(model, str(tmp_path / "c"))
     manifest = (tmp_path / "c" / "manifest.txt").read_text().splitlines()
     for enc in (model.phi, model.gamma):
-        W = enc.l1.W.value
-        assert W.shape == (20, 10) and W.flags.c_contiguous
-        data = (tmp_path / "c" / f"{enc.l1.W.name}.bin").read_bytes()
-        assert data == _GEMB_MAGIC + struct.pack("<QQ", 10, 20) + W.T.tobytes()
-        assert f"tensor {enc.l1.W.name} 10 20 float64" in manifest
+        for layer, shape in ((enc.l1, (20, 10)), (enc.l2, (10, 10)),
+                             (enc.mu_head, (10, 4)), (enc.lv_head, (10, 4))):
+            W = layer.W.value
+            assert W.shape == shape and W.flags.c_contiguous, layer.W.name
+            data = (tmp_path / "c" / f"{layer.W.name}.bin").read_bytes()
+            assert data == _GEMB_MAGIC + struct.pack("<QQ", *shape[::-1]) + W.T.tobytes()
+            assert f"tensor {layer.W.name} {shape[1]} {shape[0]} float64" in manifest
 
 
 def test_checkpoint_written_by_hand_loads_bit_exact_without_draws(tmp_path, monkeypatch):
-    # the layout checkpoints have always had: biases one row, first-layer
-    # weights (hidden, num_words), written in params() order
+    # the layout checkpoints have always had: biases one row, encoder
+    # weights (out, in), written in params() order
     V, K, L, H = 7, 3, 4, 5
     shapes = {"space.W": (V, L), "space.T": (K, L)}
     for enc in ("phi", "gamma"):
@@ -478,13 +488,28 @@ def test_checkpoint_written_by_hand_loads_bit_exact_without_draws(tmp_path, monk
     assert [p.name for p in model.params()] == list(stored)
     for p in model.params():
         M = stored[p.name]
-        np.testing.assert_array_equal(p.value, M.T if p.name.endswith(".l1.W") else
+        encoder_weight = p.name.endswith(".W") and not p.name.startswith("space.")
+        np.testing.assert_array_equal(p.value, M.T if encoder_weight else
                                       M.reshape(p.value.shape))
         assert p.value.flags.c_contiguous and p.value.flags.writeable
     assert (model.space.tau, model.epsilon, model.hidden) == (0.25, 0.02, H)
     save_checkpoint(model, str(tmp_path / "again"))
     for name in ["manifest.txt"] + [f"{name}.bin" for name in stored]:
         assert (tmp_path / "again" / name).read_bytes() == (ckpt / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("header", ["glocom-checkpoint 2", "glocom-checkpoint",
+                                    "glocom-checkpoint 1 extra", "glocom 1", ""])
+def test_checkpoint_rejects_any_header_but_version_1(tmp_path, header):
+    model, _ = _instance(seed=19, V=6, K=2)
+    save_checkpoint(model, str(tmp_path / "c"))
+    manifest = tmp_path / "c" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    assert lines[0] == "glocom-checkpoint 1"
+    manifest.write_text("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(TrainingError, match=r"manifest.txt:1: header .* is not "
+                                            r"'glocom-checkpoint 1'"):
+        load_checkpoint(str(tmp_path / "c"))
 
 
 @pytest.mark.parametrize("name", ["phi.mu.W", "gamma.l1.W"])
@@ -508,25 +533,25 @@ def test_ecr_term_wiring():
     model, inputs = _instance(seed=20)
     sqd = model.space.squared_dists()
     expected_ecr = 20.0 * float(np.sum(sqd * inputs["psi"]))
-    loss_with, comps, _ = model.forward_backward(**inputs)
+    loss_with, comps, _ = model.forward_backward(**inputs, update=discard)
     assert comps["ecr"] == pytest.approx(expected_ecr, rel=1e-12)
     no_ecr = dict(inputs, lambda_ecr=0.0, psi=None)
-    loss_without, comps2, _ = model.forward_backward(**no_ecr)
+    loss_without, comps2, _ = model.forward_backward(**no_ecr, update=discard)
     assert loss_with == pytest.approx(loss_without + expected_ecr, rel=1e-12)
     assert comps2["ecr"] == 0.0
 
 
 def test_kl_scale_scales_kl_components_exactly():
     model, inputs = _instance(seed=21)
-    _, full, _ = model.forward_backward(**inputs)
-    _, half, _ = model.forward_backward(**inputs, kl_scale=0.5)
-    _, off, _ = model.forward_backward(**inputs, kl_scale=0.0)
+    _, full, _ = model.forward_backward(**inputs, update=discard)
+    _, half, _ = model.forward_backward(**inputs, update=discard, kl_scale=0.5)
+    _, off, _ = model.forward_backward(**inputs, update=discard, kl_scale=0.0)
     assert half["kl_global"] == pytest.approx(0.5 * full["kl_global"], rel=1e-15)
     assert half["kl_local"] == pytest.approx(0.5 * full["kl_local"], rel=1e-15)
     assert half["recon"] == full["recon"] and half["ecr"] == full["ecr"]
     assert off["kl_global"] == 0.0 and off["kl_local"] == 0.0
     with pytest.raises(TrainingError, match="kl_scale"):
-        model.forward_backward(**inputs, kl_scale=-0.1)
+        model.forward_backward(**inputs, update=discard, kl_scale=-0.1)
 
 
 def test_kl_scale_gradients_match_fd():
@@ -540,19 +565,6 @@ def _loss_and_grads(model, inputs):
     grads = GradientSink()
     loss, comps, _ = model.forward_backward(**inputs, update=grads)
     return loss, comps, grads
-
-
-def test_loss_only_pass_equals_backward_pass():
-    # update=None computes the loss alone: the same loss, components and
-    # latents as the pass that hands every gradient to update, bit for bit
-    model, inputs = _instance(seed=24, sparse=True)
-    loss, comps, lat = model.forward_backward(**inputs)
-    grads = GradientSink()
-    loss_b, comps_b, lat_b = model.forward_backward(**inputs, update=grads)
-    assert loss_b == loss and comps_b == comps
-    for field in ("theta_g", "rho", "theta_gd", "kl_global", "kl_local"):
-        np.testing.assert_array_equal(getattr(lat_b, field), getattr(lat, field))
-    assert grads.keys() == {p.name for p in model.params()}
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.37])

@@ -9,10 +9,9 @@ from scipy.special import expit
 from glocom.numerics import (
     ADAM_CHUNK,
     Adam,
+    DenseLayer,
     Encoder,
     Param,
-    affine_backward,
-    affine_forward,
     clamp_logvar,
     gaussian_reparameterize,
     gaussian_reparameterize_backward,
@@ -54,14 +53,16 @@ def test_primitive_backwards_match_fd_100_seeds():
         rng = np.random.default_rng(seed)
         n, din, dout = rng.integers(1, 17, size=3)
         X = rng.normal(size=(n, din))
-        W = rng.normal(size=(dout, din))
-        b = rng.normal(size=dout)
+        layer = DenseLayer(Param("W", rng.normal(size=(din, dout))),
+                           Param("b", rng.normal(size=dout)))
         R = rng.normal(size=(n, dout))
 
-        dX, dW, db = affine_backward(R, X, W)
-        assert rel_err(dX, central_diff(lambda: np.sum(R * affine_forward(X, W, b)), X)) < 1e-4
-        assert rel_err(dW, central_diff(lambda: np.sum(R * affine_forward(X, W, b)), W)) < 1e-4
-        assert rel_err(db, central_diff(lambda: np.sum(R * affine_forward(X, W, b)), b)) < 1e-4
+        grads = GradientSink()
+        dX = layer.backward(R, X, grads)
+        f = lambda: np.sum(R * layer.forward(X))
+        assert rel_err(dX, central_diff(f, X)) < 1e-4
+        assert rel_err(grads["W"], central_diff(f, layer.W.value)) < 1e-4
+        assert rel_err(grads["b"], central_diff(f, layer.b.value)) < 1e-4
 
         Z = rng.normal(size=(n, din))
         Rz = rng.normal(size=(n, din))

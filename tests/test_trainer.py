@@ -211,7 +211,7 @@ def test_single_step_loss_equals_dense_targets_oracle():
     # same CSR rows bit for bit, and forward_backward on the dense rows and
     # x + eta * global_docs[assignment] targets to rounding (the sparse
     # products sum in another order than the dense ones)
-    from oracles import dense_targets
+    from oracles import dense_targets, discard
 
     from glocom.rng import substream
 
@@ -232,11 +232,12 @@ def test_single_step_loss_equals_dense_targets_oracle():
     gdocs = setup.global_corpus.global_docs
     keys = ("loss", "recon", "kl_global", "kl_local", "ecr")
     x = corpus.counts.astype(np.float64)[perm]
-    _, comps, _ = model.forward_backward(x, cids, gdocs, noise_g, noise_d, eta=cfg.eta)
+    _, comps, _ = model.forward_backward(x, cids, gdocs, noise_g, noise_d, eta=cfg.eta,
+                                         update=discard)
     np.testing.assert_array_equal(report.trajectory[0], [comps[k] for k in keys])
     with dense_targets():
         _, dense, _ = model.forward_backward(x.toarray(), cids, gdocs, noise_g, noise_d,
-                                             eta=cfg.eta)
+                                             eta=cfg.eta, update=discard)
     np.testing.assert_allclose(report.trajectory[0], [dense[k] for k in keys],
                                rtol=1e-13, atol=0)
 
