@@ -39,10 +39,6 @@ class ClusterAssignment:
         if self.inertia < 0:
             raise ClusteringError("negative inertia")
 
-    @property
-    def num_docs(self) -> int:
-        return self.assignment.shape[0]
-
     def counts(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.G)
 
@@ -163,59 +159,52 @@ def kmeans(
     return ClusterAssignment(assign, G, C, inertia, history)
 
 
-def _normalize_assignment(assignment, G: Optional[int] = None) -> ClusterAssignment:
-    """Accept a ClusterAssignment or a raw (D,) label array; for raw arrays
-    the cluster count defaults to max id + 1 unless given explicitly."""
-    if isinstance(assignment, ClusterAssignment):
-        return assignment
-    labels = np.asarray(assignment, dtype=np.int64)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ClusteringError("assignment must be a non-empty 1-d label array")
-    g = int(labels.max()) + 1 if G is None else int(G)
-    return ClusterAssignment(labels, g, np.zeros((g, 0)), 0.0)
-
-
-def build_global_docs(
-    corpus: BowCorpus, assignment, G: Optional[int] = None
-) -> np.ndarray:
-    """Per-cluster elementwise sum of member count vectors, exact integers."""
-    assignment = _normalize_assignment(assignment, G)
-    if assignment.num_docs != corpus.num_docs:
-        raise ClusteringError(
-            f"assignment covers {assignment.num_docs} documents, corpus has {corpus.num_docs}"
-        )
-    members = _indicator(assignment.assignment, assignment.G, np.int64)
-    out = (members @ corpus.counts).toarray().astype(np.int64, copy=False)
-    empty = np.flatnonzero(assignment.counts() == 0)
-    if empty.size:
-        warnings.warn(f"clusters with no documents: {empty.tolist()}", stacklevel=2)
-    return out
+def build_global_docs(corpus: BowCorpus, assignment: np.ndarray, G: int) -> sp.csr_matrix:
+    """Each cluster's summed member counts, a float64 CSR (G, V) matrix;
+    ``assignment`` holds one id in [0, G) per document."""
+    return _indicator(assignment, G, np.float64) @ corpus.counts
 
 
 @dataclass
 class GlobalCorpus:
-    """Global documents and the augmentation weight of the targets
-    x + eta * x^g (the model forms them; see ``model.reconstruction``)."""
+    """The clustering context of one corpus: each document's cluster id
+    and each cluster's global document x^g. The model's targets are
+    x + eta * x^g (see ``model.reconstruction``)."""
 
-    global_docs: np.ndarray  # (G, V) exact integer sums
-    eta: float
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ClusteringError(f"eta must be >= 0, got {self.eta}")
+    assignment: np.ndarray  # (D,) int64 ids in [0, G)
+    global_docs: sp.csr_matrix  # (G, V) float64 summed counts
 
 
 def build_global_corpus(
-    corpus: BowCorpus, assignment, eta: float, G: Optional[int] = None
+    corpus: BowCorpus, assignment, G: Optional[int] = None
 ) -> GlobalCorpus:
-    return GlobalCorpus(build_global_docs(corpus, assignment, G), float(eta))
+    """The one check of an assignment against a corpus: one id per
+    document, each in [0, G); G defaults to the largest id + 1. A cluster
+    with no documents gets an empty global document and a warning."""
+    ids = np.asarray(assignment)
+    D = corpus.num_docs
+    if D == 0 or ids.shape != (D,):
+        raise ClusteringError(f"assignment of shape {ids.shape} for a corpus of {D} documents")
+    ids = ids.astype(np.int64, copy=False)
+    G = int(ids.max()) + 1 if G is None else G
+    if ids.min() < 0 or ids.max() >= G:
+        raise ClusteringError(f"assignment ids outside [0, {G})")
+    empty = np.flatnonzero(np.bincount(ids, minlength=G) == 0)
+    if empty.size:
+        warnings.warn(f"clusters with no documents: {empty.tolist()}", stacklevel=2)
+    return GlobalCorpus(ids, build_global_docs(corpus, ids, G))
 
 
 def read_assignment(path: str, G: Optional[int] = None) -> np.ndarray:
-    """Cluster ids, one per line, as ``write_label_file`` writes them."""
+    """Cluster ids, one per line, as ``write_label_file`` writes them; an id
+    below 0, or not below G when G is given, raises naming its line."""
     ids = read_label_file(path, ClusteringError)
     if ids.size == 0:
         raise ClusteringError(f"assignment file is empty: {path}")
-    if G is not None and ids.max() >= G:
-        raise ClusteringError(f"assignment id {ids.max()} out of range for G={G}")
+    bad = np.flatnonzero((ids < 0) | (ids >= (np.inf if G is None else G)))
+    if bad.size:
+        with open(path, encoding="utf-8") as fh:
+            ln = [n for n, line in enumerate(fh, 1) if line.strip()][bad[0]]
+        bound = "" if G is None else f" for G={G}"
+        raise ClusteringError(f"{path}:{ln}: cluster id {ids[bad[0]]} out of range{bound}")
     return ids

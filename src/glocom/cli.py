@@ -314,24 +314,17 @@ def run_train(corpus, cfg, assignment, word_init, out_dir):
     return setup
 
 
-def _run_inference(model, corpus, assignment, top_n):
-    from .aggregation import build_global_docs
-    from .model import infer
-
-    global_docs = build_global_docs(corpus, assignment)
-    return infer(
-        model, corpus.counts, assignment, global_docs, corpus.vocab.words,
-        top_n=top_n,
-    )
-
-
 def run_infer(checkpoint, corpus, assignment, top_n, out_dir):
     """Posterior means from the checkpoint directory; writes topics.txt,
     the two mixture matrices and beta.csv."""
-    from .model import load_checkpoint, write_matrix_csv, write_topics
+    from .aggregation import build_global_corpus
+    from .model import infer, load_checkpoint, write_matrix_csv, write_topics
 
     os.makedirs(out_dir, exist_ok=True)
-    output = _run_inference(load_checkpoint(checkpoint), corpus, assignment, top_n)
+    model = load_checkpoint(checkpoint)
+    gc = build_global_corpus(corpus, assignment)
+    output = infer(model, corpus.counts, gc.assignment, gc.global_docs, corpus.vocab.words,
+                   top_n=top_n)
     write_topics(output, os.path.join(out_dir, "topics.txt"))
     write_matrix_csv(output.theta_local, os.path.join(out_dir, "theta_local.csv"))
     write_matrix_csv(output.theta_global, os.path.join(out_dir, "theta_global.csv"))
@@ -386,19 +379,13 @@ def _read_corpus(bow_path, vocab_path, labels_path=None):
     return read_bow(bow_path, vocab, labels)
 
 
-def _load_assignment_for(cfg, path, corpus):
+def _load_assignment_for(cfg, path):
     from .aggregation import read_assignment
 
     if cfg.ablation == "no_clustering":
         return None
     _require(path, "cluster assignment")
-    assignment = read_assignment(path, G=cfg.G)
-    if assignment.shape[0] != corpus.num_docs:
-        raise ClusteringError(
-            f"assignment covers {assignment.shape[0]} documents, "
-            f"corpus has {corpus.num_docs}"
-        )
-    return assignment
+    return read_assignment(path, G=cfg.G)
 
 
 def cmd_preprocess(args) -> int:
@@ -430,7 +417,7 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     corpus = _read_corpus(args.bow, args.vocab)
-    assignment = _load_assignment_for(cfg, args.clusters, corpus)
+    assignment = _load_assignment_for(cfg, args.clusters)
     word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
     _write_manifest(
         args.out, args,
@@ -526,7 +513,7 @@ def cmd_pipeline(args) -> int:
                        corpus.vocab, cfg.seed)
     setup = _stage("train", run_train, corpus, cfg, assignment, word_init, out("train"))
     output = _stage("infer", run_infer, os.path.join(out("train"), "checkpoint"),
-                    corpus, setup.assignment, args.top_n, out("infer"))
+                    corpus, setup.global_corpus.assignment, args.top_n, out("infer"))
     _stage("eval", run_eval, output.top_words, output.theta_local, corpus,
            corpus.labels, out("metrics.json"))
     return 0
@@ -561,7 +548,7 @@ def cmd_grid(args) -> int:
 
     cfg = _resolve_config(args)
     corpus = _read_corpus(args.bow, args.vocab, args.labels)
-    assignment = _load_assignment_for(cfg, args.clusters, corpus)
+    assignment = _load_assignment_for(cfg, args.clusters)
     word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
     grids = _parse_grid(args.grid)
     _write_manifest(

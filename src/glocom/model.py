@@ -35,14 +35,16 @@ from .numerics import (
 from .rng import substream
 
 
-def normalize_rows(X, what: str = "input"):
-    """Divide every row by its sum; CSR rows stay CSR. Zero-sum rows are
-    rejected: a document with no mass cannot be encoded."""
-    if sp.issparse(X):
-        X = sp.csr_matrix(X, dtype=np.float64)
-    else:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    sums = np.asarray(X.sum(axis=1)).ravel()
+def _row_sums(X: sp.csr_matrix) -> np.ndarray:
+    """(N,) sums of the rows of a CSR matrix."""
+    return np.asarray(X.sum(axis=1)).ravel()
+
+
+def normalize_rows(X, what: str = "input") -> sp.csr_matrix:
+    """Every row divided by its sum, as float64 CSR; a dense X is converted.
+    Zero-sum rows are rejected: a document with no mass cannot be encoded."""
+    X = sp.csr_matrix(X, dtype=np.float64)
+    sums = _row_sums(X)
     if np.any(sums == 0):
         raise TrainingError(f"zero-sum {what} row cannot be normalized")
     return divide_rows(X, sums)
@@ -123,19 +125,19 @@ def combine(theta_g: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return softmax_forward(theta_g * rho)
 
 
-def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray,
-                   beta: np.ndarray):
+def reconstruction(x: sp.csr_matrix, context: sp.csr_matrix, inv: np.ndarray,
+                   theta_gd: np.ndarray, beta: np.ndarray):
     """Per-row loss -sum_v T_dv log softmax(theta_gd beta^T)_dv against the
     target T = x + context[inv], and the gradients of its batch mean.
 
-    ``x`` (B, V) holds counts, dense or CSR; ``context`` (C, V) holds eta
-    times the batch's distinct global documents. The loss is linear in T,
-    so only its row sums s, T beta and T^T theta_gd are formed, each as a
-    part on x plus a part on the C context rows; the softmax is the one
-    B x V array. Returns (recon (B,), dtheta_gd, dbeta)."""
+    ``x`` (B, V) holds counts and ``context`` (C, V) eta times the batch's
+    distinct global documents, both CSR. The loss is linear in T, so only
+    its row sums s, T beta and T^T theta_gd are formed, each as a part on x
+    plus a part on the C context rows; the softmax is the one B x V array.
+    Returns (recon (B,), dtheta_gd, dbeta)."""
     B = x.shape[0]
-    s = np.asarray(x.sum(axis=1), dtype=np.float64).ravel() + context.sum(axis=1)[inv]
-    t_beta = np.asarray(x @ beta) + (context @ beta)[inv]
+    s = _row_sums(x) + _row_sums(context)[inv]
+    t_beta = x @ beta + (context @ beta)[inv]
     p = theta_gd @ beta.T
     row_max = p.max(axis=1)
     p -= row_max[:, None]
@@ -146,7 +148,7 @@ def reconstruction(x, context: np.ndarray, inv: np.ndarray, theta_gd: np.ndarray
     p /= z[:, None]
     per_cluster = np.zeros((context.shape[0], theta_gd.shape[1]))
     np.add.at(per_cluster, inv, theta_gd)
-    tt_theta = np.asarray(x.T @ theta_gd) + context.T @ per_cluster
+    tt_theta = x.T @ theta_gd + context.T @ per_cluster
     dtheta_gd = (s[:, None] * (p @ beta) - t_beta) / B
     dbeta = (p.T @ (s[:, None] * theta_gd) - tt_theta) / B
     return recon, dtheta_gd, dbeta
@@ -232,12 +234,12 @@ class GlocomModel:
     # -- encoders ----------------------------------------------------------
 
     def encode_global(self, x_g) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, log_var) of the cluster-level latent; input raw counts."""
+        """(mu, log_var) of the cluster-level latent; raw counts, as CSR."""
         mu, lv, _ = self.phi.forward(normalize_rows(x_g, "global doc"))
         return mu, lv
 
     def encode_local(self, x_d) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, log_var) of the adaptive variable; raw counts, dense or CSR."""
+        """(mu, log_var) of the adaptive variable; raw counts, as CSR."""
         mu, lv, _ = self.gamma.forward(normalize_rows(x_d, "document"))
         return mu, lv
 
@@ -245,9 +247,9 @@ class GlocomModel:
 
     def forward_backward(
         self,
-        x,  # (B, V) raw counts, dense or CSR
+        x,  # (B, V) raw counts, as CSR
         cluster_ids: np.ndarray,  # (B,)
-        global_docs: np.ndarray,  # (G, V)
+        global_docs,  # (G, V) summed counts, as CSR
         noise_g: np.ndarray,  # (C, K), one row per distinct batch cluster
         noise_d: np.ndarray,  # (B, K)
         eta: float,  # targets are x + eta * global_docs[cluster_ids]
@@ -266,12 +268,15 @@ class GlocomModel:
         squared-distance matrix. The global KL counts once per distinct
         cluster in the batch, and ``kl_scale`` multiplies both KL terms
         (warmup annealing hook). ``sqd`` is the current squared-distance
-        matrix when the caller has already computed it.
+        matrix when the caller has already computed it. Counts given
+        dense are converted to CSR here, once.
         """
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
         if eta < 0:
             raise TrainingError(f"eta must be >= 0, got {eta}")
+        x = sp.csr_matrix(x, dtype=np.float64)
+        global_docs = sp.csr_matrix(global_docs, dtype=np.float64)
         B = x.shape[0]
         uniq, inv = np.unique(np.asarray(cluster_ids, dtype=np.int64), return_inverse=True)
         if uniq.min() < 0 or uniq.max() >= global_docs.shape[0]:
@@ -283,7 +288,7 @@ class GlocomModel:
             )
 
         # global side: one latent sample per distinct cluster
-        xg = np.asarray(global_docs[uniq], dtype=np.float64)
+        xg = global_docs[uniq]
         mu_g, lv_g, cache_g = self.phi.forward(normalize_rows(xg, "global doc"))
         alpha_g = gaussian_reparameterize(mu_g, lv_g, noise_g)
         theta_g = softmax_forward(alpha_g)
@@ -365,7 +370,7 @@ def infer(
     model: GlocomModel,
     x,
     cluster_ids: np.ndarray,
-    global_docs: np.ndarray,
+    global_docs,
     vocab_words: list[str],
     top_n: int = 15,
 ) -> TopicModelOutput:
@@ -373,9 +378,10 @@ def infer(
 
     theta^g = softmax(mu_phi(x^g)); rho_d = mu_gamma(x_d);
     theta^g_d = softmax(theta^g(cluster of d) * rho_d).
-    ``x`` holds the documents' counts, CSR or dense; they are encoded
-    INFER_BLOCK_ROWS at a time. A cluster with an empty global document
-    (no members) gets the prior mean theta^g = softmax(0), uniform.
+    ``x`` holds the documents' counts and ``global_docs`` the clusters',
+    both as CSR (dense input is converted here, once); the documents are
+    encoded INFER_BLOCK_ROWS at a time. A cluster with an empty global
+    document (no members) gets the prior mean theta^g = softmax(0), uniform.
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {top_n}")
@@ -384,15 +390,15 @@ def infer(
             f"{len(vocab_words)} vocabulary words for a "
             f"{model.space.num_words}-word model"
         )
+    x = sp.csr_matrix(x, dtype=np.float64)
+    global_docs = sp.csr_matrix(global_docs, dtype=np.float64)
     K = model.space.num_topics
     theta_global = np.full((global_docs.shape[0], K), 1.0 / K)
-    used = global_docs.sum(axis=1) > 0
+    used = _row_sums(global_docs) > 0
     if used.any():
         mu_g, _ = model.encode_global(global_docs[used])
         theta_global[used] = softmax_forward(mu_g)
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    if sp.issparse(x):
-        x = sp.csr_matrix(x, dtype=np.float64)
     theta_local = np.empty((x.shape[0], K))
     for start in range(0, x.shape[0], INFER_BLOCK_ROWS):
         block = slice(start, start + INFER_BLOCK_ROWS)

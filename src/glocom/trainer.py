@@ -153,8 +153,7 @@ def apply_ablation(config: TrainConfig, num_docs: int) -> TrainConfig:
 @dataclass
 class TrainSetup:
     corpus: BowCorpus
-    assignment: np.ndarray  # (D,) cluster id per document
-    global_corpus: GlobalCorpus
+    global_corpus: GlobalCorpus  # its assignment checked against corpus
     config: TrainConfig  # with ablation switches already resolved
 
 
@@ -168,24 +167,12 @@ def build_setup(
     For no_clustering the supplied assignment is ignored and the identity
     assignment is used, so each global document is its own document.
     """
-    D = corpus.num_docs
-    cfg = apply_ablation(config, D)
+    cfg = apply_ablation(config, corpus.num_docs)
     if cfg.ablation == "no_clustering":
-        assignment = np.arange(D, dtype=np.int64)
+        assignment = np.arange(corpus.num_docs)
     elif assignment is None:
         raise TrainingError("a cluster assignment is required outside no_clustering")
-    else:
-        assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.shape != (D,):
-            raise TrainingError(
-                f"assignment covers {assignment.shape[0]} docs, corpus has {D}"
-            )
-        if assignment.min() < 0 or assignment.max() >= cfg.G:
-            raise TrainingError(
-                f"assignment ids outside [0, {cfg.G}) for G={cfg.G}"
-            )
-    gc = build_global_corpus(corpus, assignment, cfg.eta, G=cfg.G)
-    return TrainSetup(corpus, assignment, gc, cfg)
+    return TrainSetup(corpus, build_global_corpus(corpus, assignment, G=cfg.G), cfg)
 
 
 @dataclass
@@ -247,20 +234,9 @@ def train(
     neither returned nor checkpointed.
     """
     t0 = time.perf_counter()
-    corpus, global_corpus, config = setup.corpus, setup.global_corpus, setup.config
-    assignment = np.asarray(setup.assignment, dtype=np.int64)
+    corpus, config = setup.corpus, setup.config
+    assignment, gdocs = setup.global_corpus.assignment, setup.global_corpus.global_docs
     D = corpus.num_docs
-    if D == 0:
-        raise TrainingError("corpus has no documents")
-    if assignment.shape != (D,):
-        raise TrainingError(
-            f"assignment covers {assignment.shape[0]} docs, corpus has {D}"
-        )
-    if abs(global_corpus.eta - config.eta) > 1e-12:
-        raise TrainingError(
-            f"global corpus built with eta={global_corpus.eta}, "
-            f"config says eta={config.eta}"
-        )
 
     rng = substream(config.seed, "training")
     model = GlocomModel(
@@ -277,9 +253,6 @@ def train(
     adam = Adam(model.params(), lr=config.lr)
 
     x = corpus.counts.astype(np.float64)
-    gdocs = global_corpus.global_docs
-    if gdocs.shape[0] < int(assignment.max()) + 1:
-        raise TrainingError("assignment refers to clusters beyond the global docs")
 
     use_ecr = config.lambda_ecr != 0.0
     nu = 0.0
@@ -323,7 +296,7 @@ def train(
                 gdocs,
                 noise_g,
                 noise_d,
-                eta=global_corpus.eta,
+                eta=config.eta,
                 lambda_ecr=config.lambda_ecr,
                 psi=psi,
                 kl_scale=scale,
@@ -409,13 +382,9 @@ def grid_search(
         setup = build_setup(corpus, cfg, assignment)
         model, report = train(setup, word_init=word_init)
         if has_labels:
-            out = infer(
-                model,
-                setup.corpus.counts,
-                setup.assignment,
-                setup.global_corpus.global_docs,
-                setup.corpus.vocab.words,
-            )
+            gc = setup.global_corpus
+            out = infer(model, corpus.counts, gc.assignment, gc.global_docs,
+                        corpus.vocab.words)
             objective = nmi(assign_documents(out.theta_local), corpus.labels)
         else:
             objective = -report.final_tm_loss

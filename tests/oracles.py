@@ -31,7 +31,7 @@ from scipy.special import logsumexp
 import glocom.aggregation
 import glocom.model
 import glocom.trainer
-from glocom.aggregation import ClusterAssignment, _indicator, build_global_docs
+from glocom.aggregation import _indicator, build_global_corpus
 from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary, row_sq_norms
 from glocom.errors import CorpusError, GlocomError
 from glocom.numerics import (
@@ -54,18 +54,22 @@ def save_embeddings(matrix, path):
         fh.write(np.ascontiguousarray(M).tobytes())
 
 
+def _dense(X):
+    """X as a float64 array, whether CSR or dense."""
+    return np.asarray(X.toarray() if sp.issparse(X) else X, dtype=np.float64)
+
+
 def augmented_docs(corpus, global_docs, assignment, eta):
-    """x + eta * (own cluster's global doc) for the whole corpus, dense."""
-    if isinstance(assignment, ClusterAssignment):
-        assignment = assignment.assignment
+    """x + eta * (own cluster's global doc) for the whole corpus, dense;
+    ``global_docs`` CSR or dense."""
     assert global_docs.shape[1] == corpus.num_words
-    return corpus.dense() + eta * np.asarray(global_docs, dtype=np.float64)[assignment]
+    return corpus.dense() + eta * _dense(global_docs)[assignment]
 
 
 def dense_target_reconstruction(x, context, inv, theta_gd, beta):
     """``glocom.model.reconstruction`` computed on a dense B x V target:
     logsumexp log-probabilities, -sum(x_aug * logp) and the dense dlogits."""
-    x_aug = (x.toarray() if sp.issparse(x) else x) + context[inv]
+    x_aug = _dense(x) + _dense(context)[inv]
     B = x_aug.shape[0]
     logits = theta_gd @ beta.T
     logp = logits - logsumexp(logits, axis=1, keepdims=True)
@@ -338,7 +342,7 @@ def profile_word_embeddings(corpus, assignment, G=None):
     clusters land close together, so this serves where pretrained vectors
     do not exist for the vocabulary (synthetic corpora above all).
     """
-    gd = build_global_docs(corpus, assignment, G).astype(np.float64)
+    gd = build_global_corpus(corpus, assignment, G).global_docs.toarray()
     totals = gd.sum(axis=1, keepdims=True)
     share = np.divide(gd, totals, out=np.zeros_like(gd), where=totals > 0).T
     row = share.sum(axis=1, keepdims=True)

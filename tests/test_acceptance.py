@@ -24,7 +24,7 @@ from oracles import (
 )
 from scipy.integrate import quad
 
-from glocom.aggregation import build_global_docs, kmeans
+from glocom.aggregation import build_global_corpus, kmeans
 from glocom.cli import main as cli_main
 from glocom.corpus import BowCorpus, Vocabulary, preprocess
 from glocom.ecr import TransportProblem, default_nu, sinkhorn
@@ -240,9 +240,8 @@ def _recovery_run(seed, variant):
     setup = build_setup(corpus, cfg, assign)
     model, _ = train(setup, word_init=word_init,
                                 topic_init=topic_init)
-    ids = setup.assignment if assign is None else assign
-    out = infer(model, corpus.dense(), ids, setup.global_corpus.global_docs,
-                corpus.vocab.words)
+    gc = setup.global_corpus
+    out = infer(model, corpus.dense(), gc.assignment, gc.global_docs, corpus.vocab.words)
     _, scores = match_topics(out.beta, truth.beta)
     pred = assign_documents(out.theta_local)
     return dict(
@@ -415,8 +414,8 @@ def test_aggregation_conservation():
             assignments.append(np.asarray(corpus.labels))
         column_sums = corpus.dense().sum(axis=0)
         for assign in assignments:
-            g = build_global_docs(corpus, assign)
-            exact &= np.array_equal(g.sum(axis=0).astype(np.float64), column_sums)
+            g = build_global_corpus(corpus, assign).global_docs.toarray()
+            exact &= np.array_equal(g.sum(axis=0), column_sums)
             aug = augmented_docs(corpus, g, assign, eta=0.0)
             exact &= np.array_equal(aug, corpus.dense())
             checked += 1

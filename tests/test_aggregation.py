@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,6 @@ from oracles import (
 )
 
 from glocom.aggregation import (
-    ClusterAssignment,
     _cluster_sums,
     _indicator,
     build_global_corpus,
@@ -306,16 +306,15 @@ def test_kmeans_validates_G():
 
 def test_global_docs_sum_example():
     corpus = _bow([[1, 0], [2, 1]])
-    assign = ClusterAssignment(np.array([0, 0]), 1, np.zeros((1, 2)), 0.0)
-    G = build_global_docs(corpus, assign)
-    assert G.tolist() == [[3, 1]]
+    G = build_global_docs(corpus, np.array([0, 0]), 1)
+    assert sp.isspmatrix_csr(G) and G.dtype == np.float64
+    assert G.toarray().tolist() == [[3, 1]]
 
 
 def test_global_docs_singleton_identity():
     corpus = _bow([[1, 2], [0, 3]])
-    assign = ClusterAssignment(np.array([0, 1]), 2, np.zeros((2, 2)), 0.0)
-    G = build_global_docs(corpus, assign)
-    assert G.tolist() == [[1, 2], [0, 3]]
+    G = build_global_corpus(corpus, np.array([0, 1])).global_docs
+    assert G.toarray().tolist() == [[1, 2], [0, 3]]
 
 
 def test_global_docs_mass_conservation_random():
@@ -326,64 +325,60 @@ def test_global_docs_mass_conservation_random():
         counts[:, 0] += 1  # no all-zero rows
         corpus = _bow(counts)
         ids = rng.integers(0, Gn, size=D)
-        assign = ClusterAssignment(ids, Gn, np.zeros((Gn, 1)), 0.0)
         import warnings as _w
 
         with _w.catch_warnings():
             _w.simplefilter("ignore")
-            G = build_global_docs(corpus, assign)
-        np.testing.assert_array_equal(G.sum(axis=0), counts.sum(axis=0))
+            G = build_global_corpus(corpus, ids, Gn).global_docs
+        assert G.shape == (Gn, V)
+        np.testing.assert_array_equal(G.toarray().sum(axis=0), counts.sum(axis=0))
 
 
 def test_global_docs_empty_cluster_warns():
     corpus = _bow([[1, 1]])
-    assign = ClusterAssignment(np.array([0]), 2, np.zeros((2, 2)), 0.0)
     with pytest.warns(UserWarning, match="no documents"):
-        G = build_global_docs(corpus, assign)
-    assert G[1].tolist() == [0, 0]
+        G = build_global_corpus(corpus, np.array([0]), G=2).global_docs
+    assert G.toarray()[1].tolist() == [0, 0]
 
 
 def test_global_docs_length_mismatch():
     corpus = _bow([[1, 1], [1, 1]])
-    assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
-    with pytest.raises(ClusteringError):
-        build_global_docs(corpus, assign)
+    for ids in (np.array([0]), np.zeros((2, 1), dtype=np.int64)):
+        with pytest.raises(ClusteringError, match="corpus of 2 documents"):
+            build_global_corpus(corpus, ids)
+
+
+def test_global_corpus_rejects_ids_outside_G():
+    corpus = _bow([[1, 1], [1, 1]])
+    for ids, G in ((np.array([0, -1]), None), (np.array([0, 2]), 2)):
+        with pytest.raises(ClusteringError, match="outside"):
+            build_global_corpus(corpus, ids, G)
 
 
 def test_augmented_docs_formula():
     corpus = _bow([[1, 0]])
-    assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
     g = np.array([[3, 1]])
-    out = augmented_docs(corpus, g, assign, eta=0.5)
+    out = augmented_docs(corpus, g, np.array([0]), eta=0.5)
     np.testing.assert_allclose(out, [[2.5, 0.5]])
 
 
 def test_augmented_docs_eta_zero_identity():
     corpus = _bow([[2, 1], [0, 4]])
-    assign = ClusterAssignment(np.array([0, 0]), 1, np.zeros((1, 2)), 0.0)
-    g = build_global_docs(corpus, assign)
-    out = augmented_docs(corpus, g, assign, eta=0.0)
+    gc = build_global_corpus(corpus, np.array([0, 0]))
+    out = augmented_docs(corpus, gc.global_docs, gc.assignment, eta=0.0)
     np.testing.assert_array_equal(out, corpus.dense())
 
 
 def test_augmented_docs_singleton_eta_one_doubles():
     corpus = _bow([[2, 1], [0, 4]])
-    assign = ClusterAssignment(np.array([0, 1]), 2, np.zeros((2, 2)), 0.0)
-    g = build_global_docs(corpus, assign)
-    out = augmented_docs(corpus, g, assign, eta=1.0)
+    gc = build_global_corpus(corpus, np.array([0, 1]))
+    out = augmented_docs(corpus, gc.global_docs, gc.assignment, eta=1.0)
     np.testing.assert_array_equal(out, 2.0 * corpus.dense())
-
-
-def test_augmented_docs_rejects_negative_eta():
-    corpus = _bow([[1, 1]])
-    assign = ClusterAssignment(np.array([0]), 1, np.zeros((1, 2)), 0.0)
-    with pytest.raises(ClusteringError):
-        build_global_corpus(corpus, assign, eta=-0.1)
 
 
 def test_batch_targets_equal_whole_corpus_formula():
     # the decoder's per-batch split of the targets (CSR rows plus eta times
-    # the batch's distinct global documents) against x + eta *
+    # the batch's distinct CSR global documents) against x + eta *
     # global_docs[assignment] built densely for the whole corpus at once
     rng = np.random.default_rng(8)
     counts = rng.integers(0, 6, size=(40, 17)) * (rng.random((40, 17)) < 0.4)
@@ -394,8 +389,8 @@ def test_batch_targets_equal_whole_corpus_formula():
     theta = rng.dirichlet(np.ones(4), size=40)
     beta = rng.dirichlet(np.ones(4), size=17)
     x = corpus.counts.astype(np.float64)
+    gc = build_global_corpus(corpus, ids)
     for eta in (0.0, 0.1, 0.37):
-        gc = build_global_corpus(corpus, ids, eta)
         whole = augmented_docs(corpus, gc.global_docs, ids, eta)
         for idx in np.array_split(rng.permutation(40), 3):
             uniq, inv = np.unique(ids[idx], return_inverse=True)
@@ -409,21 +404,23 @@ def test_batch_targets_equal_whole_corpus_formula():
 def test_noc_regime_augmentation():
     # G = D: every global doc is its own local doc, so augmented = (1+eta) x
     corpus = _bow([[1, 2], [3, 0], [0, 5]])
-    assign = ClusterAssignment(np.array([0, 1, 2]), 3, np.zeros((3, 2)), 0.0)
-    g = build_global_docs(corpus, assign)
-    np.testing.assert_array_equal(g, corpus.dense())
-    out = augmented_docs(corpus, g, assign, eta=0.3)
+    gc = build_global_corpus(corpus, np.array([0, 1, 2]))
+    np.testing.assert_array_equal(gc.global_docs.toarray(), corpus.dense())
+    out = augmented_docs(corpus, gc.global_docs, gc.assignment, eta=0.3)
     np.testing.assert_allclose(out, 1.3 * corpus.dense())
 
 
 def test_assignment_file_round_trip(tmp_path):
-    assign = ClusterAssignment(np.array([1, 0, 1]), 2, np.zeros((2, 2)), 0.0)
     path = str(tmp_path / "assign.txt")
-    write_label_file(assign.assignment, path)
+    write_label_file(np.array([1, 0, 1]), path)
     back = read_assignment(path, G=2)
     np.testing.assert_array_equal(back, [1, 0, 1])
-    with pytest.raises(ClusteringError):
+    with pytest.raises(ClusteringError, match=re.escape(f"{path}:1: cluster id 1 out of range for G=1")):
         read_assignment(path, G=1)
+    with open(path, "w") as fh:
+        fh.write("1\n\n-2\n")
+    with pytest.raises(ClusteringError, match=re.escape(f"{path}:3: cluster id -2 out of range")):
+        read_assignment(path)
     with open(path, "w") as fh:
         fh.write("1\nx\n")
     with pytest.raises(ClusteringError, match="not an integer"):

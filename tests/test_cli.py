@@ -262,6 +262,7 @@ MANIFEST_CUTS = {
 
 @pytest.mark.parametrize("case, code", [
     ("assignment", 5),
+    ("assignment-negative", 5),
     ("checkpoint-header", 6),
     ("checkpoint-payload", 6),
     ("theta", 7),
@@ -294,6 +295,10 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
     if case == "assignment":
         bad.write_text("0\nx\n")
         got = train(bad)
+    elif case == "assignment-negative":
+        bad.write_text("0\n-1\n" + "0\n" * 38)
+        got = train(bad)
+        bad = f"{bad}:2: cluster id -1 out of range for G=2"
     elif case.startswith("word-embeddings"):
         value = {"word-embeddings": "abc", "word-embeddings-nan": "nan",
                  "word-embeddings-inf": "-inf"}[case]
@@ -449,23 +454,23 @@ def test_module_usage_error_exits_2():
     assert "invalid choice" in proc.stderr
 
 
-def test_infer_unused_cluster_id_gets_prior_mean():
+def test_infer_unused_cluster_id_gets_prior_mean(tmp_path):
     # ids {0, 2} of G=3: training accepts this with a warning, and inference
     # gives the memberless cluster 1 the prior mean instead of failing
     import scipy.sparse as sp
 
-    from glocom.cli import _run_inference
+    from glocom.cli import run_infer
     from glocom.corpus import BowCorpus, Vocabulary
-    from glocom.model import GlocomModel
+    from glocom.model import GlocomModel, save_checkpoint
 
     rng = np.random.default_rng(0)
     counts = rng.integers(0, 3, size=(12, 9))
     counts[:, 0] += 1
     corpus = BowCorpus(sp.csr_matrix(counts), Vocabulary([f"w{i}" for i in range(9)]))
     assignment = np.array([0, 2] * 6)
-    model = GlocomModel(9, 4, embed_dim=5, hidden=6, seed=1)
+    save_checkpoint(GlocomModel(9, 4, embed_dim=5, hidden=6, seed=1), str(tmp_path / "c"))
     with pytest.warns(UserWarning, match="no documents"):
-        out = _run_inference(model, corpus, assignment, top_n=3)
+        out = run_infer(str(tmp_path / "c"), corpus, assignment, 3, str(tmp_path / "i"))
     assert out.theta_global.shape == (3, 4)
     np.testing.assert_array_equal(out.theta_global[1], np.full(4, 0.25))
     assert np.all(np.isfinite(out.theta_local))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from glocom.aggregation import build_global_docs, kmeans
+from glocom.aggregation import kmeans
 from glocom.corpus import BowCorpus, Vocabulary, tfidf
 from glocom.model import GlocomModel, infer, load_checkpoint, save_checkpoint
 from glocom.trainer import TrainConfig, build_setup, train
@@ -30,12 +30,12 @@ def _config(**kw):
     return TrainConfig(K=10, G=20, epochs=1, hidden_width=8, embed_dim=8, ecr_nu=0.05, **kw)
 
 
-def test_pipeline_peak_memory_scales_with_nonzeros():
+def _pipeline_peaks_below_bound(ablation):
     corpus = _corpus()
     # the decoder's softmax is one B x V float array: at the default
     # B=200 it alone is half the bound, beside the parameters, Adam moments
     # and V x K transport arrays, so the batch here is smaller
-    cfg = _config(batch_size=64)
+    cfg = _config(batch_size=64, ablation=ablation)
     bound = D * V * 8 / 10  # a tenth of one dense float64 copy
 
     tracemalloc.start()
@@ -44,9 +44,11 @@ def test_pipeline_peak_memory_scales_with_nonzeros():
         tracemalloc.reset_peak()
         emb = tfidf(corpus)
         peaks["tfidf"] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        assignment = kmeans(emb, cfg.G, seed=0).assignment
-        peaks["kmeans"] = tracemalloc.get_traced_memory()[1]
+        assignment = None
+        if ablation == "full":
+            tracemalloc.reset_peak()
+            assignment = kmeans(emb, cfg.G, seed=0).assignment
+            peaks["kmeans"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         setup = build_setup(corpus, cfg, assignment)
         peaks["build_setup"] = tracemalloc.get_traced_memory()[1]
@@ -54,8 +56,8 @@ def test_pipeline_peak_memory_scales_with_nonzeros():
         model, _ = train(setup)
         peaks["train"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        infer(model, corpus.counts, assignment, build_global_docs(corpus, assignment),
-              corpus.vocab.words)
+        gc = setup.global_corpus
+        infer(model, corpus.counts, gc.assignment, gc.global_docs, corpus.vocab.words)
         peaks["infer"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -63,14 +65,16 @@ def test_pipeline_peak_memory_scales_with_nonzeros():
         assert peak < bound, f"{stage} peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
+def _step_growth_per_batch_row_below_bound(ablation):
     # a step may hold about one B x V float array (the decoder's softmax):
     # less than two per added batch row between B=32 and B=200
     corpus = _corpus()
-    assignment = kmeans(tfidf(corpus), 20, seed=0).assignment
+    assignment = None
+    if ablation == "full":
+        assignment = kmeans(tfidf(corpus), 20, seed=0).assignment
     peaks = {}
     for B in (32, 200):
-        setup = build_setup(corpus, _config(batch_size=B), assignment)
+        setup = build_setup(corpus, _config(batch_size=B, ablation=ablation), assignment)
         tracemalloc.start()
         try:
             train(setup)
@@ -79,6 +83,24 @@ def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
             tracemalloc.stop()
     per_row = (peaks[200] - peaks[32]) / (200 - 32)
     assert per_row < 2 * V * 8, f"{per_row / 2**20:.3f} MiB per batch row"
+
+
+def test_pipeline_peak_memory_scales_with_nonzeros():
+    _pipeline_peaks_below_bound("full")
+
+
+def test_training_step_memory_grows_with_batch_rows_not_rows_times_vocabulary():
+    _step_growth_per_batch_row_below_bound("full")
+
+
+# under no_clustering every document is its own cluster: G = D global
+# documents, which must cost their nonzeros, not D x V
+def test_pipeline_peak_memory_scales_with_nonzeros_under_no_clustering():
+    _pipeline_peaks_below_bound("no_clustering")
+
+
+def test_training_step_memory_grows_with_batch_rows_under_no_clustering():
+    _step_growth_per_batch_row_below_bound("no_clustering")
 
 
 @pytest.mark.parametrize("source", ["init", "checkpoint"])

@@ -311,7 +311,7 @@ def test_loss_equals_independent_elbo_at_local_posterior_mean():
     loss, comps, lat = model.forward_backward(
         x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0, discard)
 
-    x_n = x / x.sum(axis=1, keepdims=True)
+    x_n = sp.csr_matrix(x / x.sum(axis=1, keepdims=True))  # the encoders read CSR
     mu, lv, _ = model.phi.forward(x_n)
     theta = softmax_forward(mu + np.exp(0.5 * lv) * noise)
     mu_d, lv_d, _ = model.gamma.forward(x_n)

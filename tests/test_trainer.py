@@ -8,14 +8,13 @@ import pytest
 from glocom.aggregation import build_global_corpus
 from glocom.corpus import BowCorpus
 from glocom.ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from glocom.errors import ConfigError, TrainingError
+from glocom.errors import ClusteringError, ConfigError, TrainingError
 from glocom.model import GlocomModel, infer, load_checkpoint
 from glocom.synthetic import SyntheticSpec, generate
 from glocom.trainer import (
     TRAJECTORY_COLUMNS,
     TrainConfig,
     TrainReport,
-    TrainSetup,
     apply_ablation,
     build_setup,
     config_to_text,
@@ -143,29 +142,23 @@ def test_build_setup_no_clustering_identity():
     corpus = tiny_corpus()
     setup = build_setup(corpus, tiny_config(ablation="no_clustering"), None)
     D = corpus.num_docs
-    assert np.array_equal(setup.assignment, np.arange(D))
+    assert np.array_equal(setup.global_corpus.assignment, np.arange(D))
     assert setup.config.G == D
-    np.testing.assert_array_equal(setup.global_corpus.global_docs, corpus.dense())
+    np.testing.assert_array_equal(setup.global_corpus.global_docs.toarray(), corpus.dense())
 
 
 def test_build_setup_errors():
+    # the assignment is checked once, by build_global_corpus
     corpus = tiny_corpus()
     with pytest.raises(TrainingError, match="required"):
         build_setup(corpus, tiny_config(), None)
-    with pytest.raises(TrainingError, match="covers"):
+    with pytest.raises(ClusteringError, match="for a corpus of 24 documents"):
         build_setup(corpus, tiny_config(), np.zeros(3, dtype=np.int64))
-    bad = np.zeros(corpus.num_docs, dtype=np.int64)
-    bad[0] = 7  # config says G=2
-    with pytest.raises(TrainingError, match="outside"):
-        build_setup(corpus, tiny_config(), bad)
-
-
-def test_train_rejects_eta_mismatch():
-    corpus = tiny_corpus()
-    gc = build_global_corpus(corpus, corpus.labels, eta=0.3)
-    setup = TrainSetup(corpus, corpus.labels, gc, tiny_config(eta=0.1))
-    with pytest.raises(TrainingError, match="eta"):
-        train(setup)
+    for bad_id in (7, -1):  # config says G=2
+        bad = np.zeros(corpus.num_docs, dtype=np.int64)
+        bad[0] = bad_id
+        with pytest.raises(ClusteringError, match=r"outside \[0, 2\)"):
+            build_setup(corpus, tiny_config(), bad)
 
 
 # ---------------------------------------------------------------- training
@@ -223,7 +216,7 @@ def test_single_step_loss_equals_dense_targets_oracle():
 
     rng = substream(cfg.seed, "training")
     perm = rng.permutation(D)
-    cids = setup.assignment[perm]
+    cids = setup.global_corpus.assignment[perm]
     noise_g = rng.standard_normal((np.unique(cids).size, cfg.K))
     noise_d = rng.standard_normal((D, cfg.K))
     model = GlocomModel(corpus.num_words, cfg.K, embed_dim=cfg.embed_dim,
@@ -280,8 +273,9 @@ def test_checkpoint_round_trip_through_train(tmp_path):
     loaded = load_checkpoint(ckpt)
     x = setup.corpus.dense()
     words = setup.corpus.vocab.words
-    before = infer(model, x, setup.assignment, setup.global_corpus.global_docs, words)
-    after = infer(loaded, x, setup.assignment, setup.global_corpus.global_docs, words)
+    gc = setup.global_corpus
+    before = infer(model, x, gc.assignment, gc.global_docs, words)
+    after = infer(loaded, x, gc.assignment, gc.global_docs, words)
     np.testing.assert_array_equal(before.beta, after.beta)
     np.testing.assert_array_equal(before.theta_local, after.theta_local)
     assert before.top_words == after.top_words
@@ -320,7 +314,7 @@ def test_step_equals_three_pass_reference(case):
         assignment, gdocs = np.arange(corpus.num_docs), corpus.dense().astype(np.float64)
     else:
         assignment = corpus.labels
-        gdocs = build_global_corpus(corpus, assignment, opts["eta"], G=3).global_docs
+        gdocs = build_global_corpus(corpus, assignment, G=3).global_docs
     models = [GlocomModel(corpus.num_words, 4, embed_dim=12, hidden=100, seed=2)
               for _ in range(2)]
     fused, ref = Adam(models[0].params(), lr=0.01), ReferenceAdam(models[1].params(), lr=0.01)
