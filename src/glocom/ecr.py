@@ -8,7 +8,7 @@ its word cluster. The plan is treated as a constant between refreshes: no
 gradient flows through the solve itself.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,62 +38,45 @@ def squared_distances(X, C: np.ndarray, xsq: Optional[np.ndarray] = None) -> np.
     return d2
 
 
-def default_nu(C: np.ndarray) -> float:
-    """Entropy weight when none is configured: half the mean cost."""
-    return 0.5 * float(np.mean(C))
-
-
-@dataclass
-class TransportProblem:
-    cost: np.ndarray  # (V, K) squared distances
-    nu: float
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol: float = DEFAULT_TOL
-    row_marginal: np.ndarray = field(init=False)
-    col_marginal: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.cost = np.asarray(self.cost, dtype=np.float64)
-        if self.cost.ndim != 2:
-            raise TransportError(f"cost must be 2-D, got shape {self.cost.shape}")
-        if self.cost.size == 0:
-            raise TransportError("empty cost matrix")
-        if np.any(self.cost < 0) or not np.all(np.isfinite(self.cost)):
-            raise TransportError("cost entries must be finite and non-negative")
-        if self.nu <= 0:
-            raise TransportError(f"nu must be positive, got {self.nu}")
-        V, K = self.cost.shape
-        self.row_marginal = np.full(V, 1.0 / V)
-        self.col_marginal = np.full(K, 1.0 / K)
-
-
 @dataclass
 class TransportPlan:
     psi: np.ndarray  # (V, K) non-negative
     iterations_used: int
     converged: bool
-    row_err: float
+    row_err: float  # L1 marginal errors of the solver's last stop test
     col_err: float
 
 
-def sinkhorn(problem: TransportProblem) -> TransportPlan:
+def sinkhorn(
+    cost: np.ndarray,
+    nu: float,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    tol: float = DEFAULT_TOL,
+) -> TransportPlan:
     """Solve the entropy-regularized transport problem by alternating scaling.
 
-    Collapse to a non-finite kernel raises, naming the offending nu.
+    ``cost`` is the (V, K) squared-distance matrix and ``nu`` > 0 the
+    entropy weight. Collapse to a non-finite kernel raises, naming the
+    offending nu.
     """
-    C, nu = problem.cost, problem.nu
-    a, b = problem.row_marginal, problem.col_marginal
+    C = np.asarray(cost, dtype=np.float64)
+    if C.ndim != 2:
+        raise TransportError(f"cost must be 2-D, got shape {C.shape}")
+    if C.size == 0:
+        raise TransportError("empty cost matrix")
+    if np.any(C < 0) or not np.all(np.isfinite(C)):
+        raise TransportError("cost entries must be finite and non-negative")
+    if nu <= 0:
+        raise TransportError(f"nu must be positive, got {nu}")
     with np.errstate(over="ignore"):
         Mr = -C / nu
     if not np.all(np.isfinite(Mr)):
         raise TransportError(f"cost/nu overflows at nu={nu}; increase nu")
-    s = sinkhorn_log(Mr, np.log(a), np.log(b), problem.max_iters, problem.tol)
+    s = sinkhorn_log(Mr, max_iters, tol)
     if not np.all(np.isfinite(s.u)):
         raise TransportError(
             f"transport kernel collapsed (non-finite scaling) at nu={nu}; "
             "increase nu or rescale the cost"
         )
     psi = s.u[:, None] * s.kernel * s.v[None, :]
-    row_err = float(np.abs(psi.sum(axis=1) - a).sum())
-    col_err = float(np.abs(psi.sum(axis=0) - b).sum())
-    return TransportPlan(psi, s.iterations_used, s.converged, row_err, col_err)
+    return TransportPlan(psi, s.iterations_used, s.converged, s.row_err, s.col_err)

@@ -27,6 +27,8 @@ class Scaling(NamedTuple):
     iterations_used: int
     converged: bool
     kernel: np.ndarray  # (V, K) exp(Mr + f[:, None] + g[None, :])
+    row_err: float  # L1 row and column marginal errors of the last stop test
+    col_err: float
 
 
 def _in_range(s: np.ndarray) -> bool:
@@ -34,14 +36,8 @@ def _in_range(s: np.ndarray) -> bool:
     return bool(s.max() < _SAFE and s.min() > 1.0 / _SAFE)
 
 
-def sinkhorn_log(
-    Mr: np.ndarray,
-    loga: np.ndarray,
-    logb: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> Scaling:
-    """Scale exp(Mr) to row marginals exp(loga) and column marginals exp(logb).
+def sinkhorn_log(Mr: np.ndarray, max_iters: int, tol: float) -> Scaling:
+    """Scale exp(Mr), (V, K), to the uniform marginals: rows 1/V, columns 1/K.
 
     Each iteration updates the row scaling, then the column scaling, then
     stops once the L1 row and column marginal errors are both below tol.
@@ -49,16 +45,18 @@ def sinkhorn_log(
     returns a non-finite ``u`` for the caller to report.
     """
     V, K = Mr.shape
-    a, b = np.exp(loga), np.exp(logb)
+    a, b = np.full(V, 1.0 / V), np.full(K, 1.0 / K)
     u, v = np.ones(V), np.ones(K)
     iters_used = 0
     converged = False
+    row_err = col_err = np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # absorbed log potentials: the row max keeps every kernel row's
         # largest entry at 1
         f, g = -Mr.max(axis=1), np.zeros(K)
         if not np.all(np.isfinite(f)):
-            return Scaling(np.full(V, np.inf), v, 1, False, np.zeros((V, K)))
+            return Scaling(np.full(V, np.inf), v, 1, False, np.zeros((V, K)),
+                           row_err, col_err)
         kernel = np.exp(Mr + f[:, None])
         Kv = kernel.sum(axis=1)
         for it in range(1, max_iters + 1):
@@ -73,7 +71,7 @@ def sinkhorn_log(
                 # redo the column update in the log domain, from the
                 # potentials with u absorbed
                 f += np.log(u)
-                g = logb - logsumexp(Mr + f[:, None], axis=0)
+                g = np.log(b) - logsumexp(Mr + f[:, None], axis=0)
                 if not np.all(np.isfinite(g)):
                     u = np.full(V, np.inf)
                     break
@@ -87,4 +85,4 @@ def sinkhorn_log(
             if row_err < tol and col_err < tol:
                 converged = True
                 break
-    return Scaling(u, v, iters_used, converged, kernel)
+    return Scaling(u, v, iters_used, converged, kernel, float(row_err), float(col_err))

@@ -361,8 +361,9 @@ class TopicModelOutput:
     top_words: list[list[str]]  # K lists of top-N vocabulary words
 
 
-# Local documents encoded at a time by infer: bounds its dense working set
-# at this many rows of hidden activations, whatever the corpus size.
+# Documents, local or global, encoded at a time by infer: bounds its dense
+# working set at this many rows of hidden activations, whatever the corpus
+# size or the number of clusters.
 INFER_BLOCK_ROWS = 256
 
 
@@ -379,8 +380,8 @@ def infer(
     theta^g = softmax(mu_phi(x^g)); rho_d = mu_gamma(x_d);
     theta^g_d = softmax(theta^g(cluster of d) * rho_d).
     ``x`` holds the documents' counts and ``global_docs`` the clusters',
-    both as CSR (dense input is converted here, once); the documents are
-    encoded INFER_BLOCK_ROWS at a time. A cluster with an empty global
+    both as CSR (dense input is converted here, once); both are encoded
+    INFER_BLOCK_ROWS at a time. A cluster with an empty global
     document (no members) gets the prior mean theta^g = softmax(0), uniform.
     """
     if top_n < 1:
@@ -393,17 +394,25 @@ def infer(
     x = sp.csr_matrix(x, dtype=np.float64)
     global_docs = sp.csr_matrix(global_docs, dtype=np.float64)
     K = model.space.num_topics
+
+    def in_blocks(encode, rows, finish) -> np.ndarray:
+        # finish(mu, block) of each block's encoder means, stacked
+        out = np.empty((rows.shape[0], K))
+        for start in range(0, rows.shape[0], INFER_BLOCK_ROWS):
+            block = slice(start, start + INFER_BLOCK_ROWS)
+            out[block] = finish(encode(rows[block])[0], block)
+        return out
+
     theta_global = np.full((global_docs.shape[0], K), 1.0 / K)
     used = _row_sums(global_docs) > 0
-    if used.any():
-        mu_g, _ = model.encode_global(global_docs[used])
-        theta_global[used] = softmax_forward(mu_g)
+    theta_global[used] = in_blocks(
+        model.encode_global, global_docs[used], lambda mu, _: softmax_forward(mu)
+    )
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    theta_local = np.empty((x.shape[0], K))
-    for start in range(0, x.shape[0], INFER_BLOCK_ROWS):
-        block = slice(start, start + INFER_BLOCK_ROWS)
-        mu_d, _ = model.encode_local(x[block])
-        theta_local[block] = combine(theta_global[cluster_ids[block]], mu_d)
+    theta_local = in_blocks(
+        model.encode_local, x,
+        lambda mu, block: combine(theta_global[cluster_ids[block]], mu),
+    )
     beta = compute_beta(model.space)
     top_words = [[vocab_words[i] for i in row] for row in top_word_ids(beta, top_n).tolist()]
     return TopicModelOutput(beta, theta_global, theta_local, top_words)

@@ -18,14 +18,7 @@ import numpy as np
 
 from .aggregation import GlobalCorpus, build_global_corpus
 from .corpus import BowCorpus
-from .ecr import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    TransportProblem,
-    default_nu,
-    sinkhorn,
-    squared_distances,
-)
+from .ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL, sinkhorn, squared_distances
 from .errors import ConfigError, TrainingError
 from .eval import assign_documents, nmi
 from .model import GlocomModel, infer, save_checkpoint
@@ -53,7 +46,7 @@ class TrainConfig:
     seed: int = 0
     ablation: str = "full"
     kl_warmup_epochs: int = 0
-    ecr_nu: float = 0.0  # 0 means auto: half the mean initial transport cost
+    ecr_nu: float = 0.05  # transport entropy weight, ECRTM's value
     ecr_max_iters: int = DEFAULT_MAX_ITERS
     ecr_tol: float = DEFAULT_TOL
 
@@ -78,8 +71,12 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; use {ABLATIONS}")
-        if self.ecr_nu < 0 or self.ecr_tol <= 0 or self.ecr_max_iters < 1:
-            raise ConfigError("bad transport settings")
+        if self.ecr_nu <= 0 or self.ecr_tol <= 0 or self.ecr_max_iters < 1:
+            raise ConfigError(
+                "ecr.nu and ecr.tol must be positive and ecr.max_iters >= 1 "
+                f"(ecr.nu={self.ecr_nu}, ecr.tol={self.ecr_tol}, "
+                f"ecr.max_iters={self.ecr_max_iters})"
+            )
 
 
 # Config files use dots where a field groups under a component, e.g.
@@ -179,7 +176,6 @@ def build_setup(
 class TrainReport:
     trajectory: np.ndarray  # (epochs, 5) epoch means: TRAJECTORY_COLUMNS
     wall_time: float
-    nu: float = 0.0  # transport strength actually used (0 when lambda_ecr=0)
     # transport solves over the run; all zero when lambda_ecr=0
     transport_solves: int = 0
     transport_unconverged: int = 0  # solves stopped by ecr.max_iters
@@ -227,8 +223,7 @@ def train(
     """Run the full optimization and return the model plus its report.
 
     The transport plan is re-solved from the current embeddings at every
-    step, holding the regularization strength nu fixed at its value from
-    the initial embeddings (or the configured override). Training aborts
+    step at the configured entropy weight ecr.nu. Training aborts
     on the first non-finite loss with a component breakdown in the error;
     that step's backward pass has already updated the model, which is
     neither returned nor checkpointed.
@@ -255,12 +250,6 @@ def train(
     x = corpus.counts.astype(np.float64)
 
     use_ecr = config.lambda_ecr != 0.0
-    nu = 0.0
-    if use_ecr:
-        nu = config.ecr_nu
-        if nu == 0.0:
-            nu = default_nu(squared_distances(model.space.W.value, model.space.T.value))
-
     solves = unconverged = iters_total = 0
     err_max = 0.0
     trajectory = np.zeros((config.epochs, len(TRAJECTORY_COLUMNS)))
@@ -279,11 +268,7 @@ def train(
             psi = cost = None
             if use_ecr:
                 cost = squared_distances(model.space.W.value, model.space.T.value)
-                plan = sinkhorn(
-                    TransportProblem(
-                        cost, nu, max_iters=config.ecr_max_iters, tol=config.ecr_tol
-                    )
-                )
+                plan = sinkhorn(cost, config.ecr_nu, config.ecr_max_iters, config.ecr_tol)
                 psi = plan.psi
                 solves += 1
                 unconverged += not plan.converged
@@ -318,7 +303,6 @@ def train(
     report = TrainReport(
         trajectory,
         time.perf_counter() - t0,
-        nu=nu,
         transport_solves=solves,
         transport_unconverged=unconverged,
         transport_iters_mean=iters_total / solves if solves else 0.0,

@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from glocom.aggregation import build_global_corpus, kmeans
 from glocom.cli import main as cli_main
 from glocom.corpus import BowCorpus, Vocabulary, preprocess
-from glocom.ecr import TransportProblem, default_nu, sinkhorn
+from glocom.ecr import sinkhorn
 from glocom.eval import TopicSet, assign_documents, nmi, purity, topic_diversity
 from glocom.model import GlocomModel, infer
 from glocom.numerics import kl_diag_gaussian
@@ -59,7 +59,7 @@ def _training_instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10,
     noise_g = rng.standard_normal((C, K))
     noise_d = rng.standard_normal((D, K))
     sqd = model.space.squared_dists()
-    plan = sinkhorn(TransportProblem(sqd, nu=default_nu(sqd)))
+    plan = sinkhorn(sqd, TrainConfig().ecr_nu)
     return model, dict(
         x=x, cluster_ids=cluster_ids, global_docs=global_docs,
         noise_g=noise_g, noise_d=noise_d, eta=eta, lambda_ecr=20.0, psi=plan.psi,
@@ -141,7 +141,7 @@ def test_sinkhorn_contract():
     worst_marginal = 0.0
     for _ in range(10):
         cost = rng.uniform(0.0, 2.0, size=(50, 10))
-        plan = sinkhorn(TransportProblem(cost, nu=0.05, max_iters=20000, tol=1e-8))
+        plan = sinkhorn(cost, 0.05, max_iters=20000, tol=1e-8)
         row = np.abs(plan.psi.sum(axis=1) - 1.0 / 50).sum()
         col = np.abs(plan.psi.sum(axis=0) - 1.0 / 10).sum()
         worst_marginal = max(worst_marginal, float(row), float(col))
@@ -150,7 +150,7 @@ def test_sinkhorn_contract():
     exact = _exact_lp_2x2(cost2)
     tvs = []
     for nu in (1.0, 0.1, 0.01):
-        plan = sinkhorn(TransportProblem(cost2, nu=nu, max_iters=20000, tol=1e-12))
+        plan = sinkhorn(cost2, nu, max_iters=20000, tol=1e-12)
         tvs.append(0.5 * float(np.abs(plan.psi - exact).sum()))
     elapsed = time.perf_counter() - start
     decreasing = tvs[0] > tvs[1] > tvs[2]

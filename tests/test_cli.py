@@ -240,11 +240,16 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
 
 
 def test_removed_settings_fail_loudly(tmp_path, capsys):
-    for body in ("kl_attribution=divide\n", "ablation=no_augmentation\n"):
+    # ecr.nu=0.0, the removed automatic entropy weight, is in every
+    # config.txt written while it was the default
+    for body, named in (("kl_attribution=divide\n", "kl_attribution"),
+                        ("ablation=no_augmentation\n", "no_augmentation"),
+                        ("ecr.nu=0.0\n", "ecr.nu=0.0")):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(body)
         assert run("pipeline", "--synth", "--config", cfg, "--out", tmp_path / "o") == 3
-        assert "glocom:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "glocom:" in err and named in err
     with pytest.raises(SystemExit) as exc:
         run("pipeline", "--synth", "--ablation", "no_augmentation", "--out", tmp_path / "o")
     assert exc.value.code == 2

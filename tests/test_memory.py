@@ -103,6 +103,26 @@ def test_training_step_memory_grows_with_batch_rows_under_no_clustering():
     _step_growth_per_batch_row_below_bound("no_clustering")
 
 
+def test_infer_peak_under_no_clustering_stays_near_clustered_peak():
+    # G = D global documents go through the encoder in blocks, as the local
+    # documents do, so infer's working set does not grow with G
+    corpus = _corpus()
+    model = GlocomModel(V, 10, embed_dim=8, hidden=200, seed=0)
+    peaks = {}
+    for ablation, assignment in (("full", np.arange(D) % 20), ("no_clustering", None)):
+        gc = build_setup(corpus, _config(ablation=ablation), assignment).global_corpus
+        tracemalloc.start()
+        try:
+            infer(model, corpus.counts, gc.assignment, gc.global_docs, corpus.vocab.words)
+            peaks[ablation] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["no_clustering"] <= 2 * peaks["full"], (
+        f"infer peaked at {peaks['no_clustering'] / 2**20:.1f} MiB under no_clustering, "
+        f"{peaks['full'] / 2**20:.1f} MiB at G=20"
+    )
+
+
 @pytest.mark.parametrize("source", ["init", "checkpoint"])
 def test_model_holds_only_its_parameter_values(tmp_path, source):
     # the corpus_l benchmark's shapes; a parameter holds its value and no

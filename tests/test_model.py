@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 import glocom.model
 from glocom.corpus import _GEMB_MAGIC, read_gemb, write_gemb
-from glocom.ecr import TransportProblem, default_nu, sinkhorn
+from glocom.ecr import sinkhorn
 from glocom.errors import ConfigError, TrainingError
 from glocom.model import (
     GlocomModel,
@@ -32,6 +32,7 @@ from glocom.model import (
     top_word_ids,
 )
 from glocom.numerics import kl_diag_gaussian, softmax_forward
+from glocom.trainer import TrainConfig
 
 
 def elbo_per_doc(x_aug, theta_gd, beta, kl_global_share, kl_local):
@@ -61,7 +62,7 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
     noise_g = rng.standard_normal((C, K))
     noise_d = rng.standard_normal((D, K))
     sqd = model.space.squared_dists()
-    plan = sinkhorn(TransportProblem(sqd, nu=default_nu(sqd)))
+    plan = sinkhorn(sqd, TrainConfig().ecr_nu)
     return model, dict(
         x=sp.csr_matrix(x) if sparse else x, cluster_ids=cluster_ids,
         global_docs=global_docs, noise_g=noise_g, noise_d=noise_d, eta=eta,

@@ -7,7 +7,7 @@ import pytest
 
 from glocom.aggregation import build_global_corpus
 from glocom.corpus import BowCorpus
-from glocom.ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL
+from glocom.ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL, sinkhorn
 from glocom.errors import ClusteringError, ConfigError, TrainingError
 from glocom.model import GlocomModel, infer, load_checkpoint
 from glocom.synthetic import SyntheticSpec, generate
@@ -64,6 +64,8 @@ def test_config_validation_errors():
         dict(ablation="no_augmentation"),
         dict(ecr_tol=0.0),
         dict(ecr_max_iters=0),
+        dict(ecr_nu=0.0),
+        dict(ecr_nu=-1.0),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
@@ -74,7 +76,7 @@ def test_config_defaults_match_documented_values():
     assert (cfg.tau, cfg.epochs, cfg.batch_size, cfg.lr) == (0.2, 200, 200, 0.002)
     assert (cfg.hidden_width, cfg.embed_dim) == (200, 200)
     assert cfg.ablation == "full"
-    assert (cfg.ecr_max_iters, cfg.ecr_tol) == (DEFAULT_MAX_ITERS, DEFAULT_TOL)
+    assert (cfg.ecr_nu, cfg.ecr_max_iters, cfg.ecr_tol) == (0.05, DEFAULT_MAX_ITERS, DEFAULT_TOL)
 
 
 def test_config_text_round_trip():
@@ -186,7 +188,6 @@ def test_lambda_zero_means_total_is_tm_loss():
     np.testing.assert_allclose(
         traj[:, 0], traj[:, 1] + traj[:, 2] + traj[:, 3], rtol=1e-12
     )
-    assert report.nu == 0.0
 
 
 def test_report_counts_unconverged_transport_solves():
@@ -197,6 +198,26 @@ def test_report_counts_unconverged_transport_solves():
     assert report.transport_marginal_err_max > tiny_config().ecr_tol
     (_, report), _ = run_tiny(cfg=tiny_config(lambda_ecr=0.0))
     assert report.transport_solves == report.transport_unconverged == 0
+
+
+@pytest.mark.parametrize("V,K", [(100, 5), (100, 50), (2000, 50)])
+def test_default_first_plan_moves_mass(monkeypatch, V, K):
+    # at the default entropy weight the plan the trainer solves from the
+    # initial embeddings is far from the uniform plan 1/(VK), which would
+    # pull every topic toward the mean of all words alike
+    import glocom.trainer
+
+    plans = []
+
+    def recording_sinkhorn(*args, **kw):
+        plans.append(sinkhorn(*args, **kw))
+        return plans[-1]
+
+    monkeypatch.setattr(glocom.trainer, "sinkhorn", recording_sinkhorn)
+    corpus, _ = generate(SyntheticSpec(V=V, K=5, G=3, D=40, seed=0))
+    run_tiny(corpus, replace(TrainConfig(), K=K, G=3, epochs=1))
+    tv = 0.5 * np.abs(plans[0].psi - 1.0 / (V * K)).sum()
+    assert tv >= 0.25, f"first plan at total variation {tv:.3f} from uniform"
 
 
 def test_single_step_loss_equals_dense_targets_oracle():
@@ -301,7 +322,7 @@ def test_step_equals_three_pass_reference(case):
     # phi.l1.W and gamma.l1.W (400 x 100) span two Adam chunks
     from oracles import ReferenceAdam, direct_expressions, squared_distances_direct
 
-    from glocom.ecr import TransportProblem, default_nu, sinkhorn, squared_distances
+    from glocom.ecr import squared_distances
     from glocom.numerics import Adam
 
     opts = dict(dense=False, lambda_ecr=20.0, no_clustering=False, eta=0.1, warmup=0)
@@ -318,7 +339,7 @@ def test_step_equals_three_pass_reference(case):
     models = [GlocomModel(corpus.num_words, 4, embed_dim=12, hidden=100, seed=2)
               for _ in range(2)]
     fused, ref = Adam(models[0].params(), lr=0.01), ReferenceAdam(models[1].params(), lr=0.01)
-    nu = default_nu(squared_distances(models[0].space.W.value, models[0].space.T.value))
+    nu = TrainConfig().ecr_nu
     rng = np.random.default_rng(4)
     for step in range(6):
         idx = rng.permutation(corpus.num_docs)[:12]
@@ -332,7 +353,7 @@ def test_step_equals_three_pass_reference(case):
             cost = psi = None
             if opts["lambda_ecr"]:
                 cost = distances(model.space.W.value, model.space.T.value)
-                psi = sinkhorn(TransportProblem(cost, nu)).psi
+                psi = sinkhorn(cost, nu).psi
                 costs.append(cost)
             with direct_expressions() if opt is ref else contextlib.nullcontext():
                 model.forward_backward(x[idx], cids, gdocs, noise_g, noise_d, eta=opts["eta"],
