@@ -9,11 +9,11 @@ grad)`` callable, once per parameter, after it has read every parameter value
 it still needs; training passes ``Adam.update``, which applies it at once.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import TrainingError
 
@@ -39,13 +39,28 @@ Update = Callable[[Param, np.ndarray], None]
 # primitive ops
 
 
-def softplus_forward(x: np.ndarray) -> np.ndarray:
+def softplus_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^x), and e^-|x| for the backward pass to reuse."""
     # log(1+e^x) rewritten to avoid overflow for large |x|
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.log1p(e)
+    y += np.maximum(x, 0.0)
+    return y, e
 
 
-def softplus_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return g * expit(x)
+def softplus_backward(g: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """g times softplus's slope, the sigmoid of x, from ``e`` = e^-|x|:
+    where(x >= 0, 1, e) / (1 + e), which is 1/(1+e^-x) where x >= 0 and
+    e^x/(1+e^x) below, so neither branch overflows."""
+    # the numerator as max(x >= 0, e), since 0 <= e <= 1 (nan stays nan):
+    # np.where branches per element and costs several times as much
+    s = np.greater_equal(x, 0.0, out=np.empty_like(e))
+    np.maximum(s, e, out=s)
+    s /= 1.0 + e
+    s *= g
+    return s
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
@@ -154,8 +169,10 @@ class DenseLayer:
 class EncoderCache:
     X: np.ndarray
     a1: np.ndarray
+    e1: np.ndarray  # e^-|a1|, shared by softplus and its slope
     h1: np.ndarray
     a2: np.ndarray
+    e2: np.ndarray
     h2: np.ndarray
     lv_mask: np.ndarray
 
@@ -200,23 +217,24 @@ class Encoder:
     def forward(self, X) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
         """X is dense or CSR (N, in_dim); only the first layer reads it."""
         a1 = self.l1.forward(X)
-        h1 = softplus_forward(a1)
+        h1, e1 = softplus_forward(a1)
         a2 = self.l2.forward(h1)
-        h2 = softplus_forward(a2)
+        h2, e2 = softplus_forward(a2)
         mu = self.mu_head.forward(h2)
         lv_raw = self.lv_head.forward(h2)
         lv, mask = clamp_logvar(lv_raw)
-        return mu, lv, EncoderCache(X, a1, h1, a2, h2, mask)
+        return mu, lv, EncoderCache(X, a1, e1, h1, a2, e2, h2, mask)
 
     def backward(self, dmu: np.ndarray, dlv: np.ndarray, cache: EncoderCache,
                  update: Update) -> None:
         """Hand each parameter's gradient to ``update``, once."""
         dh2 = self.mu_head.backward(dmu, cache.h2, update)
-        dh2 = dh2 + self.lv_head.backward(dlv * cache.lv_mask, cache.h2, update)
-        da2 = softplus_backward(dh2, cache.a2)
+        dh2 += self.lv_head.backward(dlv * cache.lv_mask, cache.h2, update)
+        da2 = softplus_backward(dh2, cache.a2, cache.e2)
         dh1 = self.l2.backward(da2, cache.h1, update)
         # nothing upstream of the encoder's input is trained
-        self.l1.backward(softplus_backward(dh1, cache.a1), cache.X, update, input_grad=False)
+        self.l1.backward(softplus_backward(dh1, cache.a1, cache.e1), cache.X, update,
+                         input_grad=False)
 
     def params(self) -> list[Param]:
         return (
@@ -228,16 +246,29 @@ class Encoder:
 # optimizer
 
 
-# Elements of a parameter updated per pass of Adam's 14 elementwise
-# operations: the chunk and its two scratch buffers stay in cache.
+# Elements of a parameter updated per pass of Adam's 10 elementwise
+# operations: the chunk and its scratch buffer stay in cache.
 ADAM_CHUNK = 32768
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def adam_step_scalars(t: int, lr: float) -> tuple[float, float]:
+    """(step, eps_t) of Adam's step t on the rescaled moments M = m/(1-b1)
+    and W = v/(1-b2): with c = sqrt((1-b2)/(1-b2^t)), the update
+    lr (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) is step M / (sqrt(W) + eps_t),
+    step = lr (1-b1) / ((1-b1^t) c) and eps_t = eps / c."""
+    c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**t))
+    return lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1**t) * c), ADAM_EPS / c
+
+
 class Adam:
     """Standard Adam with bias correction, updated in place chunk by chunk.
+
+    ``m`` and ``v`` hold the moments divided by (1 - beta1) and (1 - beta2):
+    M = b1 M + g and W = b2 W + g^2 need no product with g, and the bias
+    corrections and eps fold into the two scalars of ``adam_step_scalars``.
 
     ``update(p, g)`` applies one parameter's gradient for the current step
     as soon as it is made; ``step()`` ends the step once every parameter
@@ -252,7 +283,8 @@ class Adam:
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
-        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        self._scratch = np.empty(ADAM_CHUNK)
+        self._scalars = adam_step_scalars(1, lr)  # of the current step
         self._updated: set[str] = set()  # parameters updated in this step
 
     def update(self, p: Param, grad: np.ndarray) -> None:
@@ -264,31 +296,25 @@ class Adam:
                 f"gradient shape {grad.shape} != parameter {p.name!r} shape {p.value.shape}"
             )
         self._updated.add(p.name)
-        t = self.step_count + 1
-        b1t = 1.0 - ADAM_BETA1**t
-        b2t = 1.0 - ADAM_BETA2**t
+        step, eps_t = self._scalars
         value, grad = p.value.reshape(-1), grad.reshape(-1)
         m, v = self.m[p.name].reshape(-1), self.v[p.name].reshape(-1)
         for lo in range(0, value.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, value.size)
             g, mc, vc = grad[lo:hi], m[lo:hi], v[lo:hi]
-            t1, t2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            t = self._scratch[: hi - lo]
+            # M = b1 M + g;  W = b2 W + g^2
             mc *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, g, out=t1)
-            mc += t1
+            mc += g
             vc *= ADAM_BETA2
-            np.multiply(g, g, out=t1)
-            t1 *= 1.0 - ADAM_BETA2
-            vc += t1
-            # value -= lr (m / b1t) / (sqrt(v / b2t) + eps)
-            np.divide(mc, b1t, out=t1)
-            t1 *= self.lr
-            np.divide(vc, b2t, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += ADAM_EPS
-            t1 /= t2
-            value[lo:hi] -= t1
+            np.multiply(g, g, out=t)
+            vc += t
+            # value -= step M / (sqrt(W) + eps_t)
+            np.sqrt(vc, out=t)
+            t += eps_t
+            np.divide(mc, t, out=t)
+            t *= step
+            value[lo:hi] -= t
 
     def step(self) -> None:
         """End the step and advance the bias corrections; a parameter that
@@ -298,3 +324,4 @@ class Adam:
             raise TrainingError(f"parameters not updated in step {self.step_count + 1}: {missed}")
         self._updated.clear()
         self.step_count += 1
+        self._scalars = adam_step_scalars(self.step_count + 1, self.lr)

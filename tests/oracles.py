@@ -13,10 +13,13 @@ encoder holds. ``ReferenceAdam`` and ``direct_expressions`` give the
 training step as three passes (gradients summed into zeroed buffers of the
 optimiser's own by the direct squared-distance and beta-backward
 expressions, then Adam over each whole buffer), the reference for the step
-that applies each gradient in the backward pass. ``GradientSink`` collects
-a backward pass's gradients by parameter name, for tests to compare. The
-rest are helpers that only tests call: the loss alone, topic matching
-against planted topics, and word vectors profiled from the clusters.
+that applies each gradient in the backward pass.
+``sinkhorn_log_per_iteration`` is the transport loop with its tests made
+after every iteration, the reference for the loop that tests a block of
+iterations at once. ``GradientSink`` collects a backward pass's gradients
+by parameter name, for tests to compare. The rest are helpers that only
+tests call: the loss alone, topic matching against planted topics, and
+word vectors profiled from the clusters.
 """
 
 import contextlib
@@ -34,10 +37,11 @@ import glocom.trainer
 from glocom.aggregation import _indicator, build_global_corpus
 from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary, row_sq_norms
 from glocom.errors import CorpusError, GlocomError
+from glocom.kernels import _SAFE, Scaling
 from glocom.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
-    ADAM_EPS,
+    adam_step_scalars,
     clamp_logvar,
     softmax_backward,
     softplus_backward,
@@ -199,16 +203,16 @@ def encoder_hidden_in(enc, X, dmu, dlv):
     ``enc.params()`` in order, the first layer's as (hidden, in_dim)."""
     W1 = np.ascontiguousarray(enc.l1.W.value.T)
     a1 = X @ W1.T + enc.l1.b.value[None, :]
-    h1 = softplus_forward(a1)
+    h1, e1 = softplus_forward(a1)
     (W2, b2), (Wmu, bmu), (Wlv, blv) = (
         (layer.W.value, layer.b.value) for layer in (enc.l2, enc.mu_head, enc.lv_head))
     a2 = h1 @ W2 + b2
-    h2 = softplus_forward(a2)
+    h2, e2 = softplus_forward(a2)
     mu = h2 @ Wmu + bmu
     lv, mask = clamp_logvar(h2 @ Wlv + blv)
     dlv = dlv * mask
-    da2 = softplus_backward(dmu @ Wmu.T + dlv @ Wlv.T, a2)
-    da1 = softplus_backward(da2 @ W2.T, a1)
+    da2 = softplus_backward(dmu @ Wmu.T + dlv @ Wlv.T, a2, e2)
+    da1 = softplus_backward(da2 @ W2.T, a1, e1)
     grads = [(X.T @ da1).T, da1.sum(axis=0), h1.T @ da2, da2.sum(axis=0),
              h2.T @ dmu, dmu.sum(axis=0), h2.T @ dlv, dlv.sum(axis=0)]
     return (a1, mu, lv), grads
@@ -261,13 +265,15 @@ def direct_expressions():
 
 def adam_whole_array(value, m, v, g, t, lr):
     """One Adam update of ``value``, ``m`` and ``v`` in place at step t,
-    each operation over the whole array."""
-    b1t, b2t = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    each operation over the whole array; ``m`` and ``v`` hold the moments
+    divided by (1 - beta1) and (1 - beta2), as ``glocom.numerics.Adam``
+    holds them."""
+    step, eps_t = adam_step_scalars(t, lr)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += g
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g**2
-    value -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+    v += g**2
+    value -= step * (m / (np.sqrt(v) + eps_t))
 
 
 class ReferenceAdam:
@@ -292,6 +298,49 @@ class ReferenceAdam:
                              self.step_count, self.lr)
         for g in self.grad.values():
             g.fill(0.0)
+
+
+def sinkhorn_log_per_iteration(Mr, max_iters, tol):
+    """``glocom.kernels.sinkhorn_log`` with the range and stop tests made
+    after every iteration, each half-update into a new array."""
+
+    def in_range(s):
+        return bool(s.max() < _SAFE and s.min() > 1.0 / _SAFE)
+
+    V, K = Mr.shape
+    a, b = np.full(V, 1.0 / V), np.full(K, 1.0 / K)
+    u, v = np.ones(V), np.ones(K)
+    iters_used = 0
+    converged = False
+    row_err = col_err = np.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = -Mr.max(axis=1)
+        if not np.all(np.isfinite(f)):
+            return Scaling(np.full(V, np.inf), v, 1, False, np.zeros((V, K)),
+                           row_err, col_err)
+        kernel = np.exp(Mr + f[:, None])
+        Kv = kernel.sum(axis=1)
+        for it in range(1, max_iters + 1):
+            iters_used = it
+            u = a / Kv
+            KTu = kernel.T @ u
+            v = b / KTu
+            if not (in_range(u) and in_range(v)):
+                f += np.log(u)
+                g = np.log(b) - logsumexp(Mr + f[:, None], axis=0)
+                if not np.all(np.isfinite(g)):
+                    u = np.full(V, np.inf)
+                    break
+                kernel = np.exp(Mr + f[:, None] + g[None, :])
+                u, v = np.ones(V), np.ones(K)
+                KTu = kernel.sum(axis=0)
+            Kv = kernel @ v
+            row_err = np.abs(u * Kv - a).sum()
+            col_err = np.abs(v * KTu - b).sum()
+            if row_err < tol and col_err < tol:
+                converged = True
+                break
+    return Scaling(u, v, iters_used, converged, kernel, float(row_err), float(col_err))
 
 
 def discard(p, g):

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
+from oracles import sinkhorn_log_per_iteration
 from scipy.special import logsumexp
 
-from glocom.kernels import BACKEND, sinkhorn_log
+from glocom.kernels import _BLOCK, BACKEND, Scaling, sinkhorn_log
 
 
 def _uniform_logmarg(V, K):
@@ -146,3 +148,86 @@ def test_kernel_converges_and_reports_iterations():
 
 def test_backend_name_is_reported():
     assert BACKEND == "numpy"
+
+
+def _assert_same_as_per_iteration(Mr, max_iters, tol):
+    """The block-tested loop returns every field of the per-iteration
+    loop's result bit for bit."""
+    got = sinkhorn_log(Mr, max_iters, tol)
+    want = sinkhorn_log_per_iteration(Mr, max_iters, tol)
+    for name, g, w in zip(Scaling._fields, got, want):
+        if isinstance(w, np.ndarray):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        else:
+            assert type(g) is type(w) and g == w, name
+    return want
+
+
+def _absorbed_at(Mr, it, tol):
+    # the per-iteration loop stopped at iteration ``it`` returns unit
+    # scalings only when that iteration absorbed them
+    s = sinkhorn_log_per_iteration(Mr, it, tol)
+    return s.iterations_used == it and np.all(s.u == 1.0) and np.all(s.v == 1.0)
+
+
+@pytest.mark.parametrize("max_iters", [1, 7, 50])
+def test_block_tests_match_per_iteration_tests_on_random_costs(max_iters):
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        V, K = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        C = rng.uniform(0, 3, size=(V, K))
+        nu = float(rng.uniform(0.02, 1.0))
+        for tol in (1e-3, 1e-6, 1e-9):
+            _assert_same_as_per_iteration(-C / nu, max_iters, tol)
+
+
+def test_block_tests_match_per_iteration_tests_when_rows_pass_and_columns_fail():
+    # at a tolerance below the columns' rounding error, some iterations pass
+    # the row test and fail the column test (21 and 24 with one BLAS
+    # thread here); the solve must go on past each
+    rng = np.random.default_rng(20)
+    V, K = int(rng.integers(2, 40)), int(rng.integers(2, 12))
+    Mr = -rng.uniform(0, 3, size=(V, K)) / float(rng.uniform(0.05, 1.0))
+    tol = 5e-17
+    split = [it for it in range(1, 60)
+             if (s := sinkhorn_log_per_iteration(Mr, it, tol)).row_err < tol <= s.col_err]
+    assert split
+    assert _assert_same_as_per_iteration(Mr, 60, tol).iterations_used > split[0]
+    for max_iters in {*split, *(it + 1 for it in split)}:
+        _assert_same_as_per_iteration(Mr, max_iters, tol)
+
+
+def test_block_tests_match_per_iteration_tests_when_absorbing_mid_block():
+    # column 1 sits about 1e-50 below every row's max, so its scaling
+    # climbs toward a fixed point just above 1e50 and leaves the range at
+    # an iteration set by how far above: most positions within a block
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-2, 0, size=(4, 2))
+    base[:, 1] -= np.log(1e50)
+    shift = np.log(sinkhorn_log_per_iteration(base, 500, 0.0).v[1] / 1e50)
+    seen = set()
+    for d in np.geomspace(1e-6, 6e-15, 40):
+        Mr = base.copy()
+        Mr[:, 1] += shift - d
+        first = next(it for it in range(1, 30) if _absorbed_at(Mr, it, 1e-16))
+        seen.add((first - 1) % _BLOCK)
+        for max_iters in (first - 1, first, first + 1, 50):
+            for tol in (1e-16, 1e-9):
+                _assert_same_as_per_iteration(Mr, max_iters, tol)
+    assert len(seen) >= 6
+    # repeated absorptions, at iterations 73, 174 and 375
+    rng = np.random.default_rng(0)
+    W, T = rng.normal(size=(30, 4)), rng.normal(size=(6, 4))
+    Mr = -((W[:, None, :] - T[None, :, :]) ** 2).sum(axis=2) / 0.01
+    assert [it for it in (72, 73, 174, 375) if _absorbed_at(Mr, it, 1e-9)] == [73, 174, 375]
+    for max_iters in (73, 80, 174, 500):
+        _assert_same_as_per_iteration(Mr, max_iters, 1e-9)
+
+
+def test_block_tests_match_per_iteration_tests_on_collapsing_costs():
+    for Mr in (np.array([[0.0, -1.0], [-np.inf, -np.inf]]),   # a row with no entry
+               np.array([[0.0, -np.inf], [-1.0, -np.inf]]),   # a column
+               np.array([[0.0, -1.0], [np.nan, 0.0]])):
+        for max_iters in (1, 7, 50):
+            s = _assert_same_as_per_iteration(Mr, max_iters, 1e-6)
+            assert not s.converged and not np.all(np.isfinite(s.u))
