@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 
 from .errors import (
     ClusteringError,
@@ -134,43 +134,35 @@ def _write_manifest(out_dir, args, inputs, seed, config=None, name="manifest.jso
     return path
 
 
-def _config_dict(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-
-
 # -------------------------------------------------------- config via flags
 
 
 def _add_config_flags(parser) -> None:
     """One override flag per TrainConfig field, named like the config file
     keys (dotted for the transport block)."""
-    from .trainer import ABLATIONS, TrainConfig, _file_key, field_type
+    from .trainer import ABLATIONS, CONFIG_KEYS
 
     choices = {"ablation": ABLATIONS}
-    for f in fields(TrainConfig):
+    for key, f in CONFIG_KEYS.items():
         parser.add_argument(
-            "--" + _file_key(f.name),
+            "--" + key,
             dest="cfg_" + f.name,
-            type=field_type(f),
+            type=f.type,
             default=None,
             choices=choices.get(f.name),
-            help=f"override config key {_file_key(f.name)}",
+            help=f"override config key {key}",
         )
 
 
 def _resolve_config(args):
-    from .trainer import TrainConfig, parse_config_file
+    from .trainer import CONFIG_KEYS, TrainConfig, parse_config_file
 
     base = TrainConfig()
     if getattr(args, "config", None):
         _require(args.config, "config")
         base = parse_config_file(args.config)
-    overrides = {}
-    for f in fields(TrainConfig):
-        v = getattr(args, "cfg_" + f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    return replace(base, **overrides) if overrides else base
+    flags = {f.name: getattr(args, "cfg_" + f.name) for f in CONFIG_KEYS.values()}
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _add_synth_flags(parser) -> None:
@@ -294,13 +286,11 @@ def run_train(corpus, cfg, assignment, word_init, out_dir):
     from .trainer import build_setup, config_to_text, train, write_trajectory
 
     os.makedirs(out_dir, exist_ok=True)
-    if word_init is not None:  # the model takes its width from the vectors
-        cfg = replace(cfg, embed_dim=word_init.shape[1])
-    setup = build_setup(corpus, cfg, assignment)
+    setup = build_setup(corpus, cfg, assignment, word_init)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(setup.config))
     ckpt = os.path.join(out_dir, "checkpoint")
-    _, report = train(setup, word_init=word_init, checkpoint_dir=ckpt)
+    _, report = train(setup, checkpoint_dir=ckpt)
     write_trajectory(report, os.path.join(out_dir, "trajectory.csv"))
     final = report.trajectory[-1, 0] if report.trajectory.size else float("nan")
     print(
@@ -422,7 +412,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         args.out, args,
         [args.bow, args.vocab, args.clusters, args.config, args.word_embeddings],
-        seed=cfg.seed, config=_config_dict(cfg),
+        seed=cfg.seed, config=asdict(cfg),
     )
     run_train(corpus, cfg, assignment, word_init, args.out)
     return 0
@@ -494,7 +484,7 @@ def cmd_pipeline(args) -> int:
     _write_manifest(
         args.out, args,
         [args.corpus, args.labels, args.config, args.word_embeddings, args.embeddings],
-        seed=cfg.seed, config=_config_dict(cfg),
+        seed=cfg.seed, config=asdict(cfg),
     )
 
     def out(name):
@@ -520,7 +510,7 @@ def cmd_pipeline(args) -> int:
 
 
 def _parse_grid(specs) -> dict:
-    from .trainer import _FIELD_BY_KEY, field_type
+    from .trainer import CONFIG_KEYS
 
     grids = {}
     for spec in specs:
@@ -528,11 +518,11 @@ def _parse_grid(specs) -> dict:
             raise ConfigError(f"grid spec must be key=v1,v2,... got {spec!r}")
         key, _, vals = spec.partition("=")
         key = key.strip()
-        if key not in _FIELD_BY_KEY:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown grid key {key!r}")
-        f = _FIELD_BY_KEY[key]
+        f = CONFIG_KEYS[key]
         try:
-            values = [field_type(f)(v.strip()) for v in vals.split(",") if v.strip()]
+            values = [f.type(v.strip()) for v in vals.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse grid values for {key!r}: {vals!r}") from exc
         if not values:
@@ -555,7 +545,7 @@ def cmd_grid(args) -> int:
         args.out, args,
         [args.bow, args.vocab, args.clusters, args.config, args.labels,
          args.word_embeddings],
-        seed=cfg.seed, config=_config_dict(cfg),
+        seed=cfg.seed, config=asdict(cfg),
     )
     result = grid_search(corpus, cfg, grids, assignment=assignment,
                          word_init=word_init)

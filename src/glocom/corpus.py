@@ -350,6 +350,9 @@ def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) 
         if V != len(vocab):
             raise CorpusError(f"{path}: file has V={V}, vocabulary has {len(vocab)} words")
         lines = list(itertools.islice(fh, nnz))
+        for lineno, extra in enumerate(fh, start=nnz + 2):
+            if extra.strip():
+                raise CorpusError(f"{path}:{lineno}: entry beyond the header's NNZ={nnz}")
     entries = np.zeros((0, 3), dtype=np.int64)
     if lines:
         try:
@@ -361,6 +364,9 @@ def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) 
     if entries.shape[1] != 3:
         raise CorpusError(f"{path}: entries have {entries.shape[1]} values, expected 3")
     rows, cols, vals = entries.T
+    bad = np.flatnonzero(vals < 1)
+    if bad.size:  # entry i is on line i + 2, after the header
+        raise CorpusError(f"{path}:{bad[0] + 2}: count {vals[bad[0]]} is not positive")
     if nnz and (min(rows.min(), cols.min()) < 0 or rows.max() >= D or cols.max() >= V):
         raise CorpusError(f"{path}: entry index outside the {D} x {V} matrix")
     counts = sp.csr_matrix((vals, (rows, cols)), shape=(D, V))

@@ -23,6 +23,7 @@ from .ecr import squared_distances
 from .errors import ConfigError, TrainingError
 from .numerics import (
     Encoder,
+    EncoderCache,
     Param,
     Update,
     gaussian_reparameterize,
@@ -40,10 +41,9 @@ def _row_sums(X: sp.csr_matrix) -> np.ndarray:
     return np.asarray(X.sum(axis=1)).ravel()
 
 
-def normalize_rows(X, what: str = "input") -> sp.csr_matrix:
-    """Every row divided by its sum, as float64 CSR; a dense X is converted.
+def normalize_rows(X: sp.csr_matrix, what: str = "input") -> sp.csr_matrix:
+    """A copy of the float64 CSR X with every row divided by its sum.
     Zero-sum rows are rejected: a document with no mass cannot be encoded."""
-    X = sp.csr_matrix(X, dtype=np.float64)
     sums = _row_sums(X)
     if np.any(sums == 0):
         raise TrainingError(f"zero-sum {what} row cannot be normalized")
@@ -187,8 +187,9 @@ class GlocomModel:
         topic_init: Optional[np.ndarray] = None,
     ):
         rng = substream(seed, "init")
+        # the inits are copied: training updates W and T in place
         if word_init is not None:
-            W = np.asarray(word_init, dtype=np.float64)
+            W = np.array(word_init, dtype=np.float64)
             if W.shape[0] != num_words:
                 raise TrainingError(
                     f"word_init has {W.shape[0]} rows for {num_words} words"
@@ -197,7 +198,7 @@ class GlocomModel:
         else:
             W = rng.uniform(-0.05, 0.05, size=(num_words, embed_dim))
         if topic_init is not None:
-            T = np.asarray(topic_init, dtype=np.float64)
+            T = np.array(topic_init, dtype=np.float64)
             if T.shape != (num_topics, embed_dim):
                 raise TrainingError(
                     f"topic_init has shape {T.shape}, "
@@ -233,23 +234,23 @@ class GlocomModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def encode_global(self, x_g) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, log_var) of the cluster-level latent; raw counts, as CSR."""
-        mu, lv, _ = self.phi.forward(normalize_rows(x_g, "global doc"))
-        return mu, lv
+    def encode_global(self, x_g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+        """(mu, log_var, cache) of the cluster-level latent from raw counts
+        as float64 CSR; the cache feeds ``phi.backward``."""
+        return self.phi.forward(normalize_rows(x_g, "global doc"))
 
-    def encode_local(self, x_d) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, log_var) of the adaptive variable; raw counts, as CSR."""
-        mu, lv, _ = self.gamma.forward(normalize_rows(x_d, "document"))
-        return mu, lv
+    def encode_local(self, x_d: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+        """(mu, log_var, cache) of the adaptive variable from raw counts as
+        float64 CSR; the cache feeds ``gamma.backward``."""
+        return self.gamma.forward(normalize_rows(x_d, "document"))
 
     # -- training loss -----------------------------------------------------
 
     def forward_backward(
         self,
-        x,  # (B, V) raw counts, as CSR
+        x: sp.csr_matrix,  # (B, V) raw counts, float64
         cluster_ids: np.ndarray,  # (B,)
-        global_docs,  # (G, V) summed counts, as CSR
+        global_docs: sp.csr_matrix,  # (G, V) summed counts, float64
         noise_g: np.ndarray,  # (C, K), one row per distinct batch cluster
         noise_d: np.ndarray,  # (B, K)
         eta: float,  # targets are x + eta * global_docs[cluster_ids]
@@ -268,15 +269,12 @@ class GlocomModel:
         squared-distance matrix. The global KL counts once per distinct
         cluster in the batch, and ``kl_scale`` multiplies both KL terms
         (warmup annealing hook). ``sqd`` is the current squared-distance
-        matrix when the caller has already computed it. Counts given
-        dense are converted to CSR here, once.
+        matrix when the caller has already computed it.
         """
         if kl_scale < 0:
             raise TrainingError(f"kl_scale must be >= 0, got {kl_scale}")
         if eta < 0:
             raise TrainingError(f"eta must be >= 0, got {eta}")
-        x = sp.csr_matrix(x, dtype=np.float64)
-        global_docs = sp.csr_matrix(global_docs, dtype=np.float64)
         B = x.shape[0]
         uniq, inv = np.unique(np.asarray(cluster_ids, dtype=np.int64), return_inverse=True)
         if uniq.min() < 0 or uniq.max() >= global_docs.shape[0]:
@@ -289,18 +287,17 @@ class GlocomModel:
 
         # global side: one latent sample per distinct cluster
         xg = global_docs[uniq]
-        mu_g, lv_g, cache_g = self.phi.forward(normalize_rows(xg, "global doc"))
+        mu_g, lv_g, cache_g = self.encode_global(xg)
         alpha_g = gaussian_reparameterize(mu_g, lv_g, noise_g)
         theta_g = softmax_forward(alpha_g)
         kl_g = kl_diag_gaussian(mu_g, lv_g, 0.0, 1.0)  # (C,)
 
         # local side: adaptive variable per document
-        mu_d, lv_d, cache_d = self.gamma.forward(normalize_rows(x, "document"))
+        mu_d, lv_d, cache_d = self.encode_local(x)
         rho = gaussian_reparameterize(mu_d, lv_d, noise_d)
         kl_d = kl_diag_gaussian(mu_d, lv_d, 1.0, self.epsilon)  # (B,)
 
-        s = theta_g[inv] * rho
-        theta_gd = softmax_forward(s)
+        theta_gd = combine(theta_g[inv], rho)
 
         if sqd is None:
             sqd = self.space.squared_dists()

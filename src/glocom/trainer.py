@@ -1,4 +1,4 @@
-"""Training loop, configuration, ablations, and grid search.
+"""Training loop, configuration, run setup, and grid search.
 
 The loop batches over documents, gathers the distinct global documents a
 batch touches, and refreshes the word-topic transport plan every step at a
@@ -11,7 +11,7 @@ named substream consumed in a deterministic order.
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -79,25 +79,16 @@ class TrainConfig:
             )
 
 
-# Config files use dots where a field groups under a component, e.g.
-# `ecr.nu` for the ecr_nu field; everything else is the field name as-is.
-def _file_key(field_name: str) -> str:
-    if field_name.startswith("ecr_"):
-        return "ecr." + field_name[len("ecr_"):]
-    return field_name
+# Config files, and the CLI's per-key flags, use dots where a field groups
+# under a component, e.g. `ecr.nu` for the ecr_nu field; every other key is
+# the field name as-is.
+CONFIG_KEYS = {
+    ("ecr." + f.name[len("ecr_"):] if f.name.startswith("ecr_") else f.name): f
+    for f in fields(TrainConfig)
+}
 
 
-_FIELD_BY_KEY = {_file_key(f.name): f for f in fields(TrainConfig)}
-
-
-def field_type(f) -> type:
-    """The type (int, float or str) a TrainConfig field's text parses to."""
-    if isinstance(f.type, type):
-        return f.type
-    return {"int": int, "float": float}.get(f.type, str)
-
-
-def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
+def parse_config_text(text: str) -> TrainConfig:
     """Flat key=value lines; '#' starts a comment; later duplicate keys
     are an error so silent overrides cannot hide in a file."""
     overrides = {}
@@ -109,67 +100,62 @@ def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainCon
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_BY_KEY:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        f = _FIELD_BY_KEY[key]
+        f = CONFIG_KEYS[key]
         if f.name in overrides:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            overrides[f.name] = field_type(f)(value)
+            overrides[f.name] = f.type(value)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: cannot parse {value!r} for key {key!r}"
             ) from exc
-    return replace(base if base is not None else TrainConfig(), **overrides)
+    return TrainConfig(**overrides)
 
 
-def parse_config_file(path: str, base: Optional[TrainConfig] = None) -> TrainConfig:
+def parse_config_file(path: str) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def config_to_text(config: TrainConfig) -> str:
-    lines = [f"{_file_key(f.name)}={getattr(config, f.name)}"
-             for f in fields(TrainConfig)]
-    return "\n".join(lines) + "\n"
-
-
-def apply_ablation(config: TrainConfig, num_docs: int) -> TrainConfig:
-    """Resolve the ablation into concrete hyperparameters: no_clustering
-    makes every document its own cluster (G = D). The run without
-    augmentation is eta = 0."""
-    if config.ablation == "no_clustering":
-        return replace(config, G=num_docs)
-    return config
+    return "".join(f"{key}={getattr(config, f.name)}\n" for key, f in CONFIG_KEYS.items())
 
 
 @dataclass
 class TrainSetup:
     corpus: BowCorpus
     global_corpus: GlobalCorpus  # its assignment checked against corpus
-    config: TrainConfig  # with ablation switches already resolved
+    config: TrainConfig  # G and embed_dim as the run uses them
+    word_init: Optional[np.ndarray] = None  # (V, embed_dim) initial word vectors
 
 
 def build_setup(
     corpus: BowCorpus,
     config: TrainConfig,
     assignment: Optional[np.ndarray] = None,
+    word_init: Optional[np.ndarray] = None,
 ) -> TrainSetup:
-    """Resolve the ablation and build the global corpus.
+    """Resolve a run's inputs and build the global corpus.
 
-    For no_clustering the supplied assignment is ignored and the identity
-    assignment is used, so each global document is its own document.
+    Under no_clustering every document is its own cluster: G = D and the
+    identity assignment, whatever assignment is supplied. With word vectors,
+    embed_dim is their width. The run without augmentation is eta = 0.
     """
-    cfg = apply_ablation(config, corpus.num_docs)
-    if cfg.ablation == "no_clustering":
+    if config.ablation == "no_clustering":
+        config = replace(config, G=corpus.num_docs)
         assignment = np.arange(corpus.num_docs)
     elif assignment is None:
         raise TrainingError("a cluster assignment is required outside no_clustering")
-    return TrainSetup(corpus, build_global_corpus(corpus, assignment, G=cfg.G), cfg)
+    if word_init is not None:
+        config = replace(config, embed_dim=word_init.shape[1])
+    return TrainSetup(corpus, build_global_corpus(corpus, assignment, G=config.G), config,
+                      word_init)
 
 
 @dataclass
@@ -216,7 +202,6 @@ def _kl_scale(epoch: int, warmup_epochs: int) -> float:
 
 def train(
     setup: TrainSetup,
-    word_init: Optional[np.ndarray] = None,
     topic_init: Optional[np.ndarray] = None,
     checkpoint_dir: Optional[str] = None,
 ) -> tuple[GlocomModel, TrainReport]:
@@ -242,12 +227,12 @@ def train(
         tau=config.tau,
         epsilon=config.epsilon,
         seed=config.seed,
-        word_init=word_init,
+        word_init=setup.word_init,
         topic_init=topic_init,
     )
     adam = Adam(model.params(), lr=config.lr)
 
-    x = corpus.counts.astype(np.float64)
+    x = corpus.counts.astype(np.float64)  # the run's one float64 CSR copy
 
     use_ecr = config.lambda_ecr != 0.0
     solves = unconverged = iters_total = 0
@@ -343,6 +328,7 @@ def grid_search(
     (so larger is always better). Combinations are enumerated with grid
     keys in sorted order and values in the order supplied; ties keep the
     earliest combination, so the winner is lexicographic in that order.
+    Every combination's config is built and checked before the first run.
     """
     if not grids:
         raise ConfigError("empty grid")
@@ -353,18 +339,19 @@ def grid_search(
             raise ConfigError(f"grid key {k!r} is not a TrainConfig field")
         if not grids[k]:
             raise ConfigError(f"grid for {k!r} is empty")
-    if word_init is not None:  # the model takes its width from the vectors
-        base_config = replace(base_config, embed_dim=word_init.shape[1])
     has_labels = corpus.labels is not None
-    if not has_labels and base_config.epochs < 1:
-        raise ConfigError("label-free grid search needs epochs >= 1")
-
-    entries = []
+    combos = []
     for values in itertools.product(*(grids[k] for k in keys)):
         params = dict(zip(keys, values))
         cfg = replace(base_config, **params)
-        setup = build_setup(corpus, cfg, assignment)
-        model, report = train(setup, word_init=word_init)
+        if not has_labels and cfg.epochs < 1:
+            raise ConfigError(f"label-free grid search needs epochs >= 1 ({params})")
+        combos.append((params, cfg))
+
+    entries = []
+    for params, cfg in combos:
+        setup = build_setup(corpus, cfg, assignment, word_init)
+        model, report = train(setup)
         if has_labels:
             gc = setup.global_corpus
             out = infer(model, corpus.counts, gc.assignment, gc.global_docs,

@@ -32,7 +32,7 @@ from glocom.eval import TopicSet, assign_documents, nmi, purity, topic_diversity
 from glocom.model import GlocomModel, infer
 from glocom.numerics import kl_diag_gaussian
 from glocom.synthetic import SyntheticSpec, generate
-from glocom.trainer import TrainConfig, apply_ablation, build_setup, train
+from glocom.trainer import TrainConfig, build_setup, train
 
 
 def _verdict(name, ok, detail=""):
@@ -61,7 +61,7 @@ def _training_instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10,
     sqd = model.space.squared_dists()
     plan = sinkhorn(sqd, TrainConfig().ecr_nu)
     return model, dict(
-        x=x, cluster_ids=cluster_ids, global_docs=global_docs,
+        x=sp.csr_matrix(x), cluster_ids=cluster_ids, global_docs=sp.csr_matrix(global_docs),
         noise_g=noise_g, noise_d=noise_d, eta=eta, lambda_ecr=20.0, psi=plan.psi,
     )
 
@@ -225,7 +225,6 @@ def _recovery_run(seed, variant):
     cfg = TrainConfig(K=5, G=5, eta=eta, lambda_ecr=20.0, ecr_nu=0.05,
                       epochs=200, seed=seed, ablation=ablation,
                       embed_dim=embed_dim)
-    cfg = apply_ablation(cfg, corpus.num_docs)
     if ablation == "no_clustering":
         assign, word_init, topic_init = None, None, None
     else:
@@ -237,9 +236,8 @@ def _recovery_run(seed, variant):
         emb = profile_word_embeddings(corpus, assign, G=cfg.G)
         word_init = emb.rows
         topic_init = kmeans(emb, cfg.K, seed=seed).centroids
-    setup = build_setup(corpus, cfg, assign)
-    model, _ = train(setup, word_init=word_init,
-                                topic_init=topic_init)
+    setup = build_setup(corpus, cfg, assign, word_init)
+    model, _ = train(setup, topic_init=topic_init)
     gc = setup.global_corpus
     out = infer(model, corpus.dense(), gc.assignment, gc.global_docs, corpus.vocab.words)
     _, scores = match_topics(out.beta, truth.beta)

@@ -455,6 +455,8 @@ def test_write_bow_bytes_match_loop_writer(tmp_path):
         ("2 3 2\n0 0 2\n1 1 x\n", "malformed entry"),
         ("2 3 2\n0 0\n1 1\n", "expected 3"),
         ("2 3 2\n0 0 2\n2 1 1\n", "outside the 2 x 3 matrix"),
+        ("2 3 2\n0 0 2\n1 1 1\n1 2 1\n", r"bow.txt:4: entry beyond the header's NNZ=2"),
+        ("2 3 2\n0 0 2\n1 1 0\n", r"bow.txt:3: count 0 is not positive"),
     ],
 )
 def test_read_bow_rejects_malformed_files(tmp_path, body, message):
@@ -462,6 +464,13 @@ def test_read_bow_rejects_malformed_files(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(CorpusError, match=message):
         read_bow(str(path), Vocabulary(["a", "b", "c"]))
+
+
+def test_read_bow_allows_blank_trailing_lines(tmp_path):
+    path = tmp_path / "bow.txt"
+    path.write_text("2 3 2\n0 0 2\n1 1 1\n\n  \n")
+    back = read_bow(str(path), Vocabulary(["a", "b", "c"]))
+    np.testing.assert_array_equal(back.counts.toarray(), [[2, 0, 0], [0, 1, 0]])
 
 
 def test_vocab_and_kept_round_trip(tmp_path):

@@ -46,7 +46,7 @@ def elbo_per_doc(x_aug, theta_gd, beta, kl_global_share, kl_local):
 def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
               sparse=False, epsilon=0.01):
     """Small fixed training instance with frozen noise and transport plan.
-    ``sparse`` gives the counts as CSR rows with about half the entries 0."""
+    Counts are float64 CSR rows; ``sparse`` sets about half the entries to 0."""
     rng = np.random.default_rng(seed)
     x = rng.integers(1, 5, size=(D, V)).astype(np.float64)
     if sparse:
@@ -64,8 +64,8 @@ def _instance(seed=7, V=20, K=4, D=6, G=2, embed_dim=8, hidden=10, eta=0.1,
     sqd = model.space.squared_dists()
     plan = sinkhorn(sqd, TrainConfig().ecr_nu)
     return model, dict(
-        x=sp.csr_matrix(x) if sparse else x, cluster_ids=cluster_ids,
-        global_docs=global_docs, noise_g=noise_g, noise_d=noise_d, eta=eta,
+        x=sp.csr_matrix(x), cluster_ids=cluster_ids,
+        global_docs=sp.csr_matrix(global_docs), noise_g=noise_g, noise_d=noise_d, eta=eta,
         lambda_ecr=20.0, psi=plan.psi,
     )
 
@@ -194,41 +194,41 @@ def test_kl_global_counts_each_batch_cluster_once():
     uniq = np.unique(inputs["cluster_ids"])
     assert uniq.size < B  # some cluster has several documents in the batch
     _, comps, _ = model.forward_backward(**inputs, update=discard, kl_scale=0.5)
-    mu, lv = model.encode_global(inputs["global_docs"][uniq])
+    mu, lv, _ = model.encode_global(inputs["global_docs"][uniq])
     kl = kl_diag_gaussian(mu, lv, 0.0, 1.0)
     assert comps["kl_global"] == pytest.approx(0.5 * kl.sum() / B, rel=1e-14)
 
 
 def test_encoders_deterministic_and_batch_consistent():
     model, _ = _instance(seed=11, V=10, K=3)
-    x = np.abs(np.random.default_rng(0).normal(size=(4, 10))) + 0.1
-    mu1, lv1 = model.encode_local(x)
-    mu2, lv2 = model.encode_local(x)
+    x = sp.csr_matrix(np.abs(np.random.default_rng(0).normal(size=(4, 10))) + 0.1)
+    mu1, lv1, _ = model.encode_local(x)
+    mu2, lv2, _ = model.encode_local(x)
     np.testing.assert_array_equal(mu1, mu2)
     np.testing.assert_array_equal(lv1, lv2)
     # batch-of-1 takes a different BLAS path, so equality is to rounding
-    mu_row, lv_row = model.encode_local(x[2])
+    mu_row, lv_row, _ = model.encode_local(x[2])
     np.testing.assert_allclose(mu_row[0], mu1[2], rtol=1e-12, atol=1e-15)
     assert mu1.shape == (4, 3) and lv1.shape == (4, 3)
 
 
 def test_encoder_scale_invariance():
     model, _ = _instance(seed=12, V=10, K=3)
-    x = np.abs(np.random.default_rng(1).normal(size=(1, 10))) + 0.1
-    mu, lv = model.encode_global(x)
-    mu2, lv2 = model.encode_global(2.0 * x)  # power of two: exact in fp
+    x = sp.csr_matrix(np.abs(np.random.default_rng(1).normal(size=(1, 10))) + 0.1)
+    mu, lv, _ = model.encode_global(x)
+    mu2, lv2, _ = model.encode_global(2.0 * x)  # power of two: exact in fp
     np.testing.assert_array_equal(mu, mu2)
     np.testing.assert_array_equal(lv, lv2)
-    mu3, _ = model.encode_global(3.0 * x)
+    mu3, _, _ = model.encode_global(3.0 * x)
     np.testing.assert_allclose(mu, mu3, rtol=1e-12)
 
 
 def test_zero_sum_input_rejected():
     model, _ = _instance(seed=13, V=5, K=2)
     with pytest.raises(TrainingError, match="zero-sum"):
-        model.encode_local(np.zeros((1, 5)))
+        model.encode_local(sp.csr_matrix((1, 5)))
     with pytest.raises(TrainingError):
-        normalize_rows(np.zeros((2, 3)))
+        normalize_rows(sp.csr_matrix((2, 3)))
     with pytest.raises(TrainingError, match="zero-sum"):
         model.encode_local(sp.csr_matrix(np.array([[1, 0, 0, 0, 2], [0, 0, 0, 0, 0]])))
 
@@ -284,7 +284,7 @@ def test_reduces_to_plain_vae_with_ablations():
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, _ = model.forward_backward(
-        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0, discard)
+        sp.csr_matrix(x), np.arange(D), sp.csr_matrix(x), noise, np.zeros((D, K)), 0.0, discard)
     assert comps["kl_local"] == 0.0
     # independent computation
     mu, lv, _ = model.phi.forward(x / x.sum(axis=1, keepdims=True))
@@ -310,7 +310,7 @@ def test_loss_equals_independent_elbo_at_local_posterior_mean():
     x = rng.integers(1, 5, size=(D, V)).astype(float)
     noise = rng.standard_normal((D, K))
     loss, comps, lat = model.forward_backward(
-        x, np.arange(D), x.copy(), noise, np.zeros((D, K)), 0.0, discard)
+        sp.csr_matrix(x), np.arange(D), sp.csr_matrix(x), noise, np.zeros((D, K)), 0.0, discard)
 
     x_n = sp.csr_matrix(x / x.sum(axis=1, keepdims=True))  # the encoders read CSR
     mu, lv, _ = model.phi.forward(x_n)
@@ -331,7 +331,7 @@ def test_infer_determinism_and_top_words():
     model, inputs = _instance(seed=17)
     V = inputs["x"].shape[1]
     words = [f"w{i}" for i in range(V)]
-    x = np.vstack([inputs["x"], inputs["x"][0]])  # duplicate first doc
+    x = sp.vstack([inputs["x"], inputs["x"][0]], format="csr")  # duplicate first doc
     cids = np.concatenate([inputs["cluster_ids"], inputs["cluster_ids"][:1]])
     out = infer(model, x, cids, inputs["global_docs"], words, top_n=5)
     np.testing.assert_array_equal(out.theta_local[0], out.theta_local[-1])
@@ -340,10 +340,26 @@ def test_infer_determinism_and_top_words():
         assert len(out.top_words[k]) == 5
     np.testing.assert_allclose(out.theta_local.sum(axis=1), 1.0, atol=1e-9)
     # posterior-mean composition spelled out
-    mu_g, _ = model.encode_global(inputs["global_docs"])
-    mu_d, _ = model.encode_local(x)
+    mu_g, _, _ = model.encode_global(inputs["global_docs"])
+    mu_d, _, _ = model.encode_local(x)
     expected = softmax_forward(softmax_forward(mu_g)[cids] * mu_d)
     np.testing.assert_allclose(out.theta_local, expected, atol=1e-12)
+
+
+def test_training_forward_at_zero_noise_equals_infer():
+    # without sampling noise the training forward is the posterior mean, so
+    # its mixtures are infer's: one pair of encoders and one combine rule
+    model, inputs = _instance(seed=24, D=9, G=3, sparse=True)
+    perm = np.random.default_rng(24).permutation(9)
+    x, cids = inputs["x"][perm], inputs["cluster_ids"][perm]
+    assert np.any(np.diff(cids) < 0)  # cluster ids out of order
+    uniq = np.unique(cids)
+    _, _, lat = model.forward_backward(x, cids, inputs["global_docs"],
+                                       np.zeros((uniq.size, 4)), np.zeros((9, 4)),
+                                       eta=inputs["eta"], update=discard)
+    out = infer(model, x, cids, inputs["global_docs"], [f"w{i}" for i in range(20)])
+    np.testing.assert_allclose(lat.theta_gd, out.theta_local, rtol=1e-12)
+    np.testing.assert_allclose(lat.theta_g, out.theta_global[uniq], rtol=1e-12)
 
 
 @pytest.mark.parametrize("top_n", [1, 3, 8, 29, 30, 31, 100])
@@ -394,7 +410,7 @@ def test_compute_beta_backward_equals_direct_expressions(with_plan):
 def test_infer_csr_blocks_match_dense(monkeypatch):
     model, inputs = _instance(seed=19, D=30)
     rng = np.random.default_rng(4)
-    x = inputs["x"] * (rng.random(inputs["x"].shape) < 0.5)
+    x = inputs["x"].toarray() * (rng.random(inputs["x"].shape) < 0.5)
     x[:, 0] += 1
     words = [f"w{i}" for i in range(x.shape[1])]
     args = (inputs["cluster_ids"], inputs["global_docs"], words)
@@ -574,9 +590,8 @@ def test_forward_backward_csr_matches_dense_target_oracle(eta):
     model, inputs = _instance(seed=23, D=12, G=3, eta=eta, sparse=True)
     assert np.bincount(inputs["cluster_ids"]).min() >= 2
     loss, comps, grads = _loss_and_grads(model, inputs)
-    dense = dict(inputs, x=inputs["x"].toarray())
     with dense_targets():
-        loss_o, comps_o, grads_o = _loss_and_grads(model, dense)
+        loss_o, comps_o, grads_o = _loss_and_grads(model, inputs)
     assert loss == pytest.approx(loss_o, rel=1e-12)
     for key in comps_o:
         assert comps[key] == pytest.approx(comps_o[key], rel=1e-12), key

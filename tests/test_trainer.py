@@ -15,7 +15,6 @@ from glocom.trainer import (
     TRAJECTORY_COLUMNS,
     TrainConfig,
     TrainReport,
-    apply_ablation,
     build_setup,
     config_to_text,
     grid_search,
@@ -133,13 +132,6 @@ def test_readme_config_block_matches_defaults():
 # ------------------------------------------------------- setup / ablations
 
 
-def test_apply_ablation_rules():
-    cfg = tiny_config(ablation="no_clustering")
-    assert apply_ablation(cfg, 24).G == 24
-    cfg = tiny_config()
-    assert apply_ablation(cfg, 24) == cfg
-
-
 def test_build_setup_no_clustering_identity():
     corpus = tiny_corpus()
     setup = build_setup(corpus, tiny_config(ablation="no_clustering"), None)
@@ -147,6 +139,29 @@ def test_build_setup_no_clustering_identity():
     assert np.array_equal(setup.global_corpus.assignment, np.arange(D))
     assert setup.config.G == D
     np.testing.assert_array_equal(setup.global_corpus.global_docs.toarray(), corpus.dense())
+
+
+def test_build_setup_takes_embed_dim_from_word_vectors():
+    corpus = tiny_corpus()
+    setup = build_setup(corpus, tiny_config(), corpus.labels)
+    assert setup.config == tiny_config() and setup.word_init is None
+    W0 = np.random.default_rng(3).normal(size=(corpus.num_words, 4))
+    setup = build_setup(corpus, tiny_config(epochs=0), corpus.labels, W0)
+    assert setup.config == tiny_config(epochs=0, embed_dim=4)
+    model, _ = train(setup)
+    np.testing.assert_array_equal(model.space.W.value, W0)
+
+
+def test_training_leaves_the_init_arrays_untouched():
+    # a grid trains every combination from the same word vectors
+    corpus = tiny_corpus()
+    rng = np.random.default_rng(4)
+    W0, T0 = rng.normal(size=(corpus.num_words, 6)), rng.normal(size=(3, 6))
+    W_copy, T_copy = W0.copy(), T0.copy()
+    model, _ = train(build_setup(corpus, tiny_config(), corpus.labels, W0), topic_init=T0)
+    assert not np.array_equal(model.space.W.value, W0)
+    np.testing.assert_array_equal(W0, W_copy)
+    np.testing.assert_array_equal(T0, T_copy)
 
 
 def test_build_setup_errors():
@@ -250,7 +265,7 @@ def test_single_step_loss_equals_dense_targets_oracle():
                                          update=discard)
     np.testing.assert_array_equal(report.trajectory[0], [comps[k] for k in keys])
     with dense_targets():
-        _, dense, _ = model.forward_backward(x.toarray(), cids, gdocs, noise_g, noise_d,
+        _, dense, _ = model.forward_backward(x, cids, gdocs, noise_g, noise_d,
                                              eta=cfg.eta, update=discard)
     np.testing.assert_allclose(report.trajectory[0], [dense[k] for k in keys],
                                rtol=1e-13, atol=0)
@@ -462,6 +477,25 @@ def test_grid_validation_errors():
     with pytest.raises(ConfigError, match="epochs"):
         grid_search(unlabeled, tiny_config(epochs=0), {"eta": [0.1]},
                     assignment=corpus.labels)
+
+
+def test_grid_checks_every_combination_before_training(monkeypatch):
+    import glocom.trainer
+
+    calls = []
+    real_train = glocom.trainer.train
+    monkeypatch.setattr(glocom.trainer, "train",
+                        lambda *a, **kw: calls.append(a) or real_train(*a, **kw))
+    labeled = tiny_corpus()
+    corpus = BowCorpus(labeled.counts, labeled.vocab)  # label-free: epochs >= 1
+    for grid in ({"epochs": [2, 0]}, {"K": [3, 0]}, {"ablation": ["full", "bogus"]}):
+        with pytest.raises(ConfigError):
+            grid_search(corpus, tiny_config(), grid, assignment=labeled.labels)
+        assert calls == [], grid
+    result = grid_search(corpus, tiny_config(epochs=0), {"epochs": [1, 2]},
+                         assignment=labeled.labels)
+    assert len(calls) == 2
+    assert sorted(e.config.epochs for e in result.entries) == [1, 2]
 
 
 def test_topic_init_passes_through_to_model():
