@@ -94,15 +94,30 @@ def _check_top_n(top_n: int) -> None:
         raise ConfigError(f"--top-n must be at least 1, got {top_n}")
 
 
-def _require(path, what: str, optional: bool = False):
-    """The path, once its file is known to exist; an optional path that
+# input flag dest -> what its file is
+_INPUT_FILES = {
+    "corpus": "corpus", "bow": "corpus", "reference": "corpus", "vocab": "vocabulary",
+    "labels": "labels", "embeddings": "document embeddings", "clusters": "cluster assignment",
+    "config": "config", "word_embeddings": "word embeddings", "checkpoint": "checkpoint",
+    "topics": "topics", "theta": "theta",
+}
+
+
+def _require(args, dest, optional=False):
+    """The file behind an input flag, once it is known to exist: the path
+    given, or a checkpoint directory's manifest.txt. An optional flag that
     was not given passes through as None."""
+    path, what = getattr(args, dest), _INPUT_FILES[dest]
     if not path:
         if optional:
             return None
         raise _MissingInput(f"{what} is required")
     if not os.path.exists(path):
         raise _MissingInput(f"{what} file missing: {path}")
+    if dest == "checkpoint":
+        path = os.path.join(path, "manifest.txt")
+        if not os.path.exists(path):
+            raise _MissingInput(f"checkpoint manifest file missing: {path}")
     return path
 
 
@@ -114,15 +129,18 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, args, inputs, seed, config=None, name="manifest.json"):
-    """Record enough to re-run the command; written before any output."""
+def _write_manifest(out_dir, args, seed, config=None, name="manifest.json"):
+    """Record enough to re-run the command; written before any output.
+    Every input flag the command was given is checked and its file hashed,
+    whether or not the run reads it."""
     from . import __version__
 
+    files = [_require(args, dest) for dest in _INPUT_FILES if getattr(args, dest, None)]
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": ["glocom"] + list(args._argv),
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs if p},
+        "inputs": {f: _sha256(f) for f in files},
         "seed": seed,
         "version": __version__,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -158,38 +176,35 @@ def _resolve_config(args):
     from .trainer import CONFIG_KEYS, TrainConfig, parse_config_file
 
     base = TrainConfig()
-    if getattr(args, "config", None):
-        _require(args.config, "config")
+    if _require(args, "config", optional=True):
         base = parse_config_file(args.config)
     flags = {f.name: getattr(args, "cfg_" + f.name) for f in CONFIG_KEYS.values()}
     return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
+# synth flag dest -> the SyntheticSpec field it sets
+_SYNTH_FLAGS = {
+    "num_words": "V", "num_topics": "K", "num_clusters": "G", "num_docs": "D",
+    "len_min": "len_min", "len_max": "len_max", "epsilon_true": "epsilon_true",
+    "block_mass": "block_mass",
+}
+
+
 def _add_synth_flags(parser) -> None:
-    parser.add_argument("--num-words", type=int, default=100)
-    parser.add_argument("--num-topics", type=int, default=5)
-    parser.add_argument("--num-clusters", type=int, default=5)
-    parser.add_argument("--num-docs", type=int, default=1000)
-    parser.add_argument("--len-min", type=int, default=4)
-    parser.add_argument("--len-max", type=int, default=12)
-    parser.add_argument("--epsilon-true", type=float, default=0.01)
-    parser.add_argument("--block-mass", type=float, default=0.9)
+    """One flag per _SYNTH_FLAGS entry, with SyntheticSpec's default."""
+    from .synthetic import SyntheticSpec
+
+    spec = SyntheticSpec()
+    for dest, field in _SYNTH_FLAGS.items():
+        default = getattr(spec, field)
+        parser.add_argument("--" + dest.replace("_", "-"), type=type(default),
+                            default=default)
 
 
 def _synth_spec(args, seed):
     from .synthetic import SyntheticSpec
 
-    return SyntheticSpec(
-        V=args.num_words,
-        K=args.num_topics,
-        G=args.num_clusters,
-        D=args.num_docs,
-        len_min=args.len_min,
-        len_max=args.len_max,
-        epsilon_true=args.epsilon_true,
-        block_mass=args.block_mass,
-        seed=seed,
-    )
+    return SyntheticSpec(seed=seed, **{f: getattr(args, d) for d, f in _SYNTH_FLAGS.items()})
 
 
 # ------------------------------------------------------------------ stages
@@ -273,7 +288,7 @@ def load_word_init(path, vocab, seed):
     None (random init) without one."""
     from .corpus import load_word_embeddings
 
-    if not _require(path, "word embeddings", optional=True):
+    if not path:
         return None
     init = load_word_embeddings(path, vocab, seed=seed)
     print(f"word embeddings: coverage {init.coverage:.1%}")
@@ -357,63 +372,55 @@ def run_eval(top_words, theta, reference, labels, out_path):
 # ------------------------------------------------------------- subcommands
 
 
-def _read_corpus(bow_path, vocab_path, labels_path=None):
+def _read_corpus(args, bow="bow", labels=False):
+    """The corpus behind the bow flag (eval's is --reference) and --vocab,
+    with --labels when asked for and given."""
     from .corpus import read_bow, read_label_file, read_vocabulary
 
-    _require(bow_path, "corpus")
-    _require(vocab_path, "vocabulary")
-    vocab = read_vocabulary(vocab_path)
-    labels = None
-    if _require(labels_path, "labels", optional=True):
-        labels = read_label_file(labels_path)
-    return read_bow(bow_path, vocab, labels)
+    bow_path = _require(args, bow)
+    vocab = read_vocabulary(_require(args, "vocab"))
+    label_path = _require(args, "labels", optional=True) if labels else None
+    return read_bow(bow_path, vocab, read_label_file(label_path) if label_path else None)
 
 
-def _load_assignment_for(cfg, path):
+def _read_run_inputs(args, labels=False):
+    """A train or grid run's config, corpus, cluster assignment (None under
+    no_clustering) and word vectors (None without --word-embeddings)."""
     from .aggregation import read_assignment
 
-    if cfg.ablation == "no_clustering":
-        return None
-    _require(path, "cluster assignment")
-    return read_assignment(path, G=cfg.G)
+    cfg = _resolve_config(args)
+    corpus = _read_corpus(args, labels=labels)
+    assignment = None
+    if cfg.ablation != "no_clustering":
+        assignment = read_assignment(_require(args, "clusters"), G=cfg.G)
+    word_path = _require(args, "word_embeddings", optional=True)
+    return cfg, corpus, assignment, load_word_init(word_path, corpus.vocab, cfg.seed)
 
 
 def cmd_preprocess(args) -> int:
-    _require(args.corpus, "corpus")
-    _require(args.labels, "labels", optional=True)
-    _write_manifest(args.out, args, [args.corpus, args.labels], seed=None)
+    _write_manifest(args.out, args, seed=None)
     run_preprocess(args.corpus, args.labels, args.min_freq, args.min_terms, args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
     spec = _synth_spec(args, args.seed)
-    _write_manifest(args.out, args, [], seed=args.seed)
+    _write_manifest(args.out, args, seed=args.seed)
     run_synth(spec, args.out)
     return 0
 
 
 def cmd_cluster(args) -> int:
-    corpus = _read_corpus(args.bow, args.vocab)
-    _require(args.embeddings, "document embeddings", optional=True)
-    _write_manifest(
-        args.out, args, [args.bow, args.vocab, args.embeddings], seed=args.seed
-    )
+    corpus = _read_corpus(args)
+    _write_manifest(args.out, args, seed=args.seed)
     run_cluster(corpus, args.num_clusters, args.seed, args.out, args.embeddings,
                 args.normalize)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    corpus = _read_corpus(args.bow, args.vocab)
-    assignment = _load_assignment_for(cfg, args.clusters)
-    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
-    _write_manifest(
-        args.out, args,
-        [args.bow, args.vocab, args.clusters, args.config, args.word_embeddings],
-        seed=cfg.seed, config=asdict(cfg),
-    )
+    cfg, corpus, assignment, word_init = _read_run_inputs(args)
+    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
     run_train(corpus, cfg, assignment, word_init, args.out)
     return 0
 
@@ -422,17 +429,10 @@ def cmd_infer(args) -> int:
     from .aggregation import read_assignment
 
     _check_top_n(args.top_n)
-    _require(args.checkpoint, "checkpoint")
-    _require(os.path.join(args.checkpoint, "manifest.txt"), "checkpoint manifest")
-    corpus = _read_corpus(args.bow, args.vocab)
-    _require(args.clusters, "cluster assignment")
-    assignment = read_assignment(args.clusters)
-    _write_manifest(
-        args.out, args,
-        [args.bow, args.vocab, args.clusters,
-         os.path.join(args.checkpoint, "manifest.txt")],
-        seed=None,
-    )
+    _require(args, "checkpoint")
+    corpus = _read_corpus(args)
+    assignment = read_assignment(_require(args, "clusters"))
+    _write_manifest(args.out, args, seed=None)
     run_infer(args.checkpoint, corpus, assignment, args.top_n, args.out)
     return 0
 
@@ -443,18 +443,11 @@ def cmd_eval(args) -> int:
     from .corpus import read_label_file
     from .eval import read_topics
 
-    _require(args.topics, "topics")
-    _require(args.theta, "theta")
-    reference = _read_corpus(args.reference, args.vocab)
-    labels = None
-    if _require(args.labels, "labels", optional=True):
-        labels = read_label_file(args.labels)
+    reference = _read_corpus(args, "reference")
+    label_path = _require(args, "labels", optional=True)
+    labels = read_label_file(label_path) if label_path else None
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_manifest(
-        out_dir, args,
-        [args.topics, args.theta, args.reference, args.vocab, args.labels],
-        seed=None, name="eval-manifest.json",
-    )
+    _write_manifest(out_dir, args, seed=None, name="eval-manifest.json")
     topics = read_topics(args.topics)
     try:
         theta = np.loadtxt(args.theta, delimiter=",", ndmin=2)
@@ -477,15 +470,8 @@ def cmd_pipeline(args) -> int:
     cfg = _resolve_config(args)
     if args.synth:
         spec = _synth_spec(args, cfg.seed)
-    _require(args.corpus, "corpus", optional=args.synth)
-    _require(args.labels, "labels", optional=True)
-    _require(args.embeddings, "document embeddings", optional=True)
-    _require(args.word_embeddings, "word embeddings", optional=True)
-    _write_manifest(
-        args.out, args,
-        [args.corpus, args.labels, args.config, args.word_embeddings, args.embeddings],
-        seed=cfg.seed, config=asdict(cfg),
-    )
+    _require(args, "corpus", optional=args.synth)
+    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
 
     def out(name):
         return os.path.join(args.out, name)
@@ -536,17 +522,9 @@ def _parse_grid(specs) -> dict:
 def cmd_grid(args) -> int:
     from .trainer import config_to_text, grid_search
 
-    cfg = _resolve_config(args)
-    corpus = _read_corpus(args.bow, args.vocab, args.labels)
-    assignment = _load_assignment_for(cfg, args.clusters)
-    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
+    cfg, corpus, assignment, word_init = _read_run_inputs(args, labels=True)
     grids = _parse_grid(args.grid)
-    _write_manifest(
-        args.out, args,
-        [args.bow, args.vocab, args.clusters, args.config, args.labels,
-         args.word_embeddings],
-        seed=cfg.seed, config=asdict(cfg),
-    )
+    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
     result = grid_search(corpus, cfg, grids, assignment=assignment,
                          word_init=word_init)
     keys = sorted(grids)
@@ -569,93 +547,79 @@ def cmd_grid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def parent(*flags):
+        p = argparse.ArgumentParser(add_help=False)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        return p
+
+    out = parent(("--out", dict(required=True)))
+    bow = parent(("--bow", dict(required=True)), ("--vocab", dict(required=True)))
+    labels = parent(("--labels", dict(default=None)))
+    prune = parent(("--min-freq", dict(type=int, default=3)),
+                   ("--min-terms", dict(type=int, default=2)))
+    top_n = parent(("--top-n", dict(type=int, default=15)))
+    synth = argparse.ArgumentParser(add_help=False)
+    _add_synth_flags(synth)
+    run = parent(("--config", dict(default=None)),
+                 ("--word-embeddings", dict(dest="word_embeddings", default=None)))
+    _add_config_flags(run)
+
     parser = argparse.ArgumentParser(
         prog="glocom",
         description="Clustering-aggregated topic modeling for short texts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="filter raw text into bow + vocab")
+    p = sub.add_parser("preprocess", help="filter raw text into bow + vocab",
+                       parents=[labels, prune, out])
     p.add_argument("--corpus", required=True, help="one document per line")
-    p.add_argument("--labels", default=None)
-    p.add_argument("--min-freq", type=int, default=3)
-    p.add_argument("--min-terms", type=int, default=2)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("cluster", help="k-means document clustering")
-    p.add_argument("--bow", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("cluster", help="k-means document clustering", parents=[bow, out])
     p.add_argument("--embeddings", default=None,
                    help="precomputed document embeddings (default: TF-IDF)")
     p.add_argument("--num-clusters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("train", help="fit the topic model")
-    p.add_argument("--bow", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("train", help="fit the topic model", parents=[bow, out, run])
     p.add_argument("--clusters", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--word-embeddings", dest="word_embeddings", default=None)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="posterior-mean inference from a checkpoint")
+    p = sub.add_parser("infer", help="posterior-mean inference from a checkpoint",
+                       parents=[bow, top_n, out])
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bow", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--clusters", required=True)
-    p.add_argument("--top-n", type=int, default=15)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", help="topic and clustering metrics")
+    p = sub.add_parser("eval", help="topic and clustering metrics", parents=[labels])
     p.add_argument("--topics", required=True)
     p.add_argument("--theta", required=True)
-    p.add_argument("--labels", default=None)
     p.add_argument("--reference", required=True, help="reference bow corpus")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="metrics.json path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_synth_flags(p)
+    p = sub.add_parser("synth", help="generate a synthetic corpus", parents=[synth, out])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pipeline", help="preprocess/synth, cluster, train, infer, eval")
+    p = sub.add_parser("pipeline", help="preprocess/synth, cluster, train, infer, eval",
+                       parents=[labels, synth, prune, top_n, out, run])
     p.add_argument("--corpus", default=None, help="raw text, one document per line")
-    p.add_argument("--labels", default=None)
     p.add_argument("--synth", action="store_true",
                    help="generate a synthetic corpus instead of reading one")
-    _add_synth_flags(p)
-    p.add_argument("--min-freq", type=int, default=3)
-    p.add_argument("--min-terms", type=int, default=2)
     p.add_argument("--embeddings", default=None,
                    help="precomputed document embeddings for clustering")
-    p.add_argument("--word-embeddings", dest="word_embeddings", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--top-n", type=int, default=15)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("grid", help="grid search over config values")
-    p.add_argument("--bow", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--labels", default=None)
+    p = sub.add_parser("grid", help="grid search over config values",
+                       parents=[bow, labels, out, run])
     p.add_argument("--clusters", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--word-embeddings", dest="word_embeddings", default=None)
     p.add_argument("--grid", action="append", required=True,
                    help="key=v1,v2,... (repeatable)")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_grid)
 
     return parser

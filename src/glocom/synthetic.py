@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import BowCorpus, Vocabulary
-from .errors import GlocomError
+from .errors import ConfigError, GlocomError
 from .numerics import softmax_forward
 from .rng import substream
 
@@ -34,17 +34,17 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if min(self.V, self.K, self.G, self.D) < 1:
-            raise GlocomError("V, K, G, D must all be positive")
+            raise ConfigError("V, K, G, D must all be positive")
         if self.len_min < 2 or self.len_max < self.len_min:
-            raise GlocomError("need 2 <= len_min <= len_max")
+            raise ConfigError("need 2 <= len_min <= len_max")
         if not (0 < self.block_mass < 1):
-            raise GlocomError("block_mass must lie in (0, 1)")
+            raise ConfigError("block_mass must lie in (0, 1)")
         if self.epsilon_true < 0:
-            raise GlocomError("epsilon_true must be >= 0")
+            raise ConfigError("epsilon_true must be >= 0")
         if self.G > self.D:
-            raise GlocomError("more clusters than documents")
+            raise ConfigError("more clusters than documents")
         if self.K > self.V:
-            raise GlocomError("more topics than words")
+            raise ConfigError("more topics than words")
 
 
 @dataclass

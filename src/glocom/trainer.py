@@ -328,7 +328,8 @@ def grid_search(
     (so larger is always better). Combinations are enumerated with grid
     keys in sorted order and values in the order supplied; ties keep the
     earliest combination, so the winner is lexicographic in that order.
-    Every combination's config is built and checked before the first run.
+    Every combination's setup is built and checked before the first run,
+    and two combinations that resolve to the same run are refused.
     """
     if not grids:
         raise ConfigError("empty grid")
@@ -346,11 +347,15 @@ def grid_search(
         cfg = replace(base_config, **params)
         if not has_labels and cfg.epochs < 1:
             raise ConfigError(f"label-free grid search needs epochs >= 1 ({params})")
-        combos.append((params, cfg))
+        setup = build_setup(corpus, cfg, assignment, word_init)
+        for earlier, other in combos:
+            if other.config == setup.config:
+                raise ConfigError(f"grid combinations {earlier} and {params} resolve "
+                                  "to the same run")
+        combos.append((params, setup))
 
     entries = []
-    for params, cfg in combos:
-        setup = build_setup(corpus, cfg, assignment, word_init)
+    for params, setup in combos:
         model, report = train(setup)
         if has_labels:
             gc = setup.global_corpus

@@ -511,3 +511,108 @@ def test_pin_malloc_is_a_no_op_without_mallopt(monkeypatch):
 
     monkeypatch.setattr(glocom.cli.ctypes, "CDLL", no_library)
     assert glocom.cli._pin_malloc() is None
+
+
+# each command's input flags, every one given in the manifest test below
+INPUT_FLAGS = {
+    "preprocess": ("--corpus", "--labels"),
+    "cluster": ("--bow", "--vocab", "--embeddings"),
+    "train": ("--bow", "--vocab", "--clusters", "--config", "--word-embeddings"),
+    "infer": ("--checkpoint", "--bow", "--vocab", "--clusters"),
+    "eval": ("--topics", "--theta", "--reference", "--vocab", "--labels"),
+    "pipeline": ("--corpus", "--labels", "--embeddings", "--config", "--word-embeddings"),
+    "grid": ("--bow", "--vocab", "--labels", "--clusters", "--config", "--word-embeddings"),
+}
+OTHER_FLAGS = {
+    "preprocess": ("--min-freq", 1, "--min-terms", 1),
+    "cluster": ("--num-clusters", 2),
+    "train": TINY_TRAIN,
+    "pipeline": (*TINY_TRAIN, "--min-freq", 1, "--min-terms", 1),
+    "grid": (*TINY_TRAIN, "--grid", "eta=0.1"),
+}
+
+
+@pytest.fixture(scope="module")
+def staged_inputs(tmp_path_factory):
+    """One file for every input flag: a 40-document synthetic corpus, raw
+    text of 40 lines, its cluster assignment, a checkpoint and its infer
+    outputs."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert run("synth", *SYNTH, "--seed", 5, "--out", d / "synth") == 0
+    bow, vocab = d / "synth" / "bow.txt", d / "synth" / "vocab.txt"
+    raw = d / "raw.txt"
+    raw.write_text("".join(f"a{i % 5} b{i % 3} c{i % 7}\n" for i in range(40)))
+    save_embeddings(np.random.default_rng(0).normal(size=(40, 3)), d / "docs.gemb")
+    words = d / "words.txt"
+    words.write_text(f"{vocab.read_text().split()[0]} 0.1 0.2 0.3\na0 0.3 0.2 0.1\n")
+    config = d / "run.cfg"
+    config.write_text("epochs=1\n")
+    assert run("cluster", "--bow", bow, "--vocab", vocab, "--num-clusters", 2,
+               "--out", d / "c") == 0
+    assignment = d / "c" / "assignment.txt"
+    assert run("train", "--bow", bow, "--vocab", vocab, "--clusters", assignment,
+               *TINY_TRAIN, "--out", d / "t") == 0
+    assert run("infer", "--checkpoint", d / "t" / "checkpoint", "--bow", bow,
+               "--vocab", vocab, "--clusters", assignment, "--out", d / "i") == 0
+    return {
+        "--corpus": raw, "--labels": d / "synth" / "labels.txt", "--bow": bow,
+        "--reference": bow, "--vocab": vocab, "--embeddings": d / "docs.gemb",
+        "--clusters": assignment, "--config": config, "--word-embeddings": words,
+        "--checkpoint": d / "t" / "checkpoint", "--topics": d / "i" / "topics.txt",
+        "--theta": d / "i" / "theta_local.csv",
+    }
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_FLAGS))
+def test_manifest_hashes_every_input_file_given(tmp_path, staged_inputs, command):
+    import hashlib
+
+    flags = INPUT_FLAGS[command]
+    given = [a for flag in flags for a in (flag, staged_inputs[flag])]
+    out = tmp_path / ("metrics.json" if command == "eval" else "o")
+    assert run(command, *given, *OTHER_FLAGS.get(command, ()), "--out", out) == 0
+    manifest = tmp_path / "eval-manifest.json" if command == "eval" else out / "manifest.json"
+    inputs = json.loads(manifest.read_text())["inputs"]
+    files = {staged_inputs[flag] for flag in flags}
+    if command == "infer":
+        files = files - {staged_inputs["--checkpoint"]} | {
+            staged_inputs["--checkpoint"] / "manifest.txt"}
+    assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_unread_missing_input_exits_2(tmp_path, synth_dir, capsys, command):
+    # no_clustering never reads --clusters, but a given input is still checked
+    missing = str(tmp_path / "nope.txt")
+    grid = ("--grid", "eta=0.1") if command == "grid" else ()
+    code = run(command, "--bow", synth_dir / "bow.txt", "--vocab", synth_dir / "vocab.txt",
+               *TINY_TRAIN, "--ablation", "no_clustering", "--clusters", missing, *grid,
+               "--out", tmp_path / "o")
+    assert code == 2
+    assert f"cluster assignment file missing: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_synth_flag_defaults_are_the_spec_defaults(tmp_path):
+    from glocom.cli import run_synth
+    from glocom.synthetic import SyntheticSpec
+
+    assert run("synth", "--seed", 3, "--out", tmp_path / "cli") == 0
+    run_synth(SyntheticSpec(seed=3), str(tmp_path / "lib"))
+    names = sorted(f.name for f in (tmp_path / "lib").iterdir())
+    assert sorted(f.name for f in (tmp_path / "cli").iterdir()) == sorted(
+        names + ["manifest.json"])
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--num-docs", 0),
+    ("synth", "--len-min", 1),
+    ("synth", "--block-mass", 1.5),
+    ("pipeline", "--synth", "--num-topics", 200),
+], ids=["num-docs-0", "len-min-1", "block-mass-1.5", "pipeline-num-topics-200"])
+def test_bad_synth_size_exits_3(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.startswith("glocom: ")
+    assert not (tmp_path / "o").exists()

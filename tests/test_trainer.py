@@ -1,4 +1,5 @@
 import contextlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -492,10 +493,38 @@ def test_grid_checks_every_combination_before_training(monkeypatch):
         with pytest.raises(ConfigError):
             grid_search(corpus, tiny_config(), grid, assignment=labeled.labels)
         assert calls == [], grid
+    # build_setup's checks: ids reaching 2 under G=2, and a full run with
+    # no assignment
+    for grid, assignment, error in (
+        ({"G": [3, 2]}, tiny_corpus(G=3).labels, ClusteringError),
+        ({"ablation": ["no_clustering", "full"]}, None, TrainingError),
+    ):
+        with pytest.raises(error):
+            grid_search(corpus, tiny_config(), grid, assignment=assignment)
+        assert calls == [], grid
     result = grid_search(corpus, tiny_config(epochs=0), {"epochs": [1, 2]},
                          assignment=labeled.labels)
     assert len(calls) == 2
     assert sorted(e.config.epochs for e in result.entries) == [1, 2]
+
+
+def test_grid_refuses_combinations_that_resolve_to_the_same_run(monkeypatch):
+    import glocom.trainer
+
+    calls = []
+    real_train = glocom.trainer.train
+    monkeypatch.setattr(glocom.trainer, "train",
+                        lambda *a, **kw: calls.append(a) or real_train(*a, **kw))
+    corpus = tiny_corpus()
+    vectors = np.random.default_rng(0).normal(size=(corpus.num_words, 5))
+    for cfg, grid, word_init, same in (
+        (tiny_config(), {"embed_dim": [4, 8]}, vectors, "{'embed_dim': 4} and {'embed_dim': 8}"),
+        (tiny_config(ablation="no_clustering"), {"G": [2, 3]}, None, "{'G': 2} and {'G': 3}"),
+        (tiny_config(), {"eta": [0.1, 0.1]}, None, "{'eta': 0.1} and {'eta': 0.1}"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(same)):
+            grid_search(corpus, cfg, grid, assignment=corpus.labels, word_init=word_init)
+    assert calls == []
 
 
 def test_topic_init_passes_through_to_model():
