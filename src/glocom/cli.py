@@ -323,14 +323,15 @@ def run_infer(checkpoint, corpus, assignment, top_n, out_dir):
     """Posterior means from the checkpoint directory; writes topics.txt,
     the two mixture matrices and beta.csv."""
     from .aggregation import build_global_corpus
-    from .model import infer, load_checkpoint, write_matrix_csv, write_topics
+    from .eval import write_topics
+    from .model import infer, load_checkpoint, write_matrix_csv
 
     os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint)
     gc = build_global_corpus(corpus, assignment)
     output = infer(model, corpus.counts, gc.assignment, gc.global_docs, corpus.vocab.words,
                    top_n=top_n)
-    write_topics(output, os.path.join(out_dir, "topics.txt"))
+    write_topics(output.top_words, os.path.join(out_dir, "topics.txt"))
     write_matrix_csv(output.theta_local, os.path.join(out_dir, "theta_local.csv"))
     write_matrix_csv(output.theta_global, os.path.join(out_dir, "theta_global.csv"))
     write_matrix_csv(output.beta, os.path.join(out_dir, "beta.csv"))
@@ -438,22 +439,16 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from .corpus import read_label_file
-    from .eval import read_topics
+    from .eval import read_theta, read_topics
 
     reference = _read_corpus(args, "reference")
     label_path = _require(args, "labels", optional=True)
     labels = read_label_file(label_path) if label_path else None
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_manifest(out_dir, args, seed=None, name="eval-manifest.json")
-    topics = read_topics(args.topics)
-    try:
-        theta = np.loadtxt(args.theta, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise GlocomError(f"{args.theta}: not a numeric CSV matrix: {exc}") from exc
-    run_eval(topics.topics, theta, reference, labels, args.out)
+    _write_manifest(os.path.dirname(os.path.abspath(args.out)), args, seed=None,
+                    name="eval-manifest.json")
+    run_eval(read_topics(args.topics).topics, read_theta(args.theta), reference, labels,
+             args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Topic and clustering quality metrics.
+"""Topic and clustering quality metrics, and the files eval reads and writes.
 
 Covers topic diversity over top-N word lists, purity and NMI of the
 argmax document clustering against gold labels, and document-level NPMI
@@ -49,6 +49,13 @@ class TopicSet:
         return len(self.topics[0])
 
 
+def write_topics(top_words: list[list[str]], path: str) -> None:
+    """One topic per line: topic id then its top words, space-separated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for k, words in enumerate(top_words):
+            fh.write(f"{k} " + " ".join(words) + "\n")
+
+
 def read_topics(path: str) -> TopicSet:
     """Parse 'k w1 w2 ...' lines as written by write_topics."""
     topics = {}
@@ -71,6 +78,18 @@ def read_topics(path: str) -> TopicSet:
     return TopicSet([topics[k] for k in range(len(topics))])
 
 
+def read_theta(path: str) -> np.ndarray:
+    """A D x K document-topic matrix from a comma-separated file; every
+    entry must be a finite number."""
+    try:
+        theta = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise GlocomError(f"{path}: not a numeric CSV matrix: {exc}") from exc
+    if not np.isfinite(theta).all():
+        raise GlocomError(f"{path}: theta has a non-finite entry")
+    return theta
+
+
 def topic_diversity(topics: TopicSet) -> float:
     """Distinct words across all lists over total list slots."""
     all_words = [w for t in topics.topics for w in t]
@@ -91,11 +110,10 @@ def _contingency(predicted, gold) -> np.ndarray:
         raise GlocomError(
             f"{p.shape[0]} predicted labels vs {g.shape[0]} gold labels"
         )
-    _, pi = np.unique(p, return_inverse=True)
-    _, gi = np.unique(g, return_inverse=True)
-    table = np.zeros((pi.max() + 1, gi.max() + 1), dtype=np.int64)
-    np.add.at(table, (pi, gi), 1)
-    return table
+    rows, pi = np.unique(p, return_inverse=True)
+    cols, gi = np.unique(g, return_inverse=True)
+    table = np.bincount(pi * len(cols) + gi, minlength=len(rows) * len(cols))
+    return table.reshape(len(rows), len(cols))
 
 
 def purity(predicted, gold) -> float:
@@ -117,11 +135,11 @@ def nmi(predicted, gold) -> float:
     n = table.sum()
     pr = table.sum(axis=1)
     gc = table.sum(axis=0)
-    mi = 0.0
-    nz = np.nonzero(table)
-    for i, j in zip(*nz):
-        nij = table[i, j]
-        mi += (nij / n) * np.log(nij * n / (pr[i] * gc[j]))
+    i, j = np.nonzero(table)
+    nij = table[i, j]
+    terms = (nij / n) * np.log(nij * n / (pr[i] * gc[j]))
+    # a left-to-right sum: np.sum's pairwise order can move the last bit
+    mi = np.cumsum(terms)[-1]
     denom = 0.5 * (_entropy(pr) + _entropy(gc))
     if denom == 0.0:
         return 0.0
@@ -135,18 +153,6 @@ def assign_documents(theta: np.ndarray) -> np.ndarray:
     if theta.ndim != 2 or theta.shape[0] == 0:
         raise GlocomError("theta must be a non-empty D x K matrix")
     return np.argmax(theta, axis=1).astype(np.int64)
-
-
-def _pair_npmi(p_a: float, p_b: float, p_ab: float) -> float:
-    if p_ab <= 0.0:
-        return -1.0
-    if p_ab >= 1.0:
-        # both words in every document: 0/0 in the formula, limit is 1
-        return 1.0
-    num = np.log(p_ab + NPMI_EPS) - np.log(p_a * p_b + NPMI_EPS)
-    den = -np.log(p_ab + NPMI_EPS)
-    # epsilon can push the ratio an ulp past the analytic [-1, 1] range
-    return float(np.clip(num / den, -1.0, 1.0))
 
 
 def npmi_coherence(
@@ -163,36 +169,25 @@ def npmi_coherence(
         raise GlocomError("reference corpus is empty")
     if topics.top_n < 2:
         raise GlocomError("need at least two words per topic for pair NPMI")
-    D = reference.num_docs
-    index = reference.vocab.index
-
-    words = sorted({w for t in topics.topics for w in t if w in index})
-    cols = [index[w] for w in words]
-    local = {w: i for i, w in enumerate(words)}
-    if cols:
-        present = np.asarray(
-            (reference.counts[:, cols] > 0).todense(), dtype=np.float64
-        )
-        joint = present.T @ present  # document co-occurrence counts
-        df = np.diag(joint).copy()
-    else:
-        joint = np.zeros((0, 0))
-        df = np.zeros(0)
-
-    per_topic = np.empty(topics.num_topics)
-    for k, topic in enumerate(topics.topics):
-        vals = []
-        for i in range(len(topic)):
-            for j in range(i + 1, len(topic)):
-                a, b = topic[i], topic[j]
-                ia, ib = local.get(a), local.get(b)
-                if ia is None or ib is None or df[ia] == 0 or df[ib] == 0:
-                    vals.append(-1.0)
-                    continue
-                vals.append(
-                    _pair_npmi(df[ia] / D, df[ib] / D, joint[ia, ib] / D)
-                )
-        per_topic[k] = np.mean(vals)
+    D, V = reference.counts.shape
+    ids = [[reference.vocab.index.get(w, V) for w in t] for t in topics.topics]
+    # column V, a word outside the reference, sorts last and is never present
+    cols, ids = np.unique(ids, return_inverse=True)
+    ids = ids.reshape(topics.num_topics, topics.top_n)  # each word's index in cols
+    present = (reference.counts[:, cols[cols < V]] > 0).astype(np.float64)
+    present.resize(D, len(cols))
+    joint = (present.T @ present).toarray()  # document co-occurrence counts
+    p = np.diag(joint) / D
+    first, second = np.triu_indices(topics.top_n, 1)
+    a, b = ids[:, first], ids[:, second]  # (K, pairs), each topic's i < j order
+    p_ab = joint[a, b] / D
+    num = np.log(p_ab + NPMI_EPS) - np.log(p[a] * p[b] + NPMI_EPS)
+    # epsilon can push the ratio an ulp past the analytic [-1, 1] range
+    npmi = np.clip(num / -np.log(p_ab + NPMI_EPS), -1.0, 1.0)
+    # both words in every document: 0/0 in the formula, limit is 1
+    npmi = np.where(p_ab >= 1.0, 1.0, np.where(p_ab <= 0.0, -1.0, npmi))
+    # a C-contiguous row sums in the order np.mean sums one topic's list
+    per_topic = np.ascontiguousarray(npmi).mean(axis=1)
     return float(per_topic.mean()), per_topic
 
 

@@ -548,13 +548,6 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
 # output files
 
 
-def write_topics(output: TopicModelOutput, path: str) -> None:
-    """One topic per line: topic id then its top words, space-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, words in enumerate(output.top_words):
-            fh.write(f"{k} " + " ".join(words) + "\n")
-
-
 def write_matrix_csv(M: np.ndarray, path: str) -> None:
     """Write M as comma-separated rows, every value as "%.17g".
 

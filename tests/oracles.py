@@ -16,7 +16,10 @@ expressions, then Adam over each whole buffer), the reference for the step
 that applies each gradient in the backward pass.
 ``sinkhorn_log_per_iteration`` is the transport loop with its tests made
 after every iteration, the reference for the loop that tests a block of
-iterations at once. ``GradientSink`` collects a backward pass's gradients
+iterations at once. ``npmi_coherence_loop`` scores NPMI one topic word
+pair at a time, from a dense presence matrix of the topic words, the
+reference for the NPMI gathered from one sparse co-occurrence product.
+``GradientSink`` collects a backward pass's gradients
 by parameter name, for tests to compare. The rest are helpers that only
 tests call: the loss alone, topic matching against planted topics, and
 word vectors profiled from the clusters.
@@ -37,6 +40,7 @@ import glocom.trainer
 from glocom.aggregation import _indicator, build_global_corpus
 from glocom.corpus import _GEMB_MAGIC, BowCorpus, EmbeddingMatrix, Vocabulary, row_sq_norms
 from glocom.errors import CorpusError, GlocomError
+from glocom.eval import NPMI_EPS
 from glocom.kernels import _SAFE, Scaling
 from glocom.numerics import (
     ADAM_BETA1,
@@ -341,6 +345,57 @@ def sinkhorn_log_per_iteration(Mr, max_iters, tol):
                 converged = True
                 break
     return Scaling(u, v, iters_used, converged, kernel, float(row_err), float(col_err))
+
+
+def _pair_npmi(p_a: float, p_b: float, p_ab: float) -> float:
+    if p_ab <= 0.0:
+        return -1.0
+    if p_ab >= 1.0:
+        # both words in every document: 0/0 in the formula, limit is 1
+        return 1.0
+    num = np.log(p_ab + NPMI_EPS) - np.log(p_a * p_b + NPMI_EPS)
+    den = -np.log(p_ab + NPMI_EPS)
+    # epsilon can push the ratio an ulp past the analytic [-1, 1] range
+    return float(np.clip(num / den, -1.0, 1.0))
+
+
+def npmi_coherence_loop(topics, reference):
+    """``glocom.eval.npmi_coherence`` one pair at a time."""
+    if reference.num_docs == 0:
+        raise GlocomError("reference corpus is empty")
+    if topics.top_n < 2:
+        raise GlocomError("need at least two words per topic for pair NPMI")
+    D = reference.num_docs
+    index = reference.vocab.index
+
+    words = sorted({w for t in topics.topics for w in t if w in index})
+    cols = [index[w] for w in words]
+    local = {w: i for i, w in enumerate(words)}
+    if cols:
+        present = np.asarray(
+            (reference.counts[:, cols] > 0).todense(), dtype=np.float64
+        )
+        joint = present.T @ present  # document co-occurrence counts
+        df = np.diag(joint).copy()
+    else:
+        joint = np.zeros((0, 0))
+        df = np.zeros(0)
+
+    per_topic = np.empty(topics.num_topics)
+    for k, topic in enumerate(topics.topics):
+        vals = []
+        for i in range(len(topic)):
+            for j in range(i + 1, len(topic)):
+                a, b = topic[i], topic[j]
+                ia, ib = local.get(a), local.get(b)
+                if ia is None or ib is None or df[ia] == 0 or df[ib] == 0:
+                    vals.append(-1.0)
+                    continue
+                vals.append(
+                    _pair_npmi(df[ia] / D, df[ib] / D, joint[ia, ib] / D)
+                )
+        per_topic[k] = np.mean(vals)
+    return float(per_topic.mean()), per_topic
 
 
 def discard(p, g):

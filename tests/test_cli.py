@@ -109,6 +109,24 @@ def test_staged_flow_matches_library_eval(tmp_path, synth_dir):
     assert (tmp_path / "eval-manifest.json").exists()
 
 
+def test_eval_rejects_theta_with_non_finite_entries(tmp_path, capsys):
+    # np.argmax would take a NaN as the largest entry
+    p = tmp_path / "p"
+    assert run("pipeline", "--synth", *SYNTH, *TINY_TRAIN, "--seed", 7, "--out", p) == 0
+    rows = (p / "infer" / "theta_local.csv").read_text().splitlines()
+    rows[0] = "nan," + rows[0].split(",", 1)[1]
+    rows[1] = rows[1].rsplit(",", 1)[0] + ",inf"
+    theta = tmp_path / "theta.csv"
+    theta.write_text("\n".join(rows) + "\n")
+    metrics = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert run("eval", "--topics", p / "infer" / "topics.txt", "--theta", theta,
+               "--labels", p / "corpus" / "labels.txt", "--reference", p / "corpus" / "bow.txt",
+               "--vocab", p / "corpus" / "vocab.txt", "--out", metrics) == 7
+    assert str(theta) in capsys.readouterr().err
+    assert not metrics.exists()
+
+
 def test_pipeline_synth_determinism(tmp_path):
     args = ("pipeline", "--synth", *SYNTH, *TINY_TRAIN, "--seed", 7)
     assert run(*args, "--out", tmp_path / "a") == 0

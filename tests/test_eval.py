@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import npmi_coherence_loop
 
 from glocom.corpus import BowCorpus, Vocabulary
 from glocom.errors import GlocomError
@@ -285,6 +286,43 @@ def test_npmi_rejects_degenerate_inputs():
     empty = BowCorpus(sp.csr_matrix((0, 2), dtype=np.int64), Vocabulary(["a", "b"]))
     with pytest.raises(GlocomError, match="empty"):
         npmi_coherence(TopicSet([["a", "b"]]), empty)
+
+
+def _random_npmi_case(seed, top_n):
+    """A seeded reference with two words in every document and some that
+    never occur, and topics that mix vocabulary words with words outside
+    it."""
+    rng = np.random.default_rng(seed)
+    D, V = int(rng.integers(1, 40)), int(rng.integers(top_n + 4, 60))
+    counts = rng.poisson(0.4, size=(D, V))
+    counts[:, :2] += 1  # w0 and w1 in every document
+    counts[:, V - 3:] = 0  # the last three words never occur
+    vocab = Vocabulary([f"w{i}" for i in range(V)])
+    pool = vocab.words + [f"out{i}" for i in range(5)]
+    topics = [["w0", "w1", *rng.choice(pool[2:], top_n - 2, replace=False).tolist()]]
+    topics += [rng.choice(pool, top_n, replace=False).tolist()
+               for _ in range(int(rng.integers(1, 8)))]
+    return TopicSet(topics), BowCorpus(sp.csr_matrix(counts), vocab)
+
+
+@pytest.mark.parametrize("top_n", range(2, 16))
+def test_npmi_equals_pair_loop_on_random_corpora(top_n):
+    for seed in range(3):
+        topics, ref = _random_npmi_case(100 * top_n + seed, top_n)
+        overall, per_topic = npmi_coherence(topics, ref)
+        want_overall, want_per_topic = npmi_coherence_loop(topics, ref)
+        assert overall == want_overall
+        assert per_topic.tolist() == want_per_topic.tolist()
+
+
+def test_npmi_equals_pair_loop_when_no_topic_word_is_in_the_reference():
+    ref = corpus_from_docs([["a", "b"], ["b", "c"]])
+    topics = TopicSet([["x", "y", "z"], ["u", "v", "x"]])
+    overall, per_topic = npmi_coherence(topics, ref)
+    assert (overall, per_topic.tolist()) == (-1.0, [-1.0, -1.0])
+    want_overall, want_per_topic = npmi_coherence_loop(topics, ref)
+    assert overall == want_overall
+    assert per_topic.tolist() == want_per_topic.tolist()
 
 
 # ------------------------------------------------------------ metrics.json

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from glocom.aggregation import kmeans
 from glocom.corpus import BowCorpus, Vocabulary, tfidf
+from glocom.eval import TopicSet, npmi_coherence
 from glocom.model import GlocomModel, infer, load_checkpoint, save_checkpoint
 from glocom.trainer import TrainConfig, build_setup, train
 
@@ -121,6 +122,23 @@ def test_infer_peak_under_no_clustering_stays_near_clustered_peak():
         f"infer peaked at {peaks['no_clustering'] / 2**20:.1f} MiB under no_clustering, "
         f"{peaks['full'] / 2**20:.1f} MiB at G=20"
     )
+
+
+def test_npmi_peak_memory_scales_with_nonzeros():
+    # 50 topics of 15 words: the co-occurrence counts are over at most 750
+    # distinct words, and the reference is read only at its nonzeros
+    corpus = _corpus()
+    rng = np.random.default_rng(1)
+    topics = TopicSet([[corpus.vocab.words[i] for i in rng.choice(V, 15, replace=False)]
+                       for _ in range(50)])
+    bound = D * V * 8 / 10
+    tracemalloc.start()
+    try:
+        npmi_coherence(topics, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"npmi_coherence peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("source", ["init", "checkpoint"])
