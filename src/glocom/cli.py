@@ -156,20 +156,17 @@ def _write_manifest(out_dir, args, seed, config=None, name="manifest.json"):
 
 
 def _add_config_flags(parser) -> None:
-    """One override flag per TrainConfig field, named like the config file
-    keys (dotted for the transport block)."""
+    """The run flags: --config, --word-embeddings, and one override flag per
+    TrainConfig field, named like the config file keys (dotted for the
+    transport block)."""
     from .trainer import ABLATIONS, CONFIG_KEYS
 
-    choices = {"ablation": ABLATIONS}
+    parser.add_argument("--config")
+    parser.add_argument("--word-embeddings")
     for key, f in CONFIG_KEYS.items():
-        parser.add_argument(
-            "--" + key,
-            dest="cfg_" + f.name,
-            type=f.type,
-            default=None,
-            choices=choices.get(f.name),
-            help=f"override config key {key}",
-        )
+        parser.add_argument("--" + key, dest="cfg_" + f.name, type=f.type,
+                            choices=ABLATIONS if f.name == "ablation" else None,
+                            help=f"override config key {key}")
 
 
 def _resolve_config(args):
@@ -541,82 +538,70 @@ def cmd_grid(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    def parent(*flags):
-        p = argparse.ArgumentParser(add_help=False)
+def _flags(*flags):
+    """A flag group: adds its (flag, keywords) pairs to a parser in order."""
+    def add(parser):
         for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        return p
+            parser.add_argument(flag, **kw)
+    return add
 
-    out = parent(("--out", dict(required=True)))
-    bow = parent(("--bow", dict(required=True)), ("--vocab", dict(required=True)))
-    labels = parent(("--labels", dict(default=None)))
-    prune = parent(("--min-freq", dict(type=int, default=3)),
-                   ("--min-terms", dict(type=int, default=2)))
-    top_n = parent(("--top-n", dict(type=int, default=15)))
-    synth = argparse.ArgumentParser(add_help=False)
-    _add_synth_flags(synth)
-    run = parent(("--config", dict(default=None)),
-                 ("--word-embeddings", dict(dest="word_embeddings", default=None)))
-    _add_config_flags(run)
 
+# the flag groups several subcommands share; argparse's default is None
+_OUT = _flags(("--out", dict(required=True)))
+_BOW = _flags(("--bow", dict(required=True)), ("--vocab", dict(required=True)))
+_LABELS = _flags(("--labels", {}))
+_PRUNE = _flags(("--min-freq", dict(type=int, default=3)),
+                ("--min-terms", dict(type=int, default=2)))
+_TOP_N = _flags(("--top-n", dict(type=int, default=15)))
+
+# subcommand -> (help, handler, flag groups): its subparser adds the groups'
+# flags in order, its own last; the run group (_add_config_flags) and the
+# synth group import trainer and synthetic, so only their commands build them
+_SUBCOMMANDS = {
+    "preprocess": ("filter raw text into bow + vocab", cmd_preprocess, _LABELS, _PRUNE, _OUT,
+                   _flags(("--corpus", dict(required=True, help="one document per line")))),
+    "cluster": ("k-means document clustering", cmd_cluster, _BOW, _OUT, _flags(
+        ("--embeddings", dict(help="precomputed document embeddings (default: TF-IDF)")),
+        ("--num-clusters", dict(type=int, required=True)), ("--seed", dict(type=int, default=0)),
+        ("--normalize", dict(action="store_true")))),
+    "train": ("fit the topic model", cmd_train, _BOW, _OUT, _add_config_flags,
+              _flags(("--clusters", {}))),
+    "infer": ("posterior-mean inference from a checkpoint", cmd_infer, _BOW, _TOP_N, _OUT,
+              _flags(("--checkpoint", dict(required=True)), ("--clusters", dict(required=True)))),
+    "eval": ("topic and clustering metrics", cmd_eval, _LABELS, _flags(
+        ("--topics", dict(required=True)), ("--theta", dict(required=True)),
+        ("--reference", dict(required=True, help="reference bow corpus")),
+        ("--vocab", dict(required=True)),
+        ("--out", dict(required=True, help="metrics.json path")))),
+    "synth": ("generate a synthetic corpus", cmd_synth, _add_synth_flags, _OUT,
+              _flags(("--seed", dict(type=int, default=0)))),
+    "pipeline": ("preprocess/synth, cluster, train, infer, eval", cmd_pipeline, _LABELS,
+                 _add_synth_flags, _PRUNE, _TOP_N, _OUT, _add_config_flags, _flags(
+        ("--corpus", dict(help="raw text, one document per line")),
+        ("--synth", dict(action="store_true",
+                         help="generate a synthetic corpus instead of reading one")),
+        ("--embeddings", dict(help="precomputed document embeddings for clustering")))),
+    "grid": ("grid search over config values", cmd_grid, _BOW, _LABELS, _OUT, _add_config_flags,
+             _flags(("--clusters", {}), ("--grid", dict(action="append", required=True,
+                                                        help="key=v1,v2,... (repeatable)")))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The glocom parser. Given a subcommand's name, only that subparser is
+    built, and only the flag groups it takes; its usage line still lists
+    every subcommand. Otherwise all of them are built."""
     parser = argparse.ArgumentParser(
-        prog="glocom",
-        description="Clustering-aggregated topic modeling for short texts.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="filter raw text into bow + vocab",
-                       parents=[labels, prune, out])
-    p.add_argument("--corpus", required=True, help="one document per line")
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("cluster", help="k-means document clustering", parents=[bow, out])
-    p.add_argument("--embeddings", default=None,
-                   help="precomputed document embeddings (default: TF-IDF)")
-    p.add_argument("--num-clusters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalize", action="store_true")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("train", help="fit the topic model", parents=[bow, out, run])
-    p.add_argument("--clusters", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("infer", help="posterior-mean inference from a checkpoint",
-                       parents=[bow, top_n, out])
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--clusters", required=True)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("eval", help="topic and clustering metrics", parents=[labels])
-    p.add_argument("--topics", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--reference", required=True, help="reference bow corpus")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True, help="metrics.json path")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus", parents=[synth, out])
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("pipeline", help="preprocess/synth, cluster, train, infer, eval",
-                       parents=[labels, synth, prune, top_n, out, run])
-    p.add_argument("--corpus", default=None, help="raw text, one document per line")
-    p.add_argument("--synth", action="store_true",
-                   help="generate a synthetic corpus instead of reading one")
-    p.add_argument("--embeddings", default=None,
-                   help="precomputed document embeddings for clustering")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("grid", help="grid search over config values",
-                       parents=[bow, labels, out, run])
-    p.add_argument("--clusters", default=None)
-    p.add_argument("--grid", action="append", required=True,
-                   help="key=v1,v2,... (repeatable)")
-    p.set_defaults(func=cmd_grid)
-
+        prog="glocom", description="Clustering-aggregated topic modeling for short texts.")
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, func, *groups = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for add_flags in groups:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -635,7 +620,7 @@ def main(argv=None) -> int:
     try:
         _cap_threads()
         _pin_malloc()
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         args._argv = argv
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single translation point

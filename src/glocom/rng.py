@@ -9,6 +9,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _name_key(name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -17,6 +19,8 @@ def _name_key(name: str) -> int:
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Return a PCG64 generator for the named substream of ``seed``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_name_key(name),))
     return np.random.Generator(np.random.PCG64(ss))
 

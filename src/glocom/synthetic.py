@@ -6,7 +6,7 @@ distinct, clearly dominant topics (otherwise two clusters can plant the
 same signal and no method could tell them apart).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +33,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if min(self.V, self.K, self.G, self.D) < 1:
             raise ConfigError("V, K, G, D must all be positive")
         if self.len_min < 2 or self.len_max < self.len_min:

@@ -51,6 +51,11 @@ class TrainConfig:
     ecr_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        for key, f in CONFIG_KEYS.items():
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.K < 1 or self.G < 1:
             raise ConfigError(f"K and G must be positive (K={self.K}, G={self.G})")
         if self.tau <= 0 or self.epsilon <= 0:

@@ -629,8 +629,99 @@ def test_synth_flag_defaults_are_the_spec_defaults(tmp_path):
     ("synth", "--len-min", 1),
     ("synth", "--block-mass", 1.5),
     ("pipeline", "--synth", "--num-topics", 200),
-], ids=["num-docs-0", "len-min-1", "block-mass-1.5", "pipeline-num-topics-200"])
+    ("synth", "--seed", -1),
+    ("synth", "--epsilon-true", "nan"),
+    ("pipeline", "--synth", "--seed", -1),
+], ids=["num-docs-0", "len-min-1", "block-mass-1.5", "pipeline-num-topics-200", "seed--1",
+        "epsilon-true-nan", "pipeline-seed--1"])
 def test_bad_synth_size_exits_3(tmp_path, capsys, argv):
     assert run(*argv, "--out", tmp_path / "o") == 3
     assert capsys.readouterr().err.startswith("glocom: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_cluster_negative_seed_exits_3(tmp_path, synth_dir, capsys):
+    code = run("cluster", "--bow", synth_dir / "bow.txt", "--vocab", synth_dir / "vocab.txt",
+               "--num-clusters", 2, "--seed", -1, "--out", tmp_path / "c")
+    assert code == 3
+    assert capsys.readouterr().err == "glocom: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "c" / "assignment.txt").exists()
+
+
+# a representative command line per subcommand
+PARSE_ARGV = {
+    "preprocess": ("--corpus", "c.txt", "--labels", "l.txt", "--min-freq", 1, "--out", "o"),
+    "cluster": ("--bow", "b", "--vocab", "v", "--num-clusters", 3, "--seed", 2, "--normalize",
+                "--out", "o"),
+    "train": ("--bow", "b", "--vocab", "v", "--clusters", "a", "--K", 3, "--ecr.nu", 0.1,
+              "--ablation", "no_clustering", "--out", "o"),
+    "infer": ("--checkpoint", "c", "--bow", "b", "--vocab", "v", "--clusters", "a",
+              "--top-n", 4, "--out", "o"),
+    "eval": ("--topics", "t", "--theta", "th", "--reference", "b", "--vocab", "v",
+             "--out", "m.json"),
+    "synth": ("--num-docs", 7, "--epsilon-true", 0.5, "--seed", 3, "--out", "o"),
+    "pipeline": ("--synth", "--seed", 3, "--num-topics", 4, "--top-n", 5, "--out", "o"),
+    "grid": ("--bow", "b", "--vocab", "v", "--grid", "eta=0.1", "--grid", "K=2,3",
+             "--config", "c.cfg", "--out", "o"),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSE_ARGV))
+def test_one_subcommand_parser_matches_full_parser(command, capsys):
+    from glocom.cli import build_parser
+
+    def outcome(parser, argv):
+        try:
+            result = vars(parser.parse_args([str(a) for a in argv]))
+        except SystemExit as exc:
+            result = exc.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    cases = {
+        "parse": (command, *PARSE_ARGV[command]),
+        "help": (command, "--help"),
+        "missing": (command,),
+        "unrecognized": (command, *PARSE_ARGV[command], "extra"),
+    }
+    got = {}
+    for case, argv in cases.items():
+        got[case] = outcome(build_parser(command), argv)
+        assert got[case] == outcome(build_parser(), argv), case
+    assert got["parse"][0]["func"].__name__ == "cmd_" + command
+    assert got["help"][0] == 0 and got["help"][1].startswith(f"usage: glocom {command} [-h]")
+    assert got["missing"][0] == 2 and "the following arguments are required" in got["missing"][2]
+    # the usage line of an error the top-level parser prints names every subcommand
+    assert got["unrecognized"][0] == 2
+    assert "{preprocess,cluster,train,infer,eval,synth,pipeline,grid}" in got["unrecognized"][2]
+
+
+def test_module_help_lists_every_subcommand():
+    proc = subprocess.run([sys.executable, "-m", "glocom.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    for command in PARSE_ARGV:
+        assert f"    {command} " in proc.stdout, command
+
+
+def test_preprocess_and_eval_import_neither_trainer_nor_scipy_special(tmp_path):
+    # a stage command builds only its own parser, so the config flags'
+    # trainer import (and its scipy.special) stay out of these two stages
+    raw = tmp_path / "raw.txt"
+    raw.write_text("".join(f"a{i % 3} b{i % 2} c{i % 4}\n" for i in range(12)))
+    (tmp_path / "topics.txt").write_text("0 a0 b0\n1 b1 c0\n")
+    (tmp_path / "theta.csv").write_text("0.5,0.5\n" * 12)
+    script = f"""
+import sys
+from glocom.cli import main
+d = {str(tmp_path)!r}
+codes = [main(["preprocess", "--corpus", d + "/raw.txt", "--min-freq", "1", "--min-terms", "1",
+               "--out", d + "/corpus"]),
+         main(["eval", "--topics", d + "/topics.txt", "--theta", d + "/theta.csv",
+               "--reference", d + "/corpus/bow.txt", "--vocab", d + "/corpus/vocab.txt",
+               "--out", d + "/metrics.json"])]
+print(codes, sorted(m for m in ("glocom.trainer", "scipy.special") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

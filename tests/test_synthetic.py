@@ -34,6 +34,11 @@ def test_spec_validation():
         small_spec(block_mass=1.0)
     with pytest.raises(GlocomError):
         small_spec(epsilon_true=-0.1)
+    with pytest.raises(GlocomError, match="seed must be non-negative, got -1"):
+        small_spec(seed=-1)
+    for field in ("epsilon_true", "block_mass", "dominance_margin"):
+        with pytest.raises(GlocomError, match=f"{field} must be finite, got nan"):
+            small_spec(**{field: float("nan")})
 
 
 # ------------------------------------------------------------ planted beta

@@ -66,6 +66,14 @@ def test_config_validation_errors():
         dict(ecr_max_iters=0),
         dict(ecr_nu=0.0),
         dict(ecr_nu=-1.0),
+        dict(seed=-1),
+        dict(lr=float("nan")),
+        dict(eta=float("nan")),
+        dict(tau=float("inf")),
+        dict(epsilon=float("inf")),
+        dict(lambda_ecr=float("nan")),
+        dict(ecr_nu=float("nan")),
+        dict(ecr_tol=float("inf")),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
