@@ -11,7 +11,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import BowCorpus, EmbeddingMatrix, divide_rows, read_label_file, row_sq_norms
+from .corpus import (BowCorpus, EmbeddingMatrix, divide_rows, open_text, read_label_file,
+                     row_sq_norms)
 from .ecr import squared_distances
 from .errors import ClusteringError
 from .rng import substream
@@ -203,7 +204,7 @@ def read_assignment(path: str, G: Optional[int] = None) -> np.ndarray:
         raise ClusteringError(f"assignment file is empty: {path}")
     bad = np.flatnonzero((ids < 0) | (ids >= (np.inf if G is None else G)))
     if bad.size:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, ClusteringError) as fh:
             ln = [n for n, line in enumerate(fh, 1) if line.strip()][bad[0]]
         bound = "" if G is None else f" for G={G}"
         raise ClusteringError(f"{path}:{ln}: cluster id {ids[bad[0]]} out of range{bound}")

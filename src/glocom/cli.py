@@ -3,7 +3,8 @@ pipeline, and grid subcommands sharing one config and one seed.
 
 Every subcommand writes a manifest (command line, resolved config, input
 digests, seed, version, timestamp) into its output directory before any
-other output, so a run can be reproduced from the artifacts alone.
+other output, so a run can be reproduced from the artifacts alone. It
+writes nothing until its inputs are read and its results computed.
 
 Exit codes:
   0  success
@@ -129,15 +130,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, args, seed, config=None, name="manifest.json"):
-    """Record enough to re-run the command; written before any output.
-    Every input flag the command was given is checked and its file hashed,
-    whether or not the run reads it."""
+def _manifest(args, seed, config=None):
+    """What a command's manifest records to re-run it. Every input flag the
+    command was given is checked and its file hashed, whether or not the
+    run reads it, so a missing file stops the command before any output."""
     from . import __version__
 
     files = [_require(args, dest) for dest in _INPUT_FILES if getattr(args, dest, None)]
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+    return {
         "command": ["glocom"] + list(args._argv),
         "config": config,
         "inputs": {f: _sha256(f) for f in files},
@@ -145,11 +145,16 @@ def _write_manifest(out_dir, args, seed, config=None, name="manifest.json"):
         "version": __version__,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+
+
+def _make_out(out_dir, manifest=None, name="manifest.json"):
+    """Make a stage's output directory once the stage has all it writes,
+    then write the command's manifest there, if it has one (none in `pipeline`)."""
+    os.makedirs(out_dir, exist_ok=True)
+    if manifest is not None:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # -------------------------------------------------------- config via flags
@@ -206,13 +211,14 @@ def _synth_spec(args, seed):
 
 # ------------------------------------------------------------------ stages
 # One function per stage: it writes the stage's files into its output
-# directory, prints the stage's summary line and returns its result in
-# memory. The stage commands and `pipeline` both call them. Library names
-# are imported inside each function, so that a name replaced in its
-# defining module (by a profiler or a test) is the one the stage calls.
+# directory, after the command's manifest when given one, prints the
+# stage's summary line and returns its result in memory. The stage
+# commands and `pipeline` both call them. Library names are imported
+# inside each function, so that a name replaced in its defining module
+# (by a profiler or a test) is the one the stage calls.
 
 
-def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
+def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir, manifest=None):
     """Raw text (one document per line) -> pruned bag-of-words corpus."""
     from .corpus import (
         preprocess,
@@ -223,12 +229,12 @@ def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
         write_vocabulary,
     )
 
-    os.makedirs(out_dir, exist_ok=True)
     raw = read_corpus_file(corpus_path)
     labels = read_label_file(labels_path) if labels_path else None
     if labels is not None and len(labels) != len(raw):
         raise CorpusError(f"{len(labels)} labels for {len(raw)} documents in {corpus_path}")
     bow, kept = preprocess(raw, min_freq, min_terms, labels)
+    _make_out(out_dir, manifest)
     write_vocabulary(bow.vocab, os.path.join(out_dir, "vocab.txt"))
     write_bow(bow, os.path.join(out_dir, "bow.txt"))
     write_label_file(kept, os.path.join(out_dir, "kept.txt"))
@@ -238,14 +244,14 @@ def run_preprocess(corpus_path, labels_path, min_freq, min_terms, out_dir):
     return bow
 
 
-def run_synth(spec, out_dir):
+def run_synth(spec, out_dir, manifest=None):
     """A planted-structure corpus, with its true parameters beside it."""
     from .corpus import write_bow, write_label_file, write_vocabulary
     from .model import write_matrix_csv
     from .synthetic import generate
 
-    os.makedirs(out_dir, exist_ok=True)
     corpus, truth = generate(spec)
+    _make_out(out_dir, manifest)
     write_vocabulary(corpus.vocab, os.path.join(out_dir, "vocab.txt"))
     write_bow(corpus, os.path.join(out_dir, "bow.txt"))
     write_label_file(corpus.labels, os.path.join(out_dir, "labels.txt"))
@@ -259,18 +265,18 @@ def run_synth(spec, out_dir):
     return corpus
 
 
-def run_cluster(corpus, G, seed, out_dir, embeddings=None, normalize=False):
+def run_cluster(corpus, G, seed, out_dir, embeddings=None, normalize=False, manifest=None):
     """k-means on the document embeddings file when given, else on TF-IDF
     rows; returns the (D,) cluster ids."""
     from .aggregation import kmeans
     from .corpus import load_embeddings, tfidf, write_label_file
 
-    os.makedirs(out_dir, exist_ok=True)
     if embeddings:
         emb = load_embeddings(embeddings, expected_rows=corpus.num_docs)
     else:
         emb = tfidf(corpus)
     result = kmeans(emb, G, seed=seed, normalize=normalize)
+    _make_out(out_dir, manifest)
     write_label_file(result.assignment, os.path.join(out_dir, "assignment.txt"))
     sizes = result.counts()
     print(
@@ -292,13 +298,13 @@ def load_word_init(path, vocab, seed):
     return init.vectors
 
 
-def run_train(corpus, cfg, assignment, word_init, out_dir):
+def run_train(corpus, cfg, assignment, word_init, out_dir, manifest=None):
     """Fit the model; writes config.txt, checkpoint/ and trajectory.csv and
     returns the resolved TrainSetup."""
     from .trainer import build_setup, config_to_text, train, write_trajectory
 
-    os.makedirs(out_dir, exist_ok=True)
     setup = build_setup(corpus, cfg, assignment, word_init)
+    _make_out(out_dir, manifest)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(setup.config))
     ckpt = os.path.join(out_dir, "checkpoint")
@@ -316,18 +322,18 @@ def run_train(corpus, cfg, assignment, word_init, out_dir):
     return setup
 
 
-def run_infer(checkpoint, corpus, assignment, top_n, out_dir):
+def run_infer(checkpoint, corpus, assignment, top_n, out_dir, manifest=None):
     """Posterior means from the checkpoint directory; writes topics.txt,
     the two mixture matrices and beta.csv."""
     from .aggregation import build_global_corpus
     from .eval import write_topics
     from .model import infer, load_checkpoint, write_matrix_csv
 
-    os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint)
     gc = build_global_corpus(corpus, assignment)
     output = infer(model, corpus.counts, gc.assignment, gc.global_docs, corpus.vocab.words,
                    top_n=top_n)
+    _make_out(out_dir, manifest)
     write_topics(output.top_words, os.path.join(out_dir, "topics.txt"))
     write_matrix_csv(output.theta_local, os.path.join(out_dir, "theta_local.csv"))
     write_matrix_csv(output.theta_global, os.path.join(out_dir, "theta_global.csv"))
@@ -336,7 +342,7 @@ def run_infer(checkpoint, corpus, assignment, top_n, out_dir):
     return output
 
 
-def run_eval(top_words, theta, reference, labels, out_path):
+def run_eval(top_words, theta, reference, labels, out_path, manifest=None):
     """Topic diversity and NPMI of the topics, plus purity and NMI of the
     argmax clustering when labels are given; writes and returns them."""
     from .eval import (
@@ -359,6 +365,7 @@ def run_eval(top_words, theta, reference, labels, out_path):
     if labels is not None:
         predicted = assign_documents(theta)
         m["purity"], m["nmi"] = purity(predicted, labels), nmi(predicted, labels)
+    _make_out(os.path.dirname(os.path.abspath(out_path)), manifest, "eval-manifest.json")
     write_metrics(out_path, **m)
     line = f"eval: td={m['td']:.4f} npmi={m['npmi']:.4f}"
     if labels is not None:
@@ -371,55 +378,51 @@ def run_eval(top_words, theta, reference, labels, out_path):
 
 
 def _read_corpus(args, bow="bow", labels=False):
-    """The corpus behind the bow flag (eval's is --reference) and --vocab,
-    with --labels when asked for and given."""
+    """The corpus behind the bow flag (eval's is --reference), --vocab and, if
+    asked for and given, --labels; the manifest has checked that they exist."""
     from .corpus import read_bow, read_label_file, read_vocabulary
 
-    bow_path = _require(args, bow)
-    vocab = read_vocabulary(_require(args, "vocab"))
-    label_path = _require(args, "labels", optional=True) if labels else None
-    return read_bow(bow_path, vocab, read_label_file(label_path) if label_path else None)
+    vocab = read_vocabulary(args.vocab)
+    return read_bow(getattr(args, bow), vocab,
+                    read_label_file(args.labels) if labels and args.labels else None)
 
 
 def _read_run_inputs(args, labels=False):
-    """A train or grid run's config, corpus, cluster assignment (None under
+    """A train or grid run's manifest, config, corpus, assignment (None under
     no_clustering) and word vectors (None without --word-embeddings)."""
     from .aggregation import read_assignment
 
     cfg = _resolve_config(args)
+    manifest = _manifest(args, seed=cfg.seed, config=asdict(cfg))
     corpus = _read_corpus(args, labels=labels)
     assignment = None
     if cfg.ablation != "no_clustering":
         assignment = read_assignment(_require(args, "clusters"), G=cfg.G)
-    word_path = _require(args, "word_embeddings", optional=True)
-    return cfg, corpus, assignment, load_word_init(word_path, corpus.vocab, cfg.seed)
+    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
+    return manifest, cfg, corpus, assignment, word_init
 
 
 def cmd_preprocess(args) -> int:
-    _write_manifest(args.out, args, seed=None)
-    run_preprocess(args.corpus, args.labels, args.min_freq, args.min_terms, args.out)
+    manifest = _manifest(args, seed=None)
+    run_preprocess(args.corpus, args.labels, args.min_freq, args.min_terms, args.out, manifest)
     return 0
 
 
 def cmd_synth(args) -> int:
-    spec = _synth_spec(args, args.seed)
-    _write_manifest(args.out, args, seed=args.seed)
-    run_synth(spec, args.out)
+    run_synth(_synth_spec(args, args.seed), args.out, _manifest(args, seed=args.seed))
     return 0
 
 
 def cmd_cluster(args) -> int:
-    corpus = _read_corpus(args)
-    _write_manifest(args.out, args, seed=args.seed)
-    run_cluster(corpus, args.num_clusters, args.seed, args.out, args.embeddings,
-                args.normalize)
+    manifest = _manifest(args, seed=args.seed)
+    run_cluster(_read_corpus(args), args.num_clusters, args.seed, args.out, args.embeddings,
+                args.normalize, manifest)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg, corpus, assignment, word_init = _read_run_inputs(args)
-    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
-    run_train(corpus, cfg, assignment, word_init, args.out)
+    manifest, cfg, corpus, assignment, word_init = _read_run_inputs(args)
+    run_train(corpus, cfg, assignment, word_init, args.out, manifest)
     return 0
 
 
@@ -427,25 +430,21 @@ def cmd_infer(args) -> int:
     from .aggregation import read_assignment
 
     _check_top_n(args.top_n)
-    _require(args, "checkpoint")
-    corpus = _read_corpus(args)
-    assignment = read_assignment(_require(args, "clusters"))
-    _write_manifest(args.out, args, seed=None)
-    run_infer(args.checkpoint, corpus, assignment, args.top_n, args.out)
+    manifest = _manifest(args, seed=None)
+    run_infer(args.checkpoint, _read_corpus(args), read_assignment(args.clusters), args.top_n,
+              args.out, manifest)
     return 0
 
 
 def cmd_eval(args) -> int:
-    from .corpus import read_label_file
-    from .eval import read_theta, read_topics
+    from .corpus import read_label_file, read_matrix_csv
+    from .eval import read_topics
 
+    manifest = _manifest(args, seed=None)
     reference = _read_corpus(args, "reference")
-    label_path = _require(args, "labels", optional=True)
-    labels = read_label_file(label_path) if label_path else None
-    _write_manifest(os.path.dirname(os.path.abspath(args.out)), args, seed=None,
-                    name="eval-manifest.json")
-    run_eval(read_topics(args.topics).topics, read_theta(args.theta), reference, labels,
-             args.out)
+    labels = read_label_file(args.labels) if args.labels else None
+    run_eval(read_topics(args.topics).topics, read_matrix_csv(args.theta, GlocomError),
+             reference, labels, args.out, manifest)
     return 0
 
 
@@ -463,7 +462,7 @@ def cmd_pipeline(args) -> int:
     if args.synth:
         spec = _synth_spec(args, cfg.seed)
     _require(args, "corpus", optional=args.synth)
-    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
+    _make_out(args.out, _manifest(args, seed=cfg.seed, config=asdict(cfg)))
 
     def out(name):
         return os.path.join(args.out, name)
@@ -514,11 +513,10 @@ def _parse_grid(specs) -> dict:
 def cmd_grid(args) -> int:
     from .trainer import config_to_text, grid_search
 
-    cfg, corpus, assignment, word_init = _read_run_inputs(args, labels=True)
+    manifest, cfg, corpus, assignment, word_init = _read_run_inputs(args, labels=True)
     grids = _parse_grid(args.grid)
-    _write_manifest(args.out, args, seed=cfg.seed, config=asdict(cfg))
-    result = grid_search(corpus, cfg, grids, assignment=assignment,
-                         word_init=word_init)
+    result = grid_search(corpus, cfg, grids, assignment=assignment, word_init=word_init,
+                         before_runs=lambda: _make_out(args.out, manifest))
     keys = sorted(grids)
     with open(os.path.join(args.out, "grid_report.csv"), "w", encoding="utf-8") as fh:
         fh.write("rank," + ",".join(keys) + f",{result.objective_name}\n")

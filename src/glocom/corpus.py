@@ -4,6 +4,7 @@ Input corpora are pre-tokenized (one document per line, whitespace-separated,
 already lowercased); no stemming or stopword logic lives here.
 """
 
+import contextlib
 import itertools
 import os
 import struct
@@ -225,11 +226,21 @@ def tfidf(corpus: BowCorpus) -> EmbeddingMatrix:
 # file formats
 
 
+@contextlib.contextmanager
+def open_text(path: str, error: type):
+    """``path`` as UTF-8 text; bytes that do not decode raise ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_corpus_file(path: str) -> list[list[str]]:
     """One document per line, whitespace-separated tokens. Blank lines are
     empty documents (they will be dropped by any min_terms >= 1 filter)."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusError) as fh:
         for line in fh:
             docs.append(line.split())
     if not docs:
@@ -240,14 +251,14 @@ def read_corpus_file(path: str) -> list[list[str]]:
 def write_label_file(values: Sequence[int], path: str) -> None:
     """One integer per line: labels, cluster assignments, kept indices."""
     v = np.asarray(values, dtype=np.int64)
-    _write_int_rows(path, "", v.size, 1, lambda lo, hi: v[lo:hi, None])
+    _write_rows(path, "", v.size, 1, lambda lo, hi: v[lo:hi, None], _format_int_block)
 
 
 def read_label_file(path: str, error: type = CorpusError) -> np.ndarray:
     """The integers of a ``write_label_file`` file, blank lines skipped; a
     line that is not an integer raises ``error`` naming the file and line."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, error) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -266,7 +277,7 @@ def write_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 
 def read_vocabulary(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusError) as fh:
         words = [line.rstrip("\n") for line in fh if line.strip()]
     if not words:
         raise CorpusError(f"vocabulary file is empty: {path}")
@@ -283,10 +294,10 @@ def write_bow(corpus: BowCorpus, path: str) -> None:
         return np.column_stack((doc, X.indices[lo:hi], X.data[lo:hi]))
 
     header = f"{corpus.num_docs} {corpus.num_words} {X.nnz}\n"
-    _write_int_rows(path, header, X.nnz, 3, triples)
+    _write_rows(path, header, X.nnz, 3, triples, _format_int_block)
 
 
-_INT_BLOCK = 1 << 14  # values per formatted block
+_BLOCK = 1 << 14  # values per formatted block
 _POW10_U64 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _n4 = np.arange(10000)
 # "0000".."9999" as one uint32 each, so a gather moves four characters
@@ -296,25 +307,25 @@ _DIGITS4 = (
 del _n4
 
 
-def _write_int_rows(path: str, header: str, num_rows: int, num_cols: int,
-                    rows: Callable[[int, int], np.ndarray]) -> None:
-    """Write ``header``, then rows 0..num_rows-1 of integers, one line per
-    row, values in decimal as ``f"{v}"`` writes them, separated by a space.
-    ``rows(lo, hi)`` gives rows lo..hi-1 as a (hi-lo, num_cols) array; it
-    is asked for one block of about ``_INT_BLOCK`` values at a time, so
+def _write_rows(path: str, header: str, num_rows: int, num_cols: int,
+                rows: Callable[[int, int], np.ndarray],
+                format_block: Callable[[np.ndarray], bytes | np.ndarray]) -> None:
+    """Write ``header``, then rows 0..num_rows-1 as ``format_block`` renders
+    them. ``rows(lo, hi)`` gives rows lo..hi-1 as a (hi-lo, num_cols) array;
+    it is asked for one block of about ``_BLOCK`` values at a time, so
     memory does not grow with the row count."""
-    step = max(1, _INT_BLOCK // num_cols)
+    step = max(1, _BLOCK // max(num_cols, 1))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for lo in range(0, num_rows, step):
-            block = rows(lo, min(lo + step, num_rows))
-            fh.write(_format_int_block(np.asarray(block, dtype=np.int64)))
+            fh.write(format_block(rows(lo, min(lo + step, num_rows))))
 
 
 def _format_int_block(M: np.ndarray) -> bytes:
-    """The lines of the rows of M: space-separated decimal integers."""
+    """The lines of the rows of M: space-separated integers in decimal, as
+    ``f"{v}"`` writes them."""
     ncols = M.shape[1]
-    v = M.reshape(-1)
+    v = np.asarray(M, dtype=np.int64).reshape(-1)
     u = np.abs(v).view(np.uint64)  # |int64 min| too
     width = len(str(int(u.max())))
     ndigits = np.ones(v.size, np.intp)
@@ -342,7 +353,7 @@ def _format_int_block(M: np.ndarray) -> bytes:
 
 
 def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) -> BowCorpus:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusError) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise CorpusError(f"{path}: expected 'D V NNZ' header, got {header}")
@@ -402,40 +413,45 @@ def read_gemb(path: str, dtype: str, error: type = EmbeddingError) -> np.ndarray
         return np.fromfile(fh, dtype=dtype, count=rows * cols).reshape(rows, cols)
 
 
-def _load_embeddings_csv(path: str) -> np.ndarray:
-    rows = []
-    width = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise EmbeddingError(f"{path}: neither the binary format nor UTF-8 CSV")
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
+def read_matrix_csv(path: str, error: type) -> np.ndarray:
+    """The comma-separated rows of finite numbers that ``write_matrix_csv``
+    writes, blank lines skipped; a bad file raises ``error`` naming it, and
+    a ragged or unparseable row names its line too."""
+    with open_text(path, error) as fh:
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise error(f"{path}: no rows")
         try:
-            vals = [float(x) for x in line.split(",")]
-        except ValueError:
-            raise EmbeddingError(f"{path}:{ln}: unparseable CSV row")
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise EmbeddingError(f"{path}:{ln}: row has {len(vals)} values, expected {width}")
-        rows.append(vals)
-    if not rows:
-        raise EmbeddingError(f"{path}: no embedding rows")
-    return np.asarray(rows, dtype=np.float64)
+            M = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2,
+                           comments=None)
+        except ValueError as exc:
+            # only a failed read reads the file again, for its first bad row
+            fh.seek(0)
+            width = first.count(",") + 1
+            numbered = ((ln, line) for ln, line in enumerate(fh, 1) if line.strip())
+            for ln, line in numbered:
+                n = line.count(",") + 1
+                if n != width:
+                    raise error(f"{path}:{ln}: row has {n} values, expected {width}") from None
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None)
+                except ValueError:
+                    raise error(f"{path}:{ln}: unparseable CSV row") from None
+            raise error(f"{path}: not a numeric CSV matrix: {exc}") from None
+    if not np.all(np.isfinite(M)):
+        raise error(f"{path}: contains non-finite values")
+    return M
 
 
 def load_embeddings(path: str, expected_rows: int) -> EmbeddingMatrix:
-    """Load a dense matrix from the binary format (by magic) or CSV fallback."""
+    """A dense matrix in the GEMB layout (found by its magic) or as CSV rows."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == _GEMB_MAGIC:
         M = read_gemb(path, "<f4").astype(np.float64)
     else:
-        M = _load_embeddings_csv(path)
+        M = read_matrix_csv(path, EmbeddingError)
     if M.shape[0] != expected_rows:
         raise EmbeddingError(f"{path}: has {M.shape[0]} rows, expected {expected_rows}")
     if not np.all(np.isfinite(M)):
@@ -453,7 +469,7 @@ def load_word_embeddings(path: str, vocab: Vocabulary, seed: int = 0) -> WordEmb
     """
     found: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, EmbeddingError) as fh:
         for ln, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split()
             if not parts:

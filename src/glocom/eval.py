@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BowCorpus
+from .corpus import BowCorpus, open_text
 from .errors import GlocomError
 
 NPMI_EPS = 1e-12
@@ -59,7 +59,7 @@ def write_topics(top_words: list[list[str]], path: str) -> None:
 def read_topics(path: str) -> TopicSet:
     """Parse 'k w1 w2 ...' lines as written by write_topics."""
     topics = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, GlocomError) as fh:
         for line in fh:
             parts = line.split()
             if not parts:
@@ -76,18 +76,6 @@ def read_topics(path: str) -> TopicSet:
     if sorted(topics) != list(range(len(topics))):
         raise GlocomError(f"topic ids in {path} are not 0..K-1")
     return TopicSet([topics[k] for k in range(len(topics))])
-
-
-def read_theta(path: str) -> np.ndarray:
-    """A D x K document-topic matrix from a comma-separated file; every
-    entry must be a finite number."""
-    try:
-        theta = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise GlocomError(f"{path}: not a numeric CSV matrix: {exc}") from exc
-    if not np.isfinite(theta).all():
-        raise GlocomError(f"{path}: theta has a non-finite entry")
-    return theta
 
 
 def topic_diversity(topics: TopicSet) -> float:

@@ -12,13 +12,14 @@ is never built as an array: the loss is linear in it, so its cluster part
 enters only through products over the batch's distinct clusters.
 """
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import _DIGITS4, divide_rows, read_gemb, write_gemb
+from .corpus import _DIGITS4, _write_rows, divide_rows, open_text, read_gemb, write_gemb
 from .ecr import squared_distances
 from .errors import ConfigError, TrainingError
 from .numerics import (
@@ -460,8 +461,6 @@ def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
     payload, so that reload is bit-exact; the manifest carries the dtype
     per tensor.
     """
-    import os
-
     os.makedirs(dirpath, exist_ok=True)
     lines = ["glocom-checkpoint 1"]
     for key, val in (
@@ -484,14 +483,12 @@ def save_checkpoint(model: GlocomModel, dirpath: str) -> None:
 def load_checkpoint(dirpath: str) -> GlocomModel:
     """Rebuild a model from a checkpoint directory, bit-exact. The model
     holds the files' tensors; nothing is drawn at random."""
-    import os
-
     mpath = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(mpath):
         raise TrainingError(f"no manifest.txt in {dirpath}")
     meta: dict[str, str] = {}
     tensors: list[tuple[str, int, int, str]] = []
-    with open(mpath, encoding="utf-8") as fh:
+    with open_text(mpath, TrainingError) as fh:
         header = fh.readline().split()
         if header != ["glocom-checkpoint", "1"]:
             raise TrainingError(f"{mpath}:1: header {' '.join(header)!r} is not "
@@ -548,13 +545,13 @@ def load_checkpoint(dirpath: str) -> GlocomModel:
 # output files
 
 
-def write_matrix_csv(M: np.ndarray, path: str) -> None:
-    """Write M as comma-separated rows, every value as "%.17g".
+def write_matrix_csv(M: np.ndarray, path: str, header: str = "") -> None:
+    """Write ``header``, then M as comma-separated rows, every value as "%.17g".
 
-    The bytes are those of np.savetxt(path, M, fmt="%.17g", delimiter=","):
-    a 1-D array is written as one column, and an empty matrix as an empty
-    file. The values are formatted in blocks of whole rows, so memory does
-    not grow with the row count.
+    After the header, the bytes are those of np.savetxt(path, M,
+    fmt="%.17g", delimiter=","): a 1-D array is written as one column, and
+    an empty matrix as nothing. The values are formatted in blocks of whole
+    rows, so memory does not grow with the row count.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim == 1:
@@ -562,14 +559,9 @@ def write_matrix_csv(M: np.ndarray, path: str) -> None:
     if M.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D array, got {M.ndim}-D")
     rows, cols = M.shape
-    step = max(1, _CSV_BLOCK // max(cols, 1))
-    with open(path, "wb") as fh:
-        if cols == 0:
-            fh.write(b"\n" * rows)
-            return
-        for r0 in range(0, rows, step):
-            block = np.ascontiguousarray(M[r0:r0 + step]).reshape(-1)
-            fh.write(_format_csv_block(block, cols))
+    # a row of no values is an empty line
+    format_block = _format_csv_block if cols else lambda B: b"\n" * len(B)
+    _write_rows(path, header, rows, cols, lambda lo, hi: M[lo:hi], format_block)
 
 
 # The exact "%.17g" formatter behind write_matrix_csv. For a window value
@@ -579,9 +571,9 @@ def write_matrix_csv(M: np.ndarray, path: str) -> None:
 # exactly as hi + lo. Once k puts that product in [10^16, 10^17), hi is an
 # even integer (its spacing is at least 2), so the correctly rounded
 # 17-digit integer, ties to even as in "%" formatting, is hi + rint(lo).
-# All other values (zero, subnormal, tiny, huge, nan, inf) go through "%".
+# All other values (zero, subnormal, tiny, huge, nan, inf) go through one
+# "%" call per block.
 
-_CSV_BLOCK = 16384  # values per formatted block
 _CSV_WIDTH = 25  # sign column, up to 23 characters of text, delimiter
 _CSV_OTHER = 127  # exponent key of the values formatted by "%"
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
@@ -619,10 +611,12 @@ def _scaled_exact(a: np.ndarray, k: np.ndarray):
     return hi, lo
 
 
-def _format_csv_block(v: np.ndarray, ncols: int) -> np.ndarray:
-    """The "%.17g" CSV bytes of whole rows of ncols values, flattened in v."""
+def _format_csv_block(M: np.ndarray) -> np.ndarray:
+    """The "%.17g" CSV bytes of the rows of M."""
+    ncols = M.shape[1]
+    v = np.ascontiguousarray(M).reshape(-1)
     n = v.size
-    negative = np.signbit(v)  # column 0 is kept for these
+    negative = np.signbit(v) & ~np.isnan(v)  # column 0 is kept for these; "%" drops nan's sign
     a = np.abs(v)
     with np.errstate(invalid="ignore"):
         other = ~((a > 1e-6) & (a < 1e16))
@@ -676,12 +670,11 @@ def _format_csv_block(v: np.ndarray, ncols: int) -> np.ndarray:
         x = int(Xs[i0])
         o, d, ns = out[i0:i1], digits[i0:i1], nsig[i0:i1]
         if x == _CSV_OTHER:
-            for j in range(i0, i1):
-                s = ("%.17g" % float(v[order[j]])).encode("ascii")
-                negative[order[j]] = s.startswith(b"-")  # not so for nan
-                text = s.lstrip(b"-")
-                out[j, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
-                end[j] = 1 + len(text)
+            # the text of |x| is at most 23 characters: padded to 23, a block
+            # of them is one (i1 - i0, 23) array
+            text = ("%-23.17g" * (i1 - i0)) % tuple(np.abs(v[order[i0:i1]]).tolist())
+            o[:, 1:24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 23)
+            end[i0:i1] = 1 + np.count_nonzero(o[:, 1:24] != ord(" "), axis=1)
         elif -4 <= x < 0:  # 0.000ddd
             z = -x - 1
             o[:, 1:3 + z] = np.frombuffer(b"0." + b"0" * z, np.uint8)

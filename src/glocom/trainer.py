@@ -12,16 +12,16 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .aggregation import GlobalCorpus, build_global_corpus
-from .corpus import BowCorpus
+from .corpus import BowCorpus, open_text
 from .ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL, sinkhorn, squared_distances
 from .errors import ConfigError, TrainingError
 from .eval import assign_documents, nmi
-from .model import GlocomModel, infer, save_checkpoint
+from .model import GlocomModel, infer, save_checkpoint, write_matrix_csv
 from .numerics import Adam
 from .rng import substream
 
@@ -121,7 +121,7 @@ def parse_config_text(text: str) -> TrainConfig:
 
 def parse_config_file(path: str) -> TrainConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -193,10 +193,10 @@ class TrainReport:
 
 
 def write_trajectory(report: TrainReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch," + ",".join(TRAJECTORY_COLUMNS) + "\n")
-        for e, row in enumerate(report.trajectory):
-            fh.write(f"{e}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    """A header row, then each epoch's number and losses as "%.17g"."""
+    epochs = np.arange(len(report.trajectory))
+    write_matrix_csv(np.column_stack((epochs, report.trajectory)), path,
+                     header="epoch," + ",".join(TRAJECTORY_COLUMNS) + "\n")
 
 
 def _kl_scale(epoch: int, warmup_epochs: int) -> float:
@@ -325,6 +325,7 @@ def grid_search(
     grids: dict,
     assignment: Optional[np.ndarray] = None,
     word_init: Optional[np.ndarray] = None,
+    before_runs: Callable[[], None] = lambda: None,
 ) -> GridResult:
     """Train every combination and rank by the validation objective.
 
@@ -334,7 +335,8 @@ def grid_search(
     keys in sorted order and values in the order supplied; ties keep the
     earliest combination, so the winner is lexicographic in that order.
     Every combination's setup is built and checked before the first run,
-    and two combinations that resolve to the same run are refused.
+    and two combinations that resolve to the same run are refused;
+    ``before_runs`` is called once they all pass.
     """
     if not grids:
         raise ConfigError("empty grid")
@@ -358,6 +360,7 @@ def grid_search(
                 raise ConfigError(f"grid combinations {earlier} and {params} resolve "
                                   "to the same run")
         combos.append((params, setup))
+    before_runs()
 
     entries = []
     for params, setup in combos:

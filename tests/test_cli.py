@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -274,6 +275,16 @@ def test_removed_settings_fail_loudly(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+# a bad CSV matrix as theta (exit 7) or as document embeddings (exit 4):
+# its bytes, and the line its error names
+BAD_MATRICES = {
+    "ragged": (b"0.5,0.5\n0.25\n", 2),
+    "unparseable": (b"0.5,0.5\n\n0.25,x\n", 3),
+    "non-finite": (b"0.5,0.5\n0.25,nan\n", None),
+    "empty": (b"\n", None),
+    "not-utf8": (b"\xff\xfe", None),
+}
+
 # the first checkpoint manifest line with a prefix, and what it is cut to
 MANIFEST_CUTS = {
     "checkpoint-meta": ("meta tau ", lambda fields: "meta tau"),
@@ -299,6 +310,8 @@ MANIFEST_CUTS = {
     ("checkpoint-transposed", 6),
     ("top-n-0", 3),
     ("top-n--1", 3),
+    *((f"theta-{name}", 7) for name in BAD_MATRICES),
+    *((f"embeddings-{name}", 4) for name in BAD_MATRICES),
 ])
 def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, code):
     bow, vocab = synth_dir / "bow.txt", synth_dir / "vocab.txt"
@@ -328,12 +341,20 @@ def test_malformed_input_exits_with_its_code(tmp_path, synth_dir, capsys, case, 
         bad.write_text(f"{vocab.read_text().split()[0]} 0.1 {value} 0.3\n")
         got = train(assignment, "--word-embeddings", bad)
         bad = f"{bad}:1:"
+    elif case.startswith("embeddings-"):
+        body, line = BAD_MATRICES[case[len("embeddings-"):]]
+        bad.write_bytes(body)
+        got = run("cluster", "--bow", bow, "--vocab", vocab, "--num-clusters", 2,
+                  "--embeddings", bad, "--out", tmp_path / "e")
+        bad = f"{bad}:{line}:" if line else bad
     else:
         assert train(assignment) == 0 and infer() == 0
-        if case == "theta":
-            bad.write_text("x,y\n")
+        if case.startswith("theta"):
+            body, line = BAD_MATRICES.get(case[len("theta-"):], (b"x,y\n", None))
+            bad.write_bytes(body)
             got = run("eval", "--topics", tmp_path / "i" / "topics.txt", "--theta", bad,
                       "--reference", bow, "--vocab", vocab, "--out", tmp_path / "m.json")
+            bad = f"{bad}:{line}:" if line else bad
         elif case in MANIFEST_CUTS:
             bad = tmp_path / "t" / "checkpoint" / "manifest.txt"
             lines = bad.read_text().splitlines()
@@ -598,6 +619,73 @@ def test_manifest_hashes_every_input_file_given(tmp_path, staged_inputs, command
     assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
 
+@pytest.mark.parametrize("case, code", [
+    ("preprocess-min-freq-0", 4),
+    ("cluster-num-clusters-0", 5),
+    ("train-short-assignment", 5),
+    ("infer-truncated-tensor", 6),
+    ("infer-short-assignment", 5),
+    ("eval-bad-topics", 7),
+    ("grid-negative-seed", 3),
+])
+def test_stopped_command_writes_nothing(tmp_path, staged_inputs, capsys, case, code):
+    inputs = staged_inputs
+    bow = ("--bow", inputs["--bow"], "--vocab", inputs["--vocab"])
+    short = tmp_path / "short.txt"
+    short.write_text("0\n" * 10)  # for a 40-document corpus
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(inputs["--checkpoint"], checkpoint)
+    tensor = checkpoint / "space.W.bin"
+    tensor.write_bytes(tensor.read_bytes()[:-8])
+    topics = tmp_path / "topics.txt"
+    topics.write_text("x a b\n")
+    argv = {
+        "preprocess-min-freq-0": ("preprocess", "--corpus", inputs["--corpus"], "--min-freq", 0),
+        "cluster-num-clusters-0": ("cluster", *bow, "--num-clusters", 0),
+        "train-short-assignment": ("train", *bow, "--clusters", short, *TINY_TRAIN),
+        "infer-truncated-tensor": ("infer", "--checkpoint", checkpoint, *bow,
+                                   "--clusters", inputs["--clusters"]),
+        "infer-short-assignment": ("infer", "--checkpoint", inputs["--checkpoint"], *bow,
+                                   "--clusters", short),
+        "eval-bad-topics": ("eval", "--topics", topics, "--theta", inputs["--theta"],
+                            "--reference", inputs["--bow"], "--vocab", inputs["--vocab"]),
+        "grid-negative-seed": ("grid", *bow, "--clusters", inputs["--clusters"], *TINY_TRAIN,
+                               "--grid", "seed=-1,0"),
+    }[case]
+    out = tmp_path / "fresh"
+    assert run(*argv, "--out", out / "metrics.json" if argv[0] == "eval" else out) == code
+    assert capsys.readouterr().err.startswith("glocom: ")
+    assert not out.exists()
+
+
+# each text input, a command that reads it, and the exit code of its error
+NOT_UTF8 = {
+    "--corpus": ("preprocess", 4), "--labels": ("preprocess", 4), "--bow": ("cluster", 4),
+    "--vocab": ("cluster", 4), "--embeddings": ("cluster", 4), "--reference": ("eval", 4),
+    "--topics": ("eval", 7), "--theta": ("eval", 7), "--clusters": ("train", 5),
+    "--config": ("train", 3), "--word-embeddings": ("train", 4), "--checkpoint": ("infer", 6),
+}
+
+
+@pytest.mark.parametrize("flag", list(NOT_UTF8))
+def test_text_input_not_utf8_exits_with_its_code(tmp_path, staged_inputs, capsys, flag):
+    command, code = NOT_UTF8[flag]
+    files = {f: staged_inputs[f] for f in INPUT_FLAGS[command]}
+    if flag == "--checkpoint":  # the checkpoint's text file is its manifest
+        files[flag] = tmp_path / "checkpoint"
+        shutil.copytree(staged_inputs[flag], files[flag])
+        bad = files[flag] / "manifest.txt"
+    else:
+        bad = files[flag] = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    given = [a for flag_path in files.items() for a in flag_path]
+    out = tmp_path / "fresh"
+    assert run(command, *given, *OTHER_FLAGS.get(command, ()),
+               "--out", out / "metrics.json" if command == "eval" else out) == code
+    assert capsys.readouterr().err.startswith(f"glocom: {bad}: not UTF-8 text")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_unread_missing_input_exits_2(tmp_path, synth_dir, capsys, command):
     # no_clustering never reads --clusters, but a given input is still checked
@@ -645,7 +733,7 @@ def test_cluster_negative_seed_exits_3(tmp_path, synth_dir, capsys):
                "--num-clusters", 2, "--seed", -1, "--out", tmp_path / "c")
     assert code == 3
     assert capsys.readouterr().err == "glocom: seed must be non-negative, got -1\n"
-    assert not (tmp_path / "c" / "assignment.txt").exists()
+    assert not (tmp_path / "c").exists()
 
 
 # a representative command line per subcommand

@@ -14,7 +14,7 @@ from oracles import (
 
 from glocom.aggregation import kmeans
 from glocom.corpus import (
-    _INT_BLOCK,
+    _BLOCK,
     BowCorpus,
     Vocabulary,
     load_embeddings,
@@ -229,7 +229,7 @@ def _write_peak(bow, path):
 def test_write_bow_spans_blocks_with_flat_memory(tmp_path):
     rng = np.random.default_rng(5)
     small, large = _wide_corpus(12000, rng), _wide_corpus(48000, rng)
-    assert 3 * small.counts.nnz > 4 * _INT_BLOCK  # more than four writer blocks
+    assert 3 * small.counts.nnz > 4 * _BLOCK  # more than four writer blocks
     write_bow_loop(small, str(tmp_path / "b.txt"))
     peak_small = _write_peak(small, str(tmp_path / "a.txt"))
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

@@ -436,6 +436,19 @@ def test_report_validation_and_writer(tmp_path):
     assert len(lines) == 3 and lines[1].startswith("0,")
 
 
+@pytest.mark.parametrize("epochs", [0, 1, 7, 250])
+def test_trajectory_bytes_are_the_f_string_rendering(tmp_path, epochs):
+    # losses of every scale, in and outside the exact formatter's window
+    rng = np.random.default_rng(epochs)
+    trajectory = 10.0 ** rng.uniform(-12, 20, size=(epochs, 5)) * rng.choice([-1, 1], (epochs, 5))
+    trajectory[::3, 4] = 0.0
+    path = tmp_path / "trajectory.csv"
+    write_trajectory(TrainReport(trajectory, 0.0), str(path))
+    want = "epoch," + ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+        f"{e}," + ",".join(f"{v:.17g}" for v in row) + "\n" for e, row in enumerate(trajectory))
+    assert path.read_bytes() == want.encode("ascii")
+
+
 # ------------------------------------------------------------- grid search
 
 

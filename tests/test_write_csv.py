@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glocom.model import _CSV_BLOCK, write_matrix_csv
+from glocom.corpus import _BLOCK
+from glocom.model import write_matrix_csv
 
 
 def savetxt_bytes(M):
@@ -117,8 +118,20 @@ def test_one_dimensional_input_is_one_column(tmp_path):
 
 def test_matrix_spanning_several_blocks(tmp_path):
     cols = 7
-    rows = 3 * (_CSV_BLOCK // cols) + 5
+    rows = 3 * (_BLOCK // cols) + 5
     M = np.random.default_rng(4).normal(scale=1e3, size=(rows, cols))
+    assert_same_bytes(tmp_path, M)
+
+
+def test_out_of_window_matrix_spanning_several_blocks(tmp_path):
+    # most values are formatted by "%", a block's worth at a time
+    cols = 5
+    rows = 3 * (_BLOCK // cols) + 5
+    rng = np.random.default_rng(7)
+    M = 10.0 ** rng.uniform(-323, 308, size=(rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+    special = rng.random(M.shape) < 0.05
+    M[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], special.sum())
+    assert np.mean(~((np.abs(M) > 1e-6) & (np.abs(M) < 1e16))) > 0.9
     assert_same_bytes(tmp_path, M)
 
 
