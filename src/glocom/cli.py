@@ -123,10 +123,15 @@ def _require(args, dest, optional=False):
 
 
 def _sha256(path: str) -> str:
+    """The file's digest; a file that cannot be read (a directory, no
+    permission) is a missing input."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise _MissingInput(f"cannot read input file {path}: {exc.strerror or exc}") from None
     return h.hexdigest()
 
 

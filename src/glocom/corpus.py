@@ -390,7 +390,7 @@ def write_gemb(M: np.ndarray, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_GEMB_MAGIC)
         fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        fh.write(np.ascontiguousarray(M).tobytes())
+        fh.write(np.ascontiguousarray(M).data)  # M's buffer, or one C-order copy
 
 
 def read_gemb(path: str, dtype: str, error: type = EmbeddingError) -> np.ndarray:

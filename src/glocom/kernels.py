@@ -16,7 +16,6 @@ is the one the tests would give if made after every iteration.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 BACKEND = "numpy"
 
@@ -50,6 +49,27 @@ def _l1_err(s: np.ndarray, prod: np.ndarray, marginal: float) -> np.ndarray:
     e -= marginal
     np.abs(e, out=e)
     return e.sum(axis=-1)
+
+
+def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) of a real (V, K) array, computed as
+    ``scipy.special.logsumexp(a, axis=0)`` computes it, so the two agree
+    bit for bit: the column max and its count of ties come out of the sum,
+    which adds log1p of the other terms over that count to the max and
+    its log count. A column whose result is not finite (an infinite max,
+    a nan) takes the plain log(sum(exp)) instead."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=0)
+        tied = a == a_max
+        s = np.where(tied, -np.inf, a)
+        s -= a_max
+        np.exp(s, out=s)
+        count = tied.sum(axis=0)
+        out = np.log1p(s.sum(axis=0) / count) + np.log(count) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a).sum(axis=0))[bad]
+    return out
 
 
 def sinkhorn_log(Mr: np.ndarray, max_iters: int, tol: float) -> Scaling:
@@ -115,7 +135,7 @@ def sinkhorn_log(Mr: np.ndarray, max_iters: int, tol: float) -> Scaling:
             # domain, from the potentials with its u absorbed
             iters_used += m + 1
             f += np.log(U[m])
-            g = np.log(b) - logsumexp(Mr + f[:, None], axis=0)
+            g = np.log(b) - _logsumexp_cols(Mr + f[:, None])
             if not np.all(np.isfinite(g)):
                 u, v = np.full(V, np.inf), VS[m].copy()
                 break

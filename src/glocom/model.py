@@ -92,6 +92,11 @@ def compute_beta(space: TopicSpace, sqd: Optional[np.ndarray] = None) -> np.ndar
     return softmax_forward(-sqd / space.tau)
 
 
+# word rows of dW that compute_beta_backward forms at a time: bounds its
+# scratch buffer at this many rows of L, whatever the vocabulary size
+BETA_BACKWARD_BLOCK_ROWS = 256
+
+
 def compute_beta_backward(space: TopicSpace, beta: np.ndarray, dbeta: np.ndarray,
                           extra_dsqd: Optional[np.ndarray], update: Update) -> None:
     """Hand d(loss)/dW and d(loss)/dT to ``update``; both are formed
@@ -110,10 +115,18 @@ def compute_beta_backward(space: TopicSpace, beta: np.ndarray, dbeta: np.ndarray
     if extra_dsqd is not None:
         dsqd += extra_dsqd
     W, T = space.W.value, space.T.value
-    # 2 (W * rowsum - dsqd T), each product formed once
-    dW = np.multiply(W, dsqd.sum(axis=1)[:, None])
-    dW -= dsqd @ T
-    dW *= 2.0
+    # 2 (W * rowsum - dsqd T), each product formed once; dW starts as
+    # dsqd T, and W * rowsum goes through a scratch block of rows, so the
+    # backward holds one V x L array
+    rowsum = dsqd.sum(axis=1)
+    dW = dsqd @ T
+    scratch = np.empty((min(BETA_BACKWARD_BLOCK_ROWS, len(W)), W.shape[1]))
+    for start in range(0, len(W), BETA_BACKWARD_BLOCK_ROWS):
+        block = slice(start, start + BETA_BACKWARD_BLOCK_ROWS)
+        w = scratch[:len(rowsum[block])]
+        np.multiply(W[block], rowsum[block, None], out=w)
+        w -= dW[block]
+        np.multiply(w, 2.0, out=dW[block])
     dT = np.multiply(T, dsqd.sum(axis=0)[:, None])
     dT -= dsqd.T @ W
     dT *= 2.0

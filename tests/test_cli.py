@@ -699,6 +699,26 @@ def test_unread_missing_input_exits_2(tmp_path, synth_dir, capsys, command):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_directory_as_corpus_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("preprocess", "--corpus", tmp_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"glocom: cannot read input file {tmp_path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_directory_as_clusters_exits_2_and_writes_nothing(tmp_path, synth_dir, capsys, command):
+    grid = ("--grid", "eta=0.1") if command == "grid" else ()
+    out = tmp_path / "o"
+    code = run(command, "--bow", synth_dir / "bow.txt", "--vocab", synth_dir / "vocab.txt",
+               *TINY_TRAIN, "--clusters", synth_dir, *grid, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"glocom: cannot read input file {synth_dir}: ")
+    assert not out.exists()
+
+
 def test_synth_flag_defaults_are_the_spec_defaults(tmp_path):
     from glocom.cli import run_synth
     from glocom.synthetic import SyntheticSpec
@@ -794,7 +814,8 @@ def test_module_help_lists_every_subcommand():
 
 def test_preprocess_and_eval_import_neither_trainer_nor_scipy_special(tmp_path):
     # a stage command builds only its own parser, so the config flags'
-    # trainer import (and its scipy.special) stay out of these two stages
+    # trainer import stays out of these two stages; no stage at all loads
+    # scipy.special, so cluster, train and infer run after them leave it out too
     raw = tmp_path / "raw.txt"
     raw.write_text("".join(f"a{i % 3} b{i % 2} c{i % 4}\n" for i in range(12)))
     (tmp_path / "topics.txt").write_text("0 a0 b0\n1 b1 c0\n")
@@ -803,13 +824,23 @@ def test_preprocess_and_eval_import_neither_trainer_nor_scipy_special(tmp_path):
 import sys
 from glocom.cli import main
 d = {str(tmp_path)!r}
+bow = ["--bow", d + "/corpus/bow.txt", "--vocab", d + "/corpus/vocab.txt"]
+loaded = lambda: sorted(m for m in ("glocom.trainer", "scipy.special") if m in sys.modules)
 codes = [main(["preprocess", "--corpus", d + "/raw.txt", "--min-freq", "1", "--min-terms", "1",
                "--out", d + "/corpus"]),
          main(["eval", "--topics", d + "/topics.txt", "--theta", d + "/theta.csv",
                "--reference", d + "/corpus/bow.txt", "--vocab", d + "/corpus/vocab.txt",
                "--out", d + "/metrics.json"])]
-print(codes, sorted(m for m in ("glocom.trainer", "scipy.special") if m in sys.modules))
+print(codes, loaded())
+clusters = ["--clusters", d + "/cluster/assignment.txt"]
+codes = [main(["cluster", *bow, "--num-clusters", "2", "--out", d + "/cluster"]),
+         main(["train", *bow, *clusters, "--K", "2", "--G", "2", "--epochs", "1",
+               "--hidden_width", "4", "--embed_dim", "3", "--out", d + "/train"]),
+         main(["infer", "--checkpoint", d + "/train/checkpoint", *bow, *clusters,
+               "--out", d + "/infer"])]
+print(codes, loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    printed = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert printed == ["[0, 0] []", "[0, 0, 0] ['glocom.trainer']"]

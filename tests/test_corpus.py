@@ -22,10 +22,12 @@ from glocom.corpus import (
     preprocess,
     read_bow,
     read_corpus_file,
+    read_gemb,
     read_label_file,
     read_vocabulary,
     tfidf,
     write_bow,
+    write_gemb,
     write_label_file,
     write_vocabulary,
 )
@@ -311,6 +313,19 @@ def test_embedding_binary_round_trip(tmp_path):
     save_embeddings(M, path)
     back = load_embeddings(path, expected_rows=5)
     np.testing.assert_array_equal(back.rows.astype(np.float32), M)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_gemb_of_a_strided_view_writes_its_contiguous_copys_bytes(tmp_path, dtype):
+    M = np.random.default_rng(5).normal(size=(700, 300)).astype(dtype)
+    for view in (M.T, M[::2, 1::3]):
+        assert not view.flags.c_contiguous
+        write_gemb(view, str(tmp_path / "view.bin"))
+        write_gemb(np.ascontiguousarray(view), str(tmp_path / "copy.bin"))
+        got = (tmp_path / "view.bin").read_bytes()
+        assert got == (tmp_path / "copy.bin").read_bytes()
+        assert len(got) == 20 + view.nbytes
+        np.testing.assert_array_equal(read_gemb(str(tmp_path / "view.bin"), dtype), view)
 
 
 def test_embedding_header_example(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from oracles import sinkhorn_log_per_iteration
 from scipy.special import logsumexp
 
-from glocom.kernels import _BLOCK, BACKEND, Scaling, sinkhorn_log
+from glocom.kernels import _BLOCK, BACKEND, Scaling, _logsumexp_cols, sinkhorn_log
 
 
 def _uniform_logmarg(V, K):
@@ -144,6 +144,28 @@ def test_kernel_converges_and_reports_iterations():
     P = _plan(s)
     assert np.abs(P.sum(1) - 1 / 20).sum() < 1e-8
     assert np.abs(P.sum(0) - 1 / 5).sum() < 1e-8
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e4])
+def test_column_logsumexp_equals_scipy_bit_for_bit(scale):
+    rng = np.random.default_rng(int(scale * 100))
+    for V, K in ((1, 1), (2, 3), (50, 7), (300, 20)):
+        a = rng.normal(scale=scale, size=(V, K))
+        # ties at the column max, in a column of whole numbers
+        a[:, 0] = np.round(rng.uniform(-2, 2, size=V))
+        if V > 1:
+            a[:, -1] = -np.inf                           # no finite entry
+            a[rng.integers(V), 1 % K] = -np.inf          # a single -inf
+            a[0, K // 2] = a[1, K // 2] = a[:, K // 2].max()  # two tied maxima
+        _assert_same_bits(_logsumexp_cols(a), logsumexp(a, axis=0))
+    # +inf and nan entries give the same inf and nan columns
+    a = np.array([[0.0, np.inf, np.nan, -np.inf], [1.0, 0.0, 0.0, np.inf]]) * scale
+    _assert_same_bits(_logsumexp_cols(a), logsumexp(a, axis=0))
 
 
 def test_backend_name_is_reported():

@@ -10,7 +10,15 @@ import scipy.sparse as sp
 from glocom.aggregation import kmeans
 from glocom.corpus import BowCorpus, Vocabulary, tfidf
 from glocom.eval import TopicSet, npmi_coherence
-from glocom.model import GlocomModel, infer, load_checkpoint, save_checkpoint
+from glocom.model import (
+    GlocomModel,
+    TopicSpace,
+    compute_beta,
+    compute_beta_backward,
+    infer,
+    load_checkpoint,
+    save_checkpoint,
+)
 from glocom.trainer import TrainConfig, build_setup, train
 
 
@@ -122,6 +130,26 @@ def test_infer_peak_under_no_clustering_stays_near_clustered_peak():
         f"infer peaked at {peaks['no_clustering'] / 2**20:.1f} MiB under no_clustering, "
         f"{peaks['full'] / 2**20:.1f} MiB at G=20"
     )
+
+
+def test_beta_backward_holds_one_words_by_embedding_array():
+    # dW is the one V x L array the backward forms: its peak above the
+    # inputs stays well below two of them, whatever block of rows it uses
+    V, L, K = 4000, 200, 10
+    rng = np.random.default_rng(0)
+    space = TopicSpace(rng.normal(size=(V, L)), rng.normal(size=(K, L)), tau=0.5)
+    beta = compute_beta(space, space.squared_dists())
+    dbeta = rng.normal(size=beta.shape)
+    grads = {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        compute_beta_backward(space, beta, dbeta, None, lambda p, g: grads.setdefault(p.name, g))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grads.keys() == {"space.W", "space.T"}
+    assert peak < 1.5 * V * L * 8, f"peaked at {peak / (V * L * 8):.2f} V x L arrays"
 
 
 def test_npmi_peak_memory_scales_with_nonzeros():
