@@ -1,5 +1,5 @@
-"""Command line interface: preprocess, cluster, train, infer, eval, synth,
-pipeline, and grid subcommands sharing one config and one seed.
+"""Command line interface: preprocess, cluster, train, infer, eval, synth
+and pipeline subcommands sharing one config and one seed.
 
 Every subcommand writes a manifest (command line, resolved config, input
 digests, seed, version, timestamp) into its output directory before any
@@ -382,29 +382,12 @@ def run_eval(top_words, theta, reference, labels, out_path, manifest=None):
 # ------------------------------------------------------------- subcommands
 
 
-def _read_corpus(args, bow="bow", labels=False):
-    """The corpus behind the bow flag (eval's is --reference), --vocab and, if
-    asked for and given, --labels; the manifest has checked that they exist."""
-    from .corpus import read_bow, read_label_file, read_vocabulary
+def _read_corpus(args, bow="bow"):
+    """The corpus behind the bow flag (eval's is --reference) and --vocab;
+    the manifest has checked that they exist."""
+    from .corpus import read_bow, read_vocabulary
 
-    vocab = read_vocabulary(args.vocab)
-    return read_bow(getattr(args, bow), vocab,
-                    read_label_file(args.labels) if labels and args.labels else None)
-
-
-def _read_run_inputs(args, labels=False):
-    """A train or grid run's manifest, config, corpus, assignment (None under
-    no_clustering) and word vectors (None without --word-embeddings)."""
-    from .aggregation import read_assignment
-
-    cfg = _resolve_config(args)
-    manifest = _manifest(args, seed=cfg.seed, config=asdict(cfg))
-    corpus = _read_corpus(args, labels=labels)
-    assignment = None
-    if cfg.ablation != "no_clustering":
-        assignment = read_assignment(_require(args, "clusters"), G=cfg.G)
-    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
-    return manifest, cfg, corpus, assignment, word_init
+    return read_bow(getattr(args, bow), read_vocabulary(args.vocab))
 
 
 def cmd_preprocess(args) -> int:
@@ -426,7 +409,15 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest, cfg, corpus, assignment, word_init = _read_run_inputs(args)
+    from .aggregation import read_assignment
+
+    cfg = _resolve_config(args)
+    manifest = _manifest(args, seed=cfg.seed, config=asdict(cfg))
+    corpus = _read_corpus(args)
+    assignment = None
+    if cfg.ablation != "no_clustering":
+        assignment = read_assignment(_require(args, "clusters"), G=cfg.G)
+    word_init = load_word_init(args.word_embeddings, corpus.vocab, cfg.seed)
     run_train(corpus, cfg, assignment, word_init, args.out, manifest)
     return 0
 
@@ -491,53 +482,6 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _parse_grid(specs) -> dict:
-    from .trainer import CONFIG_KEYS
-
-    grids = {}
-    for spec in specs:
-        if "=" not in spec:
-            raise ConfigError(f"grid spec must be key=v1,v2,... got {spec!r}")
-        key, _, vals = spec.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown grid key {key!r}")
-        f = CONFIG_KEYS[key]
-        try:
-            values = [f.type(v.strip()) for v in vals.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse grid values for {key!r}: {vals!r}") from exc
-        if not values:
-            raise ConfigError(f"grid for {key!r} is empty")
-        if f.name in grids:
-            raise ConfigError(f"grid key {key!r} given twice")
-        grids[f.name] = values
-    return grids
-
-
-def cmd_grid(args) -> int:
-    from .trainer import config_to_text, grid_search
-
-    manifest, cfg, corpus, assignment, word_init = _read_run_inputs(args, labels=True)
-    grids = _parse_grid(args.grid)
-    result = grid_search(corpus, cfg, grids, assignment=assignment, word_init=word_init,
-                         before_runs=lambda: _make_out(args.out, manifest))
-    keys = sorted(grids)
-    with open(os.path.join(args.out, "grid_report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("rank," + ",".join(keys) + f",{result.objective_name}\n")
-        for rank, entry in enumerate(result.entries):
-            vals = ",".join(str(entry.params[k]) for k in keys)
-            fh.write(f"{rank},{vals},{entry.objective:.17g}\n")
-    with open(os.path.join(args.out, "best_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(result.best.config))
-    best = ", ".join(f"{k}={result.best.params[k]}" for k in keys)
-    print(
-        f"grid: {len(result.entries)} combinations, best "
-        f"{result.objective_name}={result.best.objective:.6g} at {best}"
-    )
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -584,9 +528,6 @@ _SUBCOMMANDS = {
         ("--synth", dict(action="store_true",
                          help="generate a synthetic corpus instead of reading one")),
         ("--embeddings", dict(help="precomputed document embeddings for clustering")))),
-    "grid": ("grid search over config values", cmd_grid, _BOW, _LABELS, _OUT, _add_config_flags,
-             _flags(("--clusters", {}), ("--grid", dict(action="append", required=True,
-                                                        help="key=v1,v2,... (repeatable)")))),
 }
 
 

@@ -256,7 +256,8 @@ def write_label_file(values: Sequence[int], path: str) -> None:
 
 def read_label_file(path: str, error: type = CorpusError) -> np.ndarray:
     """The integers of a ``write_label_file`` file, blank lines skipped; a
-    line that is not an integer raises ``error`` naming the file and line."""
+    line that is not an integer, or not one that fits in int64, raises
+    ``error`` naming the file and line."""
     values = []
     with open_text(path, error) as fh:
         for ln, line in enumerate(fh, 1):
@@ -267,7 +268,16 @@ def read_label_file(path: str, error: type = CorpusError) -> np.ndarray:
                 values.append(int(line))
             except ValueError:
                 raise error(f"{path}:{ln}: not an integer: {line!r}")
-    return np.asarray(values, dtype=np.int64)
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            # only a failed conversion reads the file again, for its first bad line
+            fh.seek(0)
+            lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+            for ln, line in enumerate(fh, 1):
+                if line.strip() and not lo <= int(line) <= hi:
+                    raise error(f"{path}:{ln}: integer out of range: {line.strip()!r}") from None
+            raise
 
 
 def write_vocabulary(vocab: Vocabulary, path: str) -> None:
@@ -352,11 +362,12 @@ def _format_int_block(M: np.ndarray) -> bytes:
     return out[keep].tobytes()
 
 
-def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) -> BowCorpus:
+def read_bow(path: str, vocab: Vocabulary) -> BowCorpus:
     with open_text(path, CorpusError) as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise CorpusError(f"{path}: expected 'D V NNZ' header, got {header}")
+        if len(header) != 3 or not all(x.isdecimal() for x in header):
+            raise CorpusError(f"{path}: expected 'D V NNZ' header of non-negative "
+                              f"integers, got {header}")
         D, V, nnz = (int(x) for x in header)
         if V != len(vocab):
             raise CorpusError(f"{path}: file has V={V}, vocabulary has {len(vocab)} words")
@@ -381,7 +392,7 @@ def read_bow(path: str, vocab: Vocabulary, labels: Optional[np.ndarray] = None) 
     if nnz and (min(rows.min(), cols.min()) < 0 or rows.max() >= D or cols.max() >= V):
         raise CorpusError(f"{path}: entry index outside the {D} x {V} matrix")
     counts = sp.csr_matrix((vals, (rows, cols)), shape=(D, V))
-    return BowCorpus(counts, vocab, labels)
+    return BowCorpus(counts, vocab)
 
 
 def write_gemb(M: np.ndarray, path: str) -> None:

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# perfbench/pipeline.py env_stamp imports this on every benchmark run; only a benchmark
+# change can remove it
 BACKEND = "numpy"
 
 # scalings outside [1/_SAFE, _SAFE] are absorbed into the potentials; the

@@ -1,4 +1,4 @@
-"""Training loop, configuration, run setup, and grid search.
+"""Training loop, configuration and run setup.
 
 The loop batches over documents, gathers the distinct global documents a
 batch touches, and refreshes the word-topic transport plan every step at a
@@ -8,11 +8,10 @@ zeroed. Runs are bit-reproducible given the seed: all noise comes from one
 named substream consumed in a deterministic order.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .aggregation import GlobalCorpus, build_global_corpus
 from .corpus import BowCorpus, open_text
 from .ecr import DEFAULT_MAX_ITERS, DEFAULT_TOL, sinkhorn, squared_distances
 from .errors import ConfigError, TrainingError
-from .eval import assign_documents, nmi
-from .model import GlocomModel, infer, save_checkpoint, write_matrix_csv
+from .model import GlocomModel, save_checkpoint, write_matrix_csv
 from .numerics import Adam
 from .rng import substream
 
@@ -184,13 +182,6 @@ class TrainReport:
         if self.trajectory.size and not np.all(np.isfinite(self.trajectory)):
             raise TrainingError("non-finite values in the loss trajectory")
 
-    @property
-    def final_tm_loss(self) -> float:
-        if self.trajectory.shape[0] == 0:
-            raise TrainingError("no epochs were run")
-        total, ecr = self.trajectory[-1, 0], self.trajectory[-1, 4]
-        return float(total - ecr)
-
 
 def write_trajectory(report: TrainReport, path: str) -> None:
     """A header row, then each epoch's number and losses as "%.17g"."""
@@ -299,83 +290,3 @@ def train(
         transport_marginal_err_max=err_max,
     )
     return model, report
-
-
-@dataclass
-class GridEntry:
-    params: dict
-    config: TrainConfig
-    objective: float
-    report: TrainReport
-
-
-@dataclass
-class GridResult:
-    objective_name: str  # "nmi" or "neg_tm_loss"
-    entries: list  # ranked, best first
-
-    @property
-    def best(self) -> GridEntry:
-        return self.entries[0]
-
-
-def grid_search(
-    corpus: BowCorpus,
-    base_config: TrainConfig,
-    grids: dict,
-    assignment: Optional[np.ndarray] = None,
-    word_init: Optional[np.ndarray] = None,
-    before_runs: Callable[[], None] = lambda: None,
-) -> GridResult:
-    """Train every combination and rank by the validation objective.
-
-    Objective: NMI of the argmax document clustering against the corpus
-    labels when labels exist, else the negated final epoch-mean TM loss
-    (so larger is always better). Combinations are enumerated with grid
-    keys in sorted order and values in the order supplied; ties keep the
-    earliest combination, so the winner is lexicographic in that order.
-    Every combination's setup is built and checked before the first run,
-    and two combinations that resolve to the same run are refused;
-    ``before_runs`` is called once they all pass.
-    """
-    if not grids:
-        raise ConfigError("empty grid")
-    keys = sorted(grids)
-    valid = {f.name for f in fields(TrainConfig)}
-    for k in keys:
-        if k not in valid:
-            raise ConfigError(f"grid key {k!r} is not a TrainConfig field")
-        if not grids[k]:
-            raise ConfigError(f"grid for {k!r} is empty")
-    has_labels = corpus.labels is not None
-    combos = []
-    for values in itertools.product(*(grids[k] for k in keys)):
-        params = dict(zip(keys, values))
-        cfg = replace(base_config, **params)
-        if not has_labels and cfg.epochs < 1:
-            raise ConfigError(f"label-free grid search needs epochs >= 1 ({params})")
-        setup = build_setup(corpus, cfg, assignment, word_init)
-        for earlier, other in combos:
-            if other.config == setup.config:
-                raise ConfigError(f"grid combinations {earlier} and {params} resolve "
-                                  "to the same run")
-        combos.append((params, setup))
-    before_runs()
-
-    entries = []
-    for params, setup in combos:
-        model, report = train(setup)
-        if has_labels:
-            gc = setup.global_corpus
-            out = infer(model, corpus.counts, gc.assignment, gc.global_docs,
-                        corpus.vocab.words)
-            objective = nmi(assign_documents(out.theta_local), corpus.labels)
-        else:
-            objective = -report.final_tm_loss
-        entries.append(GridEntry(params, setup.config, float(objective), report))
-
-    ranked = sorted(
-        range(len(entries)), key=lambda i: (-entries[i].objective, i)
-    )
-    name = "nmi" if has_labels else "neg_tm_loss"
-    return GridResult(name, [entries[i] for i in ranked])

@@ -401,9 +401,6 @@ def test_train_config_records_word_embedding_width(tmp_path, synth_dir):
     assert "embed_dim=3" in (tmp_path / "t" / "config.txt").read_text().splitlines()
     ckpt = (tmp_path / "t" / "checkpoint" / "manifest.txt").read_text()
     assert "meta embed_dim 3" in ckpt.splitlines()
-    assert run("grid", "--bow", bow, "--vocab", vocab, *flags, "--grid", "eta=0.1",
-               "--out", tmp_path / "g") == 0
-    assert "embed_dim=3" in (tmp_path / "g" / "best_config.txt").read_text().splitlines()
 
 
 def test_config_flag_overrides_file(tmp_path, synth_dir):
@@ -417,58 +414,6 @@ def test_config_flag_overrides_file(tmp_path, synth_dir):
     resolved = (out / "config.txt").read_text().splitlines()
     assert "K=3" in resolved  # flag beats file
     assert "epochs=1" in resolved  # file beats default
-
-
-def test_grid_cli_report_and_best_config(tmp_path, synth_dir):
-    clus = tmp_path / "c"
-    assert run("cluster", "--bow", synth_dir / "bow.txt", "--vocab",
-               synth_dir / "vocab.txt", "--num-clusters", 2, "--out", clus) == 0
-    out = tmp_path / "g"
-    assert run("grid", "--bow", synth_dir / "bow.txt", "--vocab",
-               synth_dir / "vocab.txt", "--labels", synth_dir / "labels.txt",
-               "--clusters", clus / "assignment.txt", *TINY_TRAIN,
-               "--epochs", 1, "--grid", "eta=0.1,0.5", "--out", out) == 0
-    lines = (out / "grid_report.csv").read_text().splitlines()
-    assert lines[0] == "rank,eta,nmi"
-    assert len(lines) == 3
-    objs = [float(l.split(",")[2]) for l in lines[1:]]
-    assert objs == sorted(objs, reverse=True)
-
-    from glocom.trainer import parse_config_file
-
-    best = parse_config_file(str(out / "best_config.txt"))
-    assert best.eta in (0.1, 0.5)
-
-
-def test_grid_manifest_lists_word_embeddings(tmp_path, synth_dir):
-    import hashlib
-
-    clus = tmp_path / "c"
-    assert run("cluster", "--bow", synth_dir / "bow.txt", "--vocab",
-               synth_dir / "vocab.txt", "--num-clusters", 2, "--out", clus) == 0
-    words = tmp_path / "words.txt"
-    word = (synth_dir / "vocab.txt").read_text().split()[0]
-    words.write_text(word + " 0.1 0.2 0.3 0.4 0.5 0.6\n")
-    out = tmp_path / "g"
-    assert run("grid", "--bow", synth_dir / "bow.txt", "--vocab",
-               synth_dir / "vocab.txt", "--clusters", clus / "assignment.txt",
-               *TINY_TRAIN, "--epochs", 1, "--grid", "eta=0.1",
-               "--word-embeddings", words, "--out", out) == 0
-    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert inputs[str(words)] == hashlib.sha256(words.read_bytes()).hexdigest()
-
-
-def test_grid_cli_rejects_bad_specs(tmp_path, synth_dir, capsys):
-    clus = tmp_path / "c"
-    run("cluster", "--bow", synth_dir / "bow.txt", "--vocab",
-        synth_dir / "vocab.txt", "--num-clusters", 2, "--out", clus)
-    base = ("grid", "--bow", synth_dir / "bow.txt", "--vocab",
-            synth_dir / "vocab.txt", "--clusters", clus / "assignment.txt",
-            *TINY_TRAIN, "--out", tmp_path / "g")
-    assert run(*base, "--grid", "nope=1") == 3
-    assert run(*base, "--grid", "eta") == 3
-    assert run(*base, "--grid", "eta=") == 3
-    capsys.readouterr()
 
 
 def test_infer_missing_checkpoint_exits_2(tmp_path, synth_dir, capsys):
@@ -560,14 +505,12 @@ INPUT_FLAGS = {
     "infer": ("--checkpoint", "--bow", "--vocab", "--clusters"),
     "eval": ("--topics", "--theta", "--reference", "--vocab", "--labels"),
     "pipeline": ("--corpus", "--labels", "--embeddings", "--config", "--word-embeddings"),
-    "grid": ("--bow", "--vocab", "--labels", "--clusters", "--config", "--word-embeddings"),
 }
 OTHER_FLAGS = {
     "preprocess": ("--min-freq", 1, "--min-terms", 1),
     "cluster": ("--num-clusters", 2),
     "train": TINY_TRAIN,
     "pipeline": (*TINY_TRAIN, "--min-freq", 1, "--min-terms", 1),
-    "grid": (*TINY_TRAIN, "--grid", "eta=0.1"),
 }
 
 
@@ -626,7 +569,9 @@ def test_manifest_hashes_every_input_file_given(tmp_path, staged_inputs, command
     ("infer-truncated-tensor", 6),
     ("infer-short-assignment", 5),
     ("eval-bad-topics", 7),
-    ("grid-negative-seed", 3),
+    ("cluster-bow-header", 4),
+    ("preprocess-label-overflow", 4),
+    ("train-assignment-overflow", 5),
 ])
 def test_stopped_command_writes_nothing(tmp_path, staged_inputs, capsys, case, code):
     inputs = staged_inputs
@@ -639,6 +584,10 @@ def test_stopped_command_writes_nothing(tmp_path, staged_inputs, capsys, case, c
     tensor.write_bytes(tensor.read_bytes()[:-8])
     topics = tmp_path / "topics.txt"
     topics.write_text("x a b\n")
+    header = tmp_path / "header.txt"
+    header.write_text("x y z\n")
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0\n" * 39 + "99999999999999999999\n")
     argv = {
         "preprocess-min-freq-0": ("preprocess", "--corpus", inputs["--corpus"], "--min-freq", 0),
         "cluster-num-clusters-0": ("cluster", *bow, "--num-clusters", 0),
@@ -649,8 +598,11 @@ def test_stopped_command_writes_nothing(tmp_path, staged_inputs, capsys, case, c
                                    "--clusters", short),
         "eval-bad-topics": ("eval", "--topics", topics, "--theta", inputs["--theta"],
                             "--reference", inputs["--bow"], "--vocab", inputs["--vocab"]),
-        "grid-negative-seed": ("grid", *bow, "--clusters", inputs["--clusters"], *TINY_TRAIN,
-                               "--grid", "seed=-1,0"),
+        "cluster-bow-header": ("cluster", "--bow", header, "--vocab", inputs["--vocab"],
+                               "--num-clusters", 2),
+        "preprocess-label-overflow": ("preprocess", "--corpus", inputs["--corpus"],
+                                      "--labels", huge),
+        "train-assignment-overflow": ("train", *bow, "--clusters", huge, *TINY_TRAIN),
     }[case]
     out = tmp_path / "fresh"
     assert run(*argv, "--out", out / "metrics.json" if argv[0] == "eval" else out) == code
@@ -686,13 +638,12 @@ def test_text_input_not_utf8_exits_with_its_code(tmp_path, staged_inputs, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("command", ["train"])
 def test_unread_missing_input_exits_2(tmp_path, synth_dir, capsys, command):
     # no_clustering never reads --clusters, but a given input is still checked
     missing = str(tmp_path / "nope.txt")
-    grid = ("--grid", "eta=0.1") if command == "grid" else ()
     code = run(command, "--bow", synth_dir / "bow.txt", "--vocab", synth_dir / "vocab.txt",
-               *TINY_TRAIN, "--ablation", "no_clustering", "--clusters", missing, *grid,
+               *TINY_TRAIN, "--ablation", "no_clustering", "--clusters", missing,
                "--out", tmp_path / "o")
     assert code == 2
     assert f"cluster assignment file missing: {missing}" in capsys.readouterr().err
@@ -708,12 +659,11 @@ def test_directory_as_corpus_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("command", ["train"])
 def test_directory_as_clusters_exits_2_and_writes_nothing(tmp_path, synth_dir, capsys, command):
-    grid = ("--grid", "eta=0.1") if command == "grid" else ()
     out = tmp_path / "o"
     code = run(command, "--bow", synth_dir / "bow.txt", "--vocab", synth_dir / "vocab.txt",
-               *TINY_TRAIN, "--clusters", synth_dir, *grid, "--out", out)
+               *TINY_TRAIN, "--clusters", synth_dir, "--out", out)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"glocom: cannot read input file {synth_dir}: ")
     assert not out.exists()
@@ -769,8 +719,6 @@ PARSE_ARGV = {
              "--out", "m.json"),
     "synth": ("--num-docs", 7, "--epsilon-true", 0.5, "--seed", 3, "--out", "o"),
     "pipeline": ("--synth", "--seed", 3, "--num-topics", 4, "--top-n", 5, "--out", "o"),
-    "grid": ("--bow", "b", "--vocab", "v", "--grid", "eta=0.1", "--grid", "K=2,3",
-             "--config", "c.cfg", "--out", "o"),
 }
 
 
@@ -801,7 +749,7 @@ def test_one_subcommand_parser_matches_full_parser(command, capsys):
     assert got["missing"][0] == 2 and "the following arguments are required" in got["missing"][2]
     # the usage line of an error the top-level parser prints names every subcommand
     assert got["unrecognized"][0] == 2
-    assert "{preprocess,cluster,train,infer,eval,synth,pipeline,grid}" in got["unrecognized"][2]
+    assert "{preprocess,cluster,train,infer,eval,synth,pipeline}" in got["unrecognized"][2]
 
 
 def test_module_help_lists_every_subcommand():

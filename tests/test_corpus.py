@@ -439,6 +439,16 @@ def test_corpus_and_label_files(tmp_path):
         read_label_file(lpath)
 
 
+@pytest.mark.parametrize("value", [str(2**63), str(-2**63 - 1), "99999999999999999999"])
+def test_read_label_file_names_the_line_outside_int64(tmp_path, value):
+    path = tmp_path / "l.txt"
+    path.write_text(f"3\n\n{2**63 - 1}\n{value}\n1\n")
+    with pytest.raises(CorpusError, match=rf"l.txt:4: integer out of range: '{value}'"):
+        read_label_file(str(path))
+    path.write_text(f"{-2**63}\n{2**63 - 1}\n")
+    assert read_label_file(str(path)).tolist() == [-2**63, 2**63 - 1]
+
+
 def test_bow_file_round_trip(tmp_path):
     bow, _ = preprocess([["a", "a", "c"], ["b", "c"]], min_freq=1, min_terms=1)
     path = str(tmp_path / "bow.txt")
@@ -472,6 +482,8 @@ def test_write_bow_bytes_match_loop_writer(tmp_path):
         ("2 3 2\n0 0 2\n2 1 1\n", "outside the 2 x 3 matrix"),
         ("2 3 2\n0 0 2\n1 1 1\n1 2 1\n", r"bow.txt:4: entry beyond the header's NNZ=2"),
         ("2 3 2\n0 0 2\n1 1 0\n", r"bow.txt:3: count 0 is not positive"),
+        *((f"{header}\n", r"bow.txt: expected 'D V NNZ' header of non-negative integers")
+          for header in ("a b c", "2.5 3 0", "-1 3 0", "2 3 -1")),
     ],
 )
 def test_read_bow_rejects_malformed_files(tmp_path, body, message):

@@ -1,5 +1,4 @@
 import contextlib
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from glocom.trainer import (
     TrainReport,
     build_setup,
     config_to_text,
-    grid_search,
     parse_config_file,
     parse_config_text,
     train,
@@ -162,7 +160,7 @@ def test_build_setup_takes_embed_dim_from_word_vectors():
 
 
 def test_training_leaves_the_init_arrays_untouched():
-    # a grid trains every combination from the same word vectors
+    # a caller may train again from the same word and topic vectors
     corpus = tiny_corpus()
     rng = np.random.default_rng(4)
     W0, T0 = rng.normal(size=(corpus.num_words, 6)), rng.normal(size=(3, 6))
@@ -201,8 +199,6 @@ def test_epochs_zero_leaves_parameters_at_init():
     for p, q in zip(model.params(), fresh.params()):
         assert p.name == q.name
         np.testing.assert_array_equal(p.value, q.value)
-    with pytest.raises(TrainingError, match="no epochs"):
-        report.final_tm_loss
 
 
 def test_lambda_zero_means_total_is_tm_loss():
@@ -428,7 +424,6 @@ def test_report_validation_and_writer(tmp_path):
     with pytest.raises(TrainingError, match="non-finite"):
         TrainReport(np.full((2, 5), np.nan), 0.0)
     report = TrainReport(np.arange(10.0).reshape(2, 5), 0.0)
-    assert report.final_tm_loss == pytest.approx(5.0 - 9.0)
     path = str(tmp_path / "traj.csv")
     write_trajectory(report, path)
     lines = open(path).read().splitlines()
@@ -447,105 +442,6 @@ def test_trajectory_bytes_are_the_f_string_rendering(tmp_path, epochs):
     want = "epoch," + ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
         f"{e}," + ",".join(f"{v:.17g}" for v in row) + "\n" for e, row in enumerate(trajectory))
     assert path.read_bytes() == want.encode("ascii")
-
-
-# ------------------------------------------------------------- grid search
-
-
-def test_grid_single_point_returns_it():
-    corpus = tiny_corpus()
-    result = grid_search(corpus, tiny_config(epochs=1), {"eta": [0.1]},
-                         assignment=corpus.labels)
-    assert result.objective_name == "nmi"
-    assert len(result.entries) == 1
-    assert result.best.params == {"eta": 0.1}
-    assert 0.0 <= result.best.objective <= 1.0
-
-
-def test_grid_label_free_ranks_by_final_tm_loss():
-    with_labels = tiny_corpus()
-    corpus = BowCorpus(with_labels.counts, with_labels.vocab)  # labels dropped
-    result = grid_search(corpus, tiny_config(epochs=1),
-                         {"lr": [0.002, 0.05]}, assignment=with_labels.labels)
-    assert result.objective_name == "neg_tm_loss"
-    assert len(result.entries) == 2
-    assert result.entries[0].objective >= result.entries[1].objective
-    objs = {tuple(e.params.items()): e.objective for e in result.entries}
-    assert len(objs) == 2
-    for e in result.entries:
-        assert e.objective == pytest.approx(-e.report.final_tm_loss)
-
-
-def test_grid_tie_breaks_by_enumeration_order():
-    # epochs=0 means the model never trains, so the objective ignores eta
-    # entirely; the winner must be the first combination enumerated.
-    corpus = tiny_corpus()
-    result = grid_search(corpus, tiny_config(epochs=0), {"eta": [0.5, 0.1]},
-                         assignment=corpus.labels)
-    objs = [e.objective for e in result.entries]
-    assert objs[0] == objs[1]
-    assert result.best.params == {"eta": 0.5}
-
-
-def test_grid_validation_errors():
-    corpus = tiny_corpus()
-    with pytest.raises(ConfigError, match="empty grid"):
-        grid_search(corpus, tiny_config(), {}, assignment=corpus.labels)
-    with pytest.raises(ConfigError, match="not a TrainConfig field"):
-        grid_search(corpus, tiny_config(), {"nope": [1]}, assignment=corpus.labels)
-    with pytest.raises(ConfigError, match="is empty"):
-        grid_search(corpus, tiny_config(), {"eta": []}, assignment=corpus.labels)
-    unlabeled = BowCorpus(corpus.counts, corpus.vocab)
-    with pytest.raises(ConfigError, match="epochs"):
-        grid_search(unlabeled, tiny_config(epochs=0), {"eta": [0.1]},
-                    assignment=corpus.labels)
-
-
-def test_grid_checks_every_combination_before_training(monkeypatch):
-    import glocom.trainer
-
-    calls = []
-    real_train = glocom.trainer.train
-    monkeypatch.setattr(glocom.trainer, "train",
-                        lambda *a, **kw: calls.append(a) or real_train(*a, **kw))
-    labeled = tiny_corpus()
-    corpus = BowCorpus(labeled.counts, labeled.vocab)  # label-free: epochs >= 1
-    for grid in ({"epochs": [2, 0]}, {"K": [3, 0]}, {"ablation": ["full", "bogus"]}):
-        with pytest.raises(ConfigError):
-            grid_search(corpus, tiny_config(), grid, assignment=labeled.labels)
-        assert calls == [], grid
-    # build_setup's checks: ids reaching 2 under G=2, and a full run with
-    # no assignment
-    for grid, assignment, error in (
-        ({"G": [3, 2]}, tiny_corpus(G=3).labels, ClusteringError),
-        ({"ablation": ["no_clustering", "full"]}, None, TrainingError),
-    ):
-        with pytest.raises(error):
-            grid_search(corpus, tiny_config(), grid, assignment=assignment)
-        assert calls == [], grid
-    result = grid_search(corpus, tiny_config(epochs=0), {"epochs": [1, 2]},
-                         assignment=labeled.labels)
-    assert len(calls) == 2
-    assert sorted(e.config.epochs for e in result.entries) == [1, 2]
-
-
-def test_grid_refuses_combinations_that_resolve_to_the_same_run(monkeypatch):
-    import glocom.trainer
-
-    calls = []
-    real_train = glocom.trainer.train
-    monkeypatch.setattr(glocom.trainer, "train",
-                        lambda *a, **kw: calls.append(a) or real_train(*a, **kw))
-    corpus = tiny_corpus()
-    vectors = np.random.default_rng(0).normal(size=(corpus.num_words, 5))
-    for cfg, grid, word_init, same in (
-        (tiny_config(), {"embed_dim": [4, 8]}, vectors, "{'embed_dim': 4} and {'embed_dim': 8}"),
-        (tiny_config(ablation="no_clustering"), {"G": [2, 3]}, None, "{'G': 2} and {'G': 3}"),
-        (tiny_config(), {"eta": [0.1, 0.1]}, None, "{'eta': 0.1} and {'eta': 0.1}"),
-    ):
-        with pytest.raises(ConfigError, match=re.escape(same)):
-            grid_search(corpus, cfg, grid, assignment=corpus.labels, word_init=word_init)
-    assert calls == []
 
 
 def test_topic_init_passes_through_to_model():
